@@ -127,7 +127,8 @@ def _parse_kv(line: str, *keys: str) -> list[str]:
 
 
 def read_field(path, verify: bool = True) -> FieldFile:
-    """Read a container, verifying the checksum unless verify=False."""
+    """Read a container, verifying the checksum (before any header number is
+    parsed) unless verify=False; a malformed file raises FieldFileError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < HEADER_BYTES:
@@ -137,25 +138,29 @@ def read_field(path, verify: bool = True) -> FieldFile:
              for i in range(_NLINES)]
     if lines[0] != MAGIC:
         raise FieldFileError(f"bad magic {lines[0]!r}; not a field container")
-    kind = _parse_kv(lines[1], "geometry")[0]
-    try:
-        kind = Kind(kind)
-    except ValueError:
-        raise FieldFileError(f"unknown geometry {kind!r}") from None
-    K = float(_parse_kv(lines[2], "K")[0])
-    spin_s, dtype, seed_s = _parse_kv(lines[3], "spin", "dtype", "seed")
-    if dtype not in _DTYPES:
-        raise FieldFileError(f"unknown dtype {dtype!r}")
-    nchi, ntheta, nphi = (int(v) for v in _parse_kv(lines[4], "nchi", "ntheta", "nphi"))
-    config_hash = _parse_kv(lines[5], "confighash")[0]
-    created = _parse_kv(lines[6], "created")[0]
     digest = _parse_kv(lines[7], "sha256")[0]
-
     if verify:
         blank = b" " * _LINE
         expect = hashlib.sha256(header[:6 * _LINE] + blank + blank + payload).hexdigest()
         if expect != digest:
             raise FieldFileError("checksum mismatch: file corrupt or truncated")
+
+    kind = _parse_kv(lines[1], "geometry")[0]
+    K_s = _parse_kv(lines[2], "K")[0]
+    spin_s, dtype, seed_s = _parse_kv(lines[3], "spin", "dtype", "seed")
+    if dtype not in _DTYPES:
+        raise FieldFileError(f"unknown dtype {dtype!r}")
+    sizes = _parse_kv(lines[4], "nchi", "ntheta", "nphi")
+    config_hash = _parse_kv(lines[5], "confighash")[0]
+    created = _parse_kv(lines[6], "created")[0]
+    try:
+        geom = Geometry(Kind(kind), float(K_s))
+        spin, seed = int(spin_s), int(seed_s)
+        nchi, ntheta, nphi = (int(v) for v in sizes)
+    except ValueError as exc:           # DomainError from Geometry is one too
+        raise FieldFileError(f"malformed header: {exc}") from None
+    if min(nchi, ntheta, nphi) < 1:
+        raise FieldFileError(f"grid sizes must be >= 1, got {nchi}, {ntheta}, {nphi}")
 
     itemsize = np.dtype(_DTYPES[dtype]).itemsize
     need = 8 * (nchi + ntheta + nphi) + itemsize * nchi * ntheta * nphi
@@ -169,6 +174,5 @@ def read_field(path, verify: bool = True) -> FieldFile:
     vals = np.frombuffer(payload, dtype=_DTYPES[dtype],
                          count=nchi * ntheta * nphi, offset=off)
     vals = vals.reshape(nchi, ntheta, nphi).copy()
-    geom = Geometry(kind, K)
-    return FieldFile(geom, int(spin_s), int(seed_s), grids[0], grids[1],
-                     grids[2], vals, config_hash, created)
+    return FieldFile(geom, spin, seed, grids[0], grids[1], grids[2], vals,
+                     config_hash, created)

@@ -1,8 +1,8 @@
-"""Quadrature utilities: composite Gauss-Legendre grids and tabulated fallback.
+"""Quadrature utilities: composite Gauss-Legendre grids and tail monitors.
 
 Transforms integrate tabulated integrands.  Grids made by gauss_legendre_grid
 carry their own weights and integrate polynomials of degree < 2*order per
-panel exactly; arbitrary tabulated grids fall back to the trapezoid rule.
+panel exactly.
 """
 from __future__ import annotations
 
@@ -27,18 +27,6 @@ def gauss_legendre_grid(a: float, b: float, panels: int, order: int = 8):
     x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
     w = (half[:, None] * wg[None, :]).ravel()
     return x, w
-
-
-def integrate_samples(x: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None):
-    """Integrate samples y over x; use supplied weights if present.
-
-    y may have extra leading axes; integration runs over the last axis.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y)
-    if weights is not None:
-        return y @ np.asarray(weights, dtype=float)
-    return np.trapz(y, x, axis=-1)
 
 
 def tail_fraction(contrib: np.ndarray, tail_nodes: int):

@@ -38,7 +38,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .geometry import Geometry, Kind
 from .quadrature import gauss_legendre_grid
-from .specfun import radial, spin_harmonic, zonal_spherical
+from .specfun import radial_table, spin_harmonic, zonal_spherical
+from .specfun import radial  # noqa: F401  (perfbench/spans.py wraps randfield.radial)
 
 __all__ = [
     "PowerSpectrum", "PowerLaw", "GaussianBump", "Tabulated", "power_law_eval",
@@ -255,34 +256,22 @@ def _alpha(geom: Geometry) -> float:
     return 2.0 * math.sqrt(math.pi) * geom.K ** 0.75
 
 
-def _radial_block(geom: Geometry, k: np.ndarray, l: int,
-                  chi_u: np.ndarray) -> np.ndarray:
-    """R[q, j] = R_{k_q l}(chi_u_j), certifying a sample of the nodes."""
-    out = np.empty((k.size, chi_u.size))
-    for q, kk in enumerate(k):
-        if geom.kind is Kind.CLOSED and geom.omega_of_k(float(kk)) < l:
-            out[q] = 0.0
-            continue
-        out[q] = radial(geom, float(kk), l, chi_u, check=(q % 16 == 0))
-    return out
+def _synth_l(R, sd, l, inv, theta, phi, cfg) -> np.ndarray:
+    """Contribution of all m modes at one l; (n_realizations, n_points) complex.
 
-
-def _synth_l(geom, k, sd, l, chi_u, inv, theta, phi, cfg) -> np.ndarray:
-    """Contribution of all m modes at one l; (n_realizations, n_points) complex."""
-    R = _radial_block(geom, k, l, chi_u)          # (nq, nchi_u)
-    Rp = R[:, inv]                                # (nq, npts)
+    Each mode contracts on the unique radii (R is (n_k, n_radii)), then expands."""
     nb = cfg.n_realizations
     acc = np.zeros((nb, theta.size), dtype=complex)
     ms = range(0, l + 1) if cfg.real else range(-l, l + 1)
     for m in ms:
-        xi = _draw_xi(mode_rng(cfg.seed, l, m), (nb, k.size), m, cfg.real)
-        g = (xi * sd) @ Rp                        # (nb, npts)
+        xi = _draw_xi(mode_rng(cfg.seed, l, m), (nb, sd.size), m, cfg.real)
+        g = ((xi * sd) @ R)[:, inv]                 # (nb, npts)
         Y = spin_harmonic(0, l, m, theta, phi)
         acc += g * Y
         if cfg.real and m > 0:
             # xi_{l,-m} = (-1)^m conj(xi_lm) keeps f real
             Ym = spin_harmonic(0, l, -m, theta, phi)
-            acc += ((-1) ** m) * np.conj(xi * sd) @ Rp * Ym
+            acc += (((-1) ** m) * np.conj(xi * sd) @ R)[:, inv] * Ym
     return acc
 
 
@@ -300,14 +289,17 @@ def synthesize(geom: Geometry, P: PowerSpectrum, cfg: SynthesisConfig,
 
     k, sd = _k_nodes(geom, P, cfg)
     chi_u, inv = np.unique(chi, return_inverse=True)
+    if np.array_equal(chi_u, chi):
+        inv = slice(None)    # sorted distinct radii: the expansion is a view
+    R = radial_table(geom, k, cfg.L_max, chi_u)
     ls = list(range(cfg.L_max + 1))
 
     if cfg.threads == 1:
-        parts = [_synth_l(geom, k, sd, l, chi_u, inv, theta, phi, cfg) for l in ls]
+        parts = [_synth_l(R[l], sd, l, inv, theta, phi, cfg) for l in ls]
     else:
         with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            futs = {l: ex.submit(_synth_l, geom, k, sd, l, chi_u, inv,
-                                 theta, phi, cfg) for l in ls}
+            futs = {l: ex.submit(_synth_l, R[l], sd, l, inv, theta, phi, cfg)
+                    for l in ls}
             parts = [futs[l].result() for l in ls]
 
     total = np.zeros((cfg.n_realizations, chi.size), dtype=complex)

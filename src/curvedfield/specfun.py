@@ -15,9 +15,11 @@ with the per-model normalizations
                   w = k/sqrt(K) - 1 integer, r = sqrt(K) chi,
                   M_wl = prod_{n=0..l} ((w+1)^2 - n^2); identically 0 for l > w.
 
-Evaluation strategy (curved models): upward recursion in l from the l=0
-closed form, written in the scaled variable W_l = R_l / f^l (f = sinh r or
-sin r), which obeys
+All radial values come from one evaluator, `radial_table(geom, k, L, chi)`,
+which returns every l <= L for every k at once; `radial` and
+`conical_legendre` are slices of it.  Curved models: upward recursion in l
+from the l=0 closed form, written in the scaled variable W_l = R_l / f^l
+(f = sinh r or sin r), which obeys
 
     W'' + 2(l+1) g(r) W' + lam_l W = 0,        g = coth r | cot r,
     lam_l = w^2 + (l+1)^2  (open)  |  (w+1)^2 - (l+1)^2  (closed),
@@ -29,15 +31,17 @@ switch point  x_eff < l+2 and r < 1.5  the code instead sums the regular
 power series of W_l about r = 0 (coefficients from the ODE; curvature series
 of g via Bernoulli numbers).  The series terms alternate and cancel by a
 factor ~exp(sqrt(lam) r), up to ~1e5 near the switch point, so the sum is
-accumulated in extended precision.  Worst measured error of the combined
-scheme against 40-digit reference values is ~1e-13 for l <= 8 over the full
-parameter map.  Accuracy outside the tested envelope is guarded by the
-per-call ODE residual certification in `radial`.
+accumulated in extended precision.  The table runs that coefficient
+recursion once for all (l, k), one ladder sweep storing every l, and one
+Horner pass; flat models apply spherical_bessel to the (k, chi) array.
+Worst measured error against 40-digit reference values is ~1e-13 for l <= 8
+over the full parameter map.  Outside the tested envelope accuracy is
+guarded by the ODE residual certification of every (l, k) row.
 """
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.special import bernoulli as _bernoulli
@@ -48,7 +52,7 @@ from .geometry import Geometry, Kind, f_K, surface_area  # noqa: F401 (re-export
 __all__ = [
     "wigner_d", "wigner_D", "spin_harmonic", "eth_ladder", "eth_numeric",
     "spherical_bessel", "gegenbauer", "conical_legendre", "radial",
-    "zonal_spherical", "f_K", "surface_area",
+    "radial_table", "zonal_spherical", "f_K", "surface_area",
 ]
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -279,7 +283,7 @@ def gegenbauer(p: int, q: int, x):
 
 
 # ---------------------------------------------------------------------------
-# Radial eigenfunctions (curved models: series + scaled upward ladder)
+# Radial eigenfunctions: one all-l table (series + scaled upward ladder)
 # ---------------------------------------------------------------------------
 
 # coth r = 1/r + sum_n G_n r^{2n-1}; cot r has (-1)^n G_n.  G_n = 4^n B_2n/(2n)!.
@@ -290,83 +294,170 @@ def _coth_series() -> np.ndarray:
     return np.array([4.0 ** n * B[2 * n] / math.factorial(2 * n) for n in range(1, nmax + 1)])
 
 
-def _series_coeffs(sign: int, lam: float, l: int, jmax: int) -> np.ndarray:
-    """Power series coefficients c_j of W_l(r) = W_l(0) sum_j c_j r^{2j}.
+def _lam(sign: int, omega, j):
+    # eigen-parameter of the scaled ODE at rung j
+    return omega * omega + (j + 1) ** 2 if sign < 0 else (omega + 1.0) ** 2 - (j + 1) ** 2
 
-    Returned in extended precision: the alternating sum cancels by up to
-    ~exp(sqrt(lam) r) and would lose 4-5 digits in double.
+
+def _series_table(sign: int, omega: np.ndarray, L: int):
+    """Power series of every row about r = 0: W_l(r) = w0[l, q] sum_j c[j, l, q] r^{2j}.
+
+    c is kept in extended precision: the alternating sum cancels by up to
+    ~exp(sqrt(lam) r) and would lose 4-5 digits in double.  Row l keeps
+    max(60, 3l+40) terms, and w0 = W_l(0) = sqrt(prod_{n<l} lam_n) / (2l+1)!!.
     """
+    jmax = max(60, 3 * L + 40)
     g = _coth_series().astype(np.longdouble)
     if sign > 0:
         g = g * (-1.0) ** np.arange(1, g.size + 1)
-    lam = np.longdouble(lam)
-    c = np.zeros(jmax + 1, dtype=np.longdouble)
+    ls = np.arange(L + 1)[:, None]
+    lam = _lam(sign, omega[None, :], ls)                      # (L+1, n_k)
+    two_l1 = 2.0 * (ls + 1)
+    # a[n-1, mm] = 2(l+1) g_n 2 mm, rounded in the order of the scalar recursion
+    a = two_l1 * g[:, None, None, None] * 2.0 * np.arange(jmax + 1)[:, None, None]
+    c = np.zeros((jmax + 1,) + lam.shape, dtype=np.longdouble)
     c[0] = 1.0
+    neg_lam = -lam.astype(np.longdouble)
     for j in range(jmax):
-        acc = -lam * c[j]
-        for n in range(1, min(j + 1, g.size) + 1):
-            mm = j + 1 - n
-            if mm >= 1:
-                acc -= 2.0 * (l + 1) * g[n - 1] * 2.0 * mm * c[mm]
-        c[j + 1] = acc / ((2 * j + 2) * (2 * j + 1) + 2.0 * (l + 1) * (2 * j + 2))
-    return c
+        n = np.arange(1, min(j, g.size) + 1)                  # mm = j+1-n >= 1
+        terms = np.concatenate([(neg_lam * c[j])[None], a[n - 1, j + 1 - n] * c[j + 1 - n]])
+        c[j + 1] = (np.subtract.reduce(terms, axis=0)       # sequential, as the scalar sum
+                    / ((2 * j + 2) * (2 * j + 1) + two_l1 * (2 * j + 2)))
+    c[np.arange(jmax + 1)[:, None] > np.maximum(60, 3 * ls.T + 40)] = 0.0
+    w0 = np.sqrt(np.cumprod(np.vstack([np.ones_like(omega), lam[:-1]]), axis=0))
+    for l in range(1, L + 1):
+        for n in range(3, 2 * l + 2, 2):
+            w0[l] /= n
+    return c, w0
 
 
-def _lam(sign: int, omega: float, j: int) -> float:
-    # eigen-parameter of the scaled ODE at rung j
-    if sign < 0:
-        return omega * omega + (j + 1) ** 2
-    return (omega + 1.0) ** 2 - (j + 1) ** 2
-
-
-def _scaled_radial(sign: int, omega: float, l: int, r: np.ndarray) -> np.ndarray:
-    """R_l on the scaled radius r for the open (sign=-1) / closed (+1) model."""
-    r = np.asarray(r, dtype=float)
-    out = np.empty_like(r)
-    parity = 1.0
+def _curved_table(sign: int, s: float, omega: np.ndarray, L: int, series, chi) -> np.ndarray:
+    """Rows R_0..R_L, shaped (L+1, n_k, n_chi), of the open (sign=-1) or
+    closed (+1) model at radii chi, which broadcast against omega[:, None]."""
+    c, w0 = series
+    r = np.broadcast_to(s * chi, np.broadcast_shapes(omega[:, None].shape, chi.shape))
+    om = np.broadcast_to(omega[:, None], r.shape)
+    fn, dfn = (np.sinh, np.cosh) if sign < 0 else (np.sin, np.cos)
     if sign > 0:
-        if l > omega:
-            return np.zeros_like(r)
         # reflection R(pi - r) = (-1)^(omega - l) R(r); evaluate on [0, pi/2]
         refl = r > math.pi / 2.0
         r = np.where(refl, math.pi - r, r)
-        parity = np.where(refl, (-1.0) ** (round(omega) - l), 1.0)
+    a = om if sign < 0 else om + 1.0
+    xeff, small = a * r, r < 1.5
+    out = np.empty((L + 1,) + r.shape)
 
-    a = omega if sign < 0 else omega + 1.0
-    xeff = a * r
-    series = (xeff < l + 2) & (r < 1.5)
+    # series points (xeff < l+2, r < 1.5) only grow with l: one Horner pass
+    # over row L's points serves every row
+    S = (xeff < L + 2) & small
+    qs = np.nonzero(S)[0]
+    x = (r[S] * r[S]).astype(np.longdouble)
+    acc = c[-1][:, qs] + x * 0
+    for cj in c[-2::-1]:
+        acc = cj[:, qs] + acc * x
+    ws, fs = (w0[:, qs] * acc).astype(float), fn(r[S])
 
-    if np.any(series):
-        rs = r[series]
-        # W_l(0) = sqrt(prod_{n=1..l} lam_{n-1}) / (2l+1)!!
-        w0 = 1.0
-        for n in range(1, l + 1):
-            w0 *= _lam(sign, omega, n - 1)
-        w0 = math.sqrt(w0)
-        for n in range(3, 2 * l + 2, 2):
-            w0 /= n
-        jmax = max(60, 3 * l + 40)
-        c = _series_coeffs(sign, _lam(sign, omega, l), l, jmax)
-        w = np.polynomial.polynomial.polyval((rs * rs).astype(np.longdouble), c)
-        fl = np.sinh(rs) if sign < 0 else np.sin(rs)
-        out[series] = (w0 * w).astype(float) * fl ** l
+    # ladder points: all that leave the series at l = 0, swept upward once
+    P = ~((xeff < 2) & small)
+    rl, al, oml = r[P], a[P], om[P]
+    f, df = fn(rl), dfn(rl)
+    # seed: W_0 = sin(a r)/(a f(r)) and its derivative, sinc-safe at a=0
+    sinc = rl * np.sinc(al * rl / math.pi)  # = sin(a r)/a
+    w = sinc / f
+    dw = (np.cos(al * rl) * f - sinc * df) / (f * f)
+    # closed rungs past omega divide by beta = 0; those rows are zeroed below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for l in range(L + 1):
+            if l > 0:
+                beta = np.sqrt(_lam(sign, oml, l - 1))
+                w_next = -dw / (f * beta)
+                dw = -(2 * l + 1) * (df / f) * w_next + beta * w / f
+                w = w_next
+            out[l][P] = w * f ** l
+            sl = (xeff < l + 2) & small
+            out[l][sl] = ws[l][sl[S]] * fs[sl[S]] ** l
+    if sign > 0:
+        ls = np.arange(L + 1)[:, None, None]
+        out = np.where(om < ls, 0.0, out * np.where(refl, (-1.0) ** (om - ls), 1.0))
+    return out
 
-    ladder = ~series
-    if np.any(ladder):
-        rl = r[ladder]
-        f = np.sinh(rl) if sign < 0 else np.sin(rl)
-        df = np.cosh(rl) if sign < 0 else np.cos(rl)
-        # seed: W_0 = sin(a r)/(a f(r)) and its derivative, sinc-safe at a=0
-        sinc = rl * np.sinc(a * rl / math.pi)  # = sin(a r)/a
-        w = sinc / f
-        dw = (np.cos(a * rl) * f - sinc * df) / (f * f)
-        for j in range(l):
-            beta = math.sqrt(_lam(sign, omega, j))
-            w_next = -dw / (f * beta)
-            dw = -(2 * j + 3) * (df / f) * w_next + beta * w / f
-            w = w_next
-        out[ladder] = w * f ** l if l > 0 else w
-    return out * parity
+
+def _flat_table(k: np.ndarray, L: int, chi: np.ndarray) -> np.ndarray:
+    x = k[:, None] * chi
+    return np.stack([_SQRT_2_OVER_PI * spherical_bessel(l, x) for l in range(L + 1)])
+
+
+def _certify(geom: Geometry, k: np.ndarray, chi: np.ndarray, R: np.ndarray, table,
+             cert_tol: float):
+    """Helmholtz residual of every nonzero (l, k) row on 5-point stencils at
+    the 0.35 and 0.75 quantiles of chi lying 4h inside the domain; else at the
+    middle of that range, or its lower end when the grid is shorter."""
+    L = R.shape[0] - 1
+    h = np.minimum(0.02, 0.02 / np.sqrt(k * k + abs(geom.K) + 1.0))
+    if geom.kind is not Kind.FLAT:
+        h = np.minimum(h, 0.02 / geom.curvature_scale)
+    lo = 4.0 * h
+    hi = (geom.chi_max if math.isfinite(geom.chi_max) else float(np.max(chi)) + 4.0 * h) - 4.0 * h
+    q = np.quantile(chi, [0.35, 0.75])
+    ok = (lo[:, None] <= q) & (q <= hi[:, None])                      # (n_k, 2)
+    use = ok | (~ok.any(axis=1)[:, None] & (np.arange(2) == 0))
+    chi0 = np.where(ok, q, np.maximum(0.5 * (lo + hi), lo)[:, None])
+    stencil = chi0[:, :, None] + h[:, None, None] * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    R0, R1, R2, R3, R4 = np.moveaxis(
+        table(stencil.reshape(k.size, 10)).reshape(L + 1, k.size, 2, 5), -1, 0)
+    hh = h[:, None]
+    d1 = (R0 - 8 * R1 + 8 * R3 - R4) / (12 * hh)
+    d2 = (-R0 + 16 * R1 - 30 * R2 + 16 * R3 - R4) / (12 * hh * hh)
+    fk = f_K(geom, chi0)
+    dlog = {Kind.OPEN: np.cosh, Kind.CLOSED: np.cos}.get(geom.kind, np.ones_like)(
+        geom.curvature_scale * chi0) / fk                                # f_K' / f_K
+    ls = np.arange(L + 1)[:, None, None]
+    lam = (k * k)[:, None] - geom.K - ls * (ls + 1) / (fk * fk)
+    resid = np.abs(d2 + 2.0 * dlog * d1 + lam * R2)
+    rmax = np.max(np.abs(R), axis=2)[:, :, None]
+    # rows that are identically 0 (closed l > omega) have nothing to certify;
+    # a NaN anywhere in a row fails it
+    bad = use & (rmax != 0.0) & ~(resid <= cert_tol * (np.abs(lam) + 1.0) * rmax)
+    if np.any(bad):
+        l, iq, ip = np.argwhere(bad)[0]
+        raise AccuracyError(
+            f"radial ODE residual {resid[l, iq, ip]:.2e} exceeds {cert_tol:.0e}*scale "
+            f"at chi={chi0[iq, ip]:.4g} ({geom.kind.value}, k={k[iq]}, l={l})")
+
+
+def radial_table(geom: Geometry, k, L_max: int, chi, check: bool = True,
+                 cert_tol: float = 1e-6) -> np.ndarray:
+    """R_kl(chi) for every l <= L_max and every k, shaped (L_max+1, k.size) + chi.shape.
+
+    The one radial evaluator (see the module notes); closed rows with
+    l > omega are exactly 0.  check=True certifies every nonzero (l, k) row:
+    the Helmholtz ODE residual on probe stencils must stay below cert_tol
+    times |k^2 - K - l(l+1)/f_K^2| + 1 times max|R_kl|, else AccuracyError.
+    """
+    if L_max < 0:
+        raise DomainError("l must be >= 0")
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    if k.ndim != 1 or not np.all(np.isfinite(k) & (k >= 0)):
+        raise DomainError("k must be finite and >= 0")
+    chi = geom.check_chi(chi)
+    if geom.kind is Kind.FLAT:
+        table = partial(_flat_table, k, L_max)
+    else:
+        sign = -1 if geom.kind is Kind.OPEN else 1
+        omega = np.array([geom.omega_of_k(float(kk)) for kk in k])
+        table = partial(_curved_table, sign, geom.curvature_scale, omega, L_max,
+                        _series_table(sign, omega, L_max))
+    R = table(chi.reshape(1, -1))
+    if check and chi.size > 0:
+        _certify(geom, k, chi.ravel(), R, table, cert_tol)
+    return R.reshape(R.shape[:2] + chi.shape)
+
+
+def radial(geom: Geometry, k: float, l: int, chi, check: bool = True,
+           cert_tol: float = 1e-6):
+    """Radial eigenfunction R_kl(chi) in the per-model normalization: the
+    slice radial_table(geom, k, l, chi)[l, 0], certified with the rows below
+    it when check=True.  Bulk callers should build one radial_table."""
+    return radial_table(geom, k, l, chi, check, cert_tol)[l, 0][()]
 
 
 def conical_legendre(omega: float, l: int, r) -> np.ndarray:
@@ -378,110 +469,26 @@ def conical_legendre(omega: float, l: int, r) -> np.ndarray:
     """
     if omega < 0 or not math.isfinite(omega):
         raise DomainError("omega must be finite and >= 0")
-    if l < 0:
-        raise DomainError("l must be >= 0")
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise DomainError("r must be > 0")
-    u = _scaled_radial(-1, omega, l, r)
-    norm = 1.0
-    for n in range(1, l + 1):
-        norm *= omega * omega + n * n
+    u = radial_table(Geometry.open(-1.0), omega, l, r, check=False)[l, 0]
+    norm = math.prod(omega * omega + n * n for n in range(1, l + 1))
     return u * np.sqrt(2.0 * np.sinh(r) / (math.pi * norm))
-
-
-def _ode_residual(geom: Geometry, k: float, l: int, chi0: float, h: float) -> tuple[float, float]:
-    """Helmholtz residual at chi0 by a 5-point stencil; returns (residual, scale)."""
-    chis = chi0 + h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    R = radial(geom, k, l, chis, check=False)
-    d1 = (R[0] - 8 * R[1] + 8 * R[3] - R[4]) / (12 * h)
-    d2 = (-R[0] + 16 * R[1] - 30 * R[2] + 16 * R[3] - R[4]) / (12 * h * h)
-    fk = float(f_K(geom, chi0))
-    s = geom.curvature_scale
-    if geom.kind is Kind.OPEN:
-        dlog = s / math.tanh(s * chi0)
-    elif geom.kind is Kind.CLOSED:
-        dlog = s / math.tan(s * chi0)
-    else:
-        dlog = 1.0 / chi0
-    lam = k * k - geom.K - l * (l + 1) / (fk * fk)
-    resid = d2 + 2.0 * dlog * d1 + lam * R[2]
-    return float(resid), abs(lam) + 1.0
-
-
-def radial(geom: Geometry, k: float, l: int, chi, check: bool = True,
-           cert_tol: float = 1e-6):
-    """Radial eigenfunction R_kl(chi) in the per-model normalization.
-
-    check=True certifies the evaluation by measuring the Helmholtz ODE
-    residual on probe stencils and raising AccuracyError when it exceeds
-    cert_tol relative to max|R| and the local coefficient scale.  Pass
-    check=False inside bulk loops after a certified call with the same
-    (geometry, k, l).
-    """
-    if l < 0:
-        raise DomainError("l must be >= 0")
-    if not (math.isfinite(k) and k >= 0):
-        raise DomainError("k must be finite and >= 0")
-    chi = geom.check_chi(chi)
-    scalar = chi.ndim == 0
-    chi = np.atleast_1d(chi)
-
-    if geom.kind is Kind.FLAT:
-        vals = _SQRT_2_OVER_PI * spherical_bessel(l, k * chi)
-    else:
-        omega = geom.omega_of_k(k)
-        s = geom.curvature_scale
-        vals = _scaled_radial(-1 if geom.kind is Kind.OPEN else 1, omega, l, s * chi)
-
-    if check and chi.size > 0 and not (geom.kind is Kind.CLOSED and geom.omega_of_k(k) < l):
-        rmax = float(np.max(np.abs(vals)))
-        if rmax > 0.0:
-            lam_mag = k * k + abs(geom.K) + 1.0
-            h = min(0.02, 0.02 / math.sqrt(lam_mag))
-            if geom.kind is not Kind.FLAT:
-                h = min(h, 0.02 / geom.curvature_scale)
-            lo, hi = 4.0 * h, (geom.chi_max if math.isfinite(geom.chi_max)
-                               else float(np.max(chi)) + 4.0 * h) - 4.0 * h
-            probes = [float(c) for c in np.quantile(chi, [0.35, 0.75])
-                      if lo <= c <= hi]
-            if not probes:
-                probes = [min(max(0.5 * (lo + hi), lo), hi)]
-            for chi0 in probes:
-                fk = float(f_K(geom, chi0))
-                lam = abs(k * k - geom.K - l * (l + 1) / (fk * fk)) + 1.0
-                resid, _ = _ode_residual(geom, k, l, chi0, h)
-                if abs(resid) > cert_tol * lam * rmax:
-                    raise AccuracyError(
-                        f"radial ODE residual {abs(resid):.2e} exceeds "
-                        f"{cert_tol:.0e}*scale at chi={chi0:.4g} "
-                        f"({geom.kind.value}, k={k}, l={l})")
-    return vals[0] if scalar else vals
 
 
 # ---------------------------------------------------------------------------
 # Zonal spherical functions
 # ---------------------------------------------------------------------------
 
-def _x_over_sinh(r: np.ndarray) -> np.ndarray:
-    """r/sinh(r), series-safe at r=0."""
+def _x_over(fn, sign: float, r: np.ndarray) -> np.ndarray:
+    """r/fn(r) for fn = sinh (sign=-1) or sin (sign=+1, r in [0, pi/2]), series-safe at r=0."""
     out = np.empty_like(r)
     small = r < 1e-4
     rs = r[small]
-    out[small] = 1.0 - rs * rs / 6.0 + 7.0 * rs ** 4 / 360.0
+    out[small] = 1.0 + sign * rs * rs / 6.0 + 7.0 * rs ** 4 / 360.0
     rb = r[~small]
-    out[~small] = rb / np.sinh(rb)
-    return out
-
-
-def _x_over_sin(r: np.ndarray) -> np.ndarray:
-    """r/sin(r), series-safe at r=0 (call with r in [0, pi/2])."""
-    out = np.empty_like(r)
-    small = r < 1e-4
-    rs = r[small]
-    out[small] = 1.0 + rs * rs / 6.0 + 7.0 * rs ** 4 / 360.0
-    rb = r[~small]
-    out[~small] = rb / np.sin(rb)
+    out[~small] = rb / fn(rb)
     return out
 
 
@@ -510,7 +517,7 @@ def zonal_spherical(geom: Geometry, omega, r):
         w = round(w)
         refl = r > math.pi / 2.0
         rr = np.where(refl, math.pi - r, r)
-        vals = np.sinc((w + 1) * rr / math.pi) * _x_over_sin(rr)
+        vals = np.sinc((w + 1) * rr / math.pi) * _x_over(np.sin, 1.0, rr)
         vals = np.where(refl, (-1.0) ** w * vals, vals)
         return vals[0] if scalar else vals
 
@@ -531,7 +538,7 @@ def zonal_spherical(geom: Geometry, omega, r):
         w = wc.real
         if w < 0:
             raise DomainError("principal-series omega must be >= 0")
-        vals = np.sinc(w * r / math.pi) * _x_over_sinh(r)
+        vals = np.sinc(w * r / math.pi) * _x_over(np.sinh, -1.0, r)
         return vals[0] if scalar else vals
 
     w = float(omega)

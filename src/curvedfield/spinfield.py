@@ -165,6 +165,8 @@ def euler_frame(n1, n2) -> PointPairFrame:
         return PointPairFrame(0.0, beta, 0.0, False)
     alpha = _bearing(t1, p1, t2, p2) % (2.0 * math.pi)
     gamma = (-_bearing(t2, p2, t1, p1)) % (2.0 * math.pi)
+    # a tiny negative bearing wraps to exactly 2 pi, which is 0
+    alpha, gamma = (0.0 if a == 2.0 * math.pi else a for a in (alpha, gamma))
     return PointPairFrame(alpha, beta, gamma, True)
 
 

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvedfield.errors import FieldFileError
 from curvedfield.fieldfile import (HEADER_BYTES, FieldFile, read_field,
@@ -117,3 +119,36 @@ def test_payload_order_chi_slowest(tmp_path):
     flat = np.frombuffer(raw, dtype="<f8", offset=off)
     np.testing.assert_array_equal(flat.reshape(4, 3, 2), ff.values)
     assert flat[1] == ff.values[0, 0, 1]
+
+
+def test_malformed_header_numbers_raise_field_file_error(tmp_path):
+    path = tmp_path / "f.fld"
+    write_field(path, sample_file())
+    raw = path.read_bytes()
+    for old, new in ((b"K=-0.5", b"K=-0.x"), (b"K=-0.5", b"K=+0.5"), (b"K=-0.5", b"K=nan0"),
+                     (b"nchi=4", b"nchi=x"), (b"nchi=4 ntheta=3", b"nchi=-4 ntheta=-3"),
+                     (b"seed=77", b"seed=7x"), (b"geometry=open", b"geometry=oval")):
+        path.write_bytes(raw.replace(old, new, 1))
+        for verify in (True, False):
+            with pytest.raises(FieldFileError):
+                read_field(path, verify=verify)
+
+
+@settings(max_examples=300, deadline=None)
+# positions favour the numeric header lines (2-4, bytes 192-479)
+@given(flips=st.lists(st.tuples(st.integers(192, 479) | st.integers(0, 2 * HEADER_BYTES),
+                                st.integers(1, 255)), max_size=4),
+       cut=st.none() | st.integers(0, 2 * HEADER_BYTES),
+       verify=st.booleans())
+def test_read_field_fuzz_only_field_file_error(tmp_path_factory, flips, cut, verify):
+    # flipped and truncated bytes either read or raise FieldFileError
+    path = tmp_path_factory.getbasetemp() / "fuzz.fld"
+    write_field(path, sample_file(created="2026-01-01T00:00:00Z"))
+    raw = bytearray(path.read_bytes())
+    for pos, mask in flips:
+        raw[pos % len(raw)] ^= mask
+    path.write_bytes(bytes(raw[:cut]))
+    try:
+        read_field(path, verify=verify)
+    except FieldFileError:
+        pass

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,10 +7,12 @@ import scipy.special as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvedfield import randfield, specfun
 from curvedfield.errors import AccuracyError, DomainError, SpectralLatticeError
 from curvedfield.geometry import Geometry
-from curvedfield.specfun import conical_legendre, radial, zonal_spherical
-from oracles import CLOSED_RADIAL, OPEN_RADIAL
+from curvedfield.randfield import GaussianBump, SynthesisConfig, synthesize
+from curvedfield.specfun import conical_legendre, radial, radial_table, zonal_spherical
+from oracles import CLOSED_RADIAL, FLAT_RADIAL, OPEN_RADIAL
 
 G_OPEN = Geometry.open(-1.0)
 G_FLAT = Geometry.flat()
@@ -140,6 +143,124 @@ def test_flat_radial_scale_invariance(k, l, a):
     lhs = radial(G_FLAT, k, l, chi, check=False)
     rhs = radial(G_FLAT, k * a, l, chi / a, check=False)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-290)
+
+
+# ---------------------------------------------------------------------------
+# The all-l radial table
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("geom, table, k_of", [
+    (G_OPEN, OPEN_RADIAL, lambda omega: omega),
+    (G_FLAT, FLAT_RADIAL, lambda k: k),
+    (G_CLOSED, CLOSED_RADIAL, lambda omega: omega + 1.0),
+])
+def test_radial_table_slices_match_oracles(geom, table, k_of):
+    ks = sorted({row[0] for row in table})
+    ls = sorted({row[1] for row in table})
+    chis = sorted({row[2] for row in table})
+    T = radial_table(geom, [k_of(k) for k in ks], max(ls), np.array(chis))
+    assert T.shape == (max(ls) + 1, len(ks), len(chis))
+    for k, l, chi, ref in table:
+        got = T[l, ks.index(k), chis.index(chi)]
+        assert abs(got - ref) < 1e-11 * max(abs(ref), 1e-12), (geom.kind, k, l, chi)
+
+
+def test_radial_table_closed_rows_above_omega_are_zero():
+    omega = np.arange(6)
+    chi = np.linspace(0.0, math.pi, 25)
+    T = radial_table(G_CLOSED, omega + 1.0, 8, chi)
+    for q, w in enumerate(omega):
+        assert np.all(T[w + 1:, q] == 0.0)
+        assert not np.any(np.signbit(T[w + 1:, q]))
+        assert np.all(np.any(T[:w + 1, q] != 0.0, axis=-1))
+
+
+def test_radial_table_on_the_origin_alone():
+    # l = 0 is 1 at chi = 0 (sqrt(2/pi) flat), every l > 0 vanishes
+    for geom, k, r0 in ((G_OPEN, [0.5, 3.0], 1.0), (G_FLAT, [0.5, 3.0], math.sqrt(2 / math.pi)),
+                        (G_CLOSED, [1.0, 4.0], 1.0)):
+        T = radial_table(geom, k, 4, np.array([0.0]))
+        np.testing.assert_allclose(T[0, :, 0], r0, rtol=1e-15)
+        assert np.all(T[1:] == 0.0)
+    cfg = SynthesisConfig(L_max=3, k_max=6.0, k_panels=2, k_order=4)
+    f = synthesize(Geometry.open(-0.5), GaussianBump(1.0, 3.0, 0.8), cfg,
+                   np.array([0.0]), np.array([1.0]), np.array([0.0]))
+    assert np.all(np.isfinite(f.values))
+
+
+def test_radial_table_certifies_every_row(monkeypatch):
+    # a defect in one (l, k) row off any sampling pattern must be caught
+    good = specfun._curved_table
+
+    def broken(*args):
+        out, chi = good(*args), args[-1]
+        out[3, 5] *= 1.0 + 1e-3 * np.broadcast_to(chi, out.shape[1:])[5]
+        return out
+
+    ks = np.linspace(0.3, 6.0, 12)
+    chi = np.linspace(0.0, 3.0, 16)
+    radial_table(G_OPEN, ks, 4, chi)
+    monkeypatch.setattr(specfun, "_curved_table", broken)
+    with pytest.raises(AccuracyError, match=r"l=3\)"):
+        radial_table(G_OPEN, ks, 4, chi)
+
+
+def test_radial_table_certification_reaches_synthesis(monkeypatch):
+    monkeypatch.setattr(randfield, "radial_table",
+                        functools.partial(radial_table, cert_tol=1e-300))
+    cfg = SynthesisConfig(L_max=2, k_max=6.0, k_panels=2, k_order=4)
+    pts = np.array([0.2, 0.9, 1.7])
+    with pytest.raises(AccuracyError):
+        synthesize(Geometry.open(-0.5), GaussianBump(1.0, 3.0, 0.8), cfg,
+                   pts, np.full(3, 1.0), np.zeros(3))
+
+
+def _scalar_series(sign, omega, l):
+    # the former per-(k, l) recursion: reference for the vectorised table
+    g = specfun._coth_series().astype(np.longdouble)
+    if sign > 0:
+        g = g * (-1.0) ** np.arange(1, g.size + 1)
+    lam = np.longdouble(specfun._lam(sign, omega, l))
+    jmax = max(60, 3 * l + 40)
+    c = np.zeros(jmax + 1, dtype=np.longdouble)
+    c[0] = 1.0
+    for j in range(jmax):
+        acc = -lam * c[j]
+        for n in range(1, min(j + 1, g.size) + 1):
+            mm = j + 1 - n
+            if mm >= 1:
+                acc -= 2.0 * (l + 1) * g[n - 1] * 2.0 * mm * c[mm]
+        c[j + 1] = acc / ((2 * j + 2) * (2 * j + 1) + 2.0 * (l + 1) * (2 * j + 2))
+    return c
+
+
+def test_series_table_matches_scalar_recursion():
+    for sign, L, omega in ((-1, 3, np.array([0.0, 0.7, 4.0, 9.0])),
+                           (1, 14, np.array([0.0, 1.0, 4.0, 9.0]))):
+        c, w0 = specfun._series_table(sign, omega, L)
+        for q, om in enumerate(omega):
+            for l in range(L + 1):
+                ref = _scalar_series(sign, float(om), l)
+                assert np.array_equal(c[:ref.size, l, q], ref)
+                assert not np.any(c[ref.size:, l, q])
+                w = math.sqrt(math.prod(specfun._lam(sign, float(om), n) for n in range(l)))
+                for n in range(3, 2 * l + 2, 2):
+                    w /= n
+                assert w0[l, q] == w
+
+
+def test_open_synthesis_bytes_independent_of_threads():
+    n = 6
+    chi, theta, phi = (a.ravel() for a in np.meshgrid(
+        np.linspace(0.0, 2.0, n), np.linspace(0.1, 3.0, n), np.linspace(0.0, 6.0, 2 * n),
+        indexing="ij"))
+    payloads = []
+    for threads in (1, 2, 8):
+        cfg = SynthesisConfig(L_max=12, seed=11, k_max=8.0, k_panels=3, k_order=6,
+                              threads=threads)
+        f = synthesize(Geometry.open(-0.5), GaussianBump(1.0, 3.0, 0.8), cfg, chi, theta, phi)
+        payloads.append(f.values.tobytes())
+    assert payloads[0] == payloads[1] == payloads[2]
 
 
 # ---------------------------------------------------------------------------

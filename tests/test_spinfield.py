@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvedfield.errors import DomainError, KernelDefinitenessError
@@ -27,6 +27,9 @@ angle = st.tuples(st.floats(min_value=0.05, max_value=math.pi - 0.05),
 
 @settings(max_examples=60)
 @given(angle, angle)
+# a bearing of -tiny wraps to exactly 2 pi under % (alpha, then gamma)
+@example(n1=(2.0, 2.2e-311), n2=(1.0, 0.0))
+@example(n1=(1.0, 2.2e-311), n2=(2.0, 0.0))
 def test_euler_frame_properties(n1, n2):
     f = euler_frame(n1, n2)
     cosb = (math.cos(n1[0]) * math.cos(n2[0])

@@ -34,6 +34,7 @@ from .randfield import (GaussianBump, PowerLaw, SynthesisConfig, Tabulated,
                         analytic_correlation, estimate_correlation, synthesize)
 from .sft import (RadialProfile, Spectrum, bump_profile, closed_k_lattice,
                   forward_isotropic, inverse_isotropic)
+from .specfun import HARMONIC_L_MAX
 from .spinfield import LENSING_SPINS, lensing_ladder, separable_kernels, synthesize_spin
 
 
@@ -58,9 +59,20 @@ def _provenance(args, raw) -> list[str]:
 def _write_table(args, raw, columns: dict[str, np.ndarray], notes=()):
     lines = _provenance(args, raw) + [f"# {n}" for n in notes]
     lines.append(",".join(columns))
-    cols = [np.atleast_1d(np.asarray(v)) for v in columns.values()]
-    for row in zip(*cols):
-        lines.append(",".join(f"{v:.17g}" for v in row))
+    # one %-format pass per row prints real values exactly as f"{v:.17g}";
+    # %-formatting has no complex conversion, so complex columns (estimates
+    # of a complex field) are formatted up front
+    cols, fmts = [], []
+    for v in columns.values():
+        v = np.atleast_1d(np.asarray(v))
+        if np.iscomplexobj(v):
+            cols.append([f"{x:.17g}" for x in v.tolist()])
+            fmts.append("%s")
+        else:
+            cols.append(v.tolist())
+            fmts.append("%.17g")
+    row_fmt = ",".join(fmts)
+    lines.extend(row_fmt % row for row in zip(*cols))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -340,6 +352,8 @@ def cmd_spin(args) -> int:
     if not args.out:
         raise ConfigError("spin needs --out for the field container")
     s, L = cfg["spin.s"], cfg["spin.l_max"]
+    if L > HARMONIC_L_MAX:
+        raise DomainError(f"spin.l_max={L} exceeds the harmonic ceiling {HARMONIC_L_MAX}")
     chi, theta, phi = _tensor_grid(cfg)
     observable = cfg["lensing.observable"]
     if observable:

@@ -85,21 +85,28 @@ class Geometry:
             raise DomainError(f"chi outside [0, {hi}] for {self.kind.value} geometry")
         return chi
 
-    def omega_of_k(self, k: float) -> float:
+    def omega_of_k(self, k):
         """Dimensionless spectral parameter for the curved models.
 
         open: omega = k/sqrt(-K); closed: omega = k/sqrt(K) - 1 (must be a
         nonnegative integer).  Flat has no rescaling; returns k unchanged.
+        k may be a scalar (float result) or an array (array result); the
+        closed lattice check names the first off-lattice entry.
         """
         if self.kind is Kind.OPEN:
             return k / math.sqrt(-self.K)
         if self.kind is Kind.CLOSED:
-            omega = k / math.sqrt(self.K) - 1.0
-            nearest = round(omega)
-            if nearest < 0 or abs(omega - nearest) > 1e-8 * max(1.0, abs(omega)):
+            ks = np.asarray(k, dtype=float)
+            omega = ks / math.sqrt(self.K) - 1.0
+            nearest = np.round(omega) + 0.0          # + 0.0 turns -0.0 into 0.0
+            off = ~(nearest >= 0) | ~(np.abs(omega - nearest)
+                                      <= 1e-8 * np.maximum(1.0, np.abs(omega)))
+            if np.any(off):
+                i = np.flatnonzero(off)[0]
                 raise SpectralLatticeError(
-                    f"k={k} is off the closed-model lattice k=(omega+1)sqrt(K); omega={omega}")
-            return float(nearest)
+                    f"k={ks.flat[i]} is off the closed-model lattice k=(omega+1)sqrt(K); "
+                    f"omega={omega.flat[i]}")
+            return float(nearest) if ks.ndim == 0 else nearest
         return k
 
     def k_of_omega(self, omega: float) -> float:

@@ -38,7 +38,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .geometry import Geometry, Kind
 from .quadrature import gauss_legendre_grid
-from .specfun import radial_table, spin_harmonic, zonal_spherical
+from .specfun import (HARMONIC_L_MAX, radial_table, spin_harmonic, zonal_blocks,
+                      zonal_spherical)
 from .specfun import radial  # noqa: F401  (perfbench/spans.py wraps randfield.radial)
 
 __all__ = [
@@ -152,7 +153,8 @@ class SynthesisConfig:
     k_max/k_panels/k_order build the Gauss-Legendre wavenumber rule (open,
     flat); omega_max bounds the closed-model lattice.  real=True imposes the
     conjugation symmetry xi_{l,-m} = (-1)^m conj(xi_lm) so realizations are
-    real valued with the same two-point function.
+    real valued with the same two-point function.  L_max may not exceed
+    specfun.HARMONIC_L_MAX, the ceiling of the harmonic evaluator.
     """
 
     L_max: int
@@ -169,6 +171,9 @@ class SynthesisConfig:
     def __post_init__(self):
         if self.L_max < 0 or self.n_realizations < 1 or self.threads < 1:
             raise DomainError("L_max >= 0, n_realizations >= 1, threads >= 1 required")
+        if self.L_max > HARMONIC_L_MAX:
+            raise DomainError(f"L_max={self.L_max} exceeds the harmonic ceiling "
+                              f"{HARMONIC_L_MAX} (see specfun.spin_harmonic)")
         if self.seed < 0 or self.seed > 2 ** 63 - 1:
             raise DomainError("seed must fit in a non-negative 63-bit integer")
         if self.k_max is not None and self.k_max <= 0:
@@ -323,7 +328,8 @@ def analytic_correlation(geom: Geometry, P: PowerSpectrum, r,
     Open/flat: Gauss-Legendre quadrature of int Phi_k(r) k^2 P(k) dk over
     [0, k_max].  Closed: exact lattice sum to omega_max.  atoms adds discrete
     spectral lines sum_j c_j Phi_{omega_j}(r); an open-model atom may sit on
-    the supplementary series omega = i tau, tau in (0, 1].
+    the supplementary series omega = i tau, tau in (0, 1].  Nodes with
+    nonzero weight are summed as matrix products over zonal table row blocks.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     geom.check_chi(r)
@@ -331,26 +337,22 @@ def analytic_correlation(geom: Geometry, P: PowerSpectrum, r,
     if geom.kind is Kind.CLOSED:
         if omega_max is None:
             raise DomainError("closed correlation needs omega_max")
-        omega = np.arange(omega_max + 1, dtype=float)
-        kk = s * (omega + 1.0)
-        pk = np.asarray(P(kk), dtype=float)
-        out = np.zeros_like(r)
-        for w, amp in zip(omega, s ** 3 * (omega + 1.0) ** 2 * pk):
-            if amp != 0.0:
-                out += amp * zonal_spherical(geom, w, s * r)
-        return out
-    if k_max is None or k_max <= 0:
-        raise DomainError("open/flat correlation needs k_max > 0")
-    k, w = gauss_legendre_grid(0.0, k_max, panels, order)
-    amp = w * k * k * np.asarray(P(k), dtype=float)
-    if geom.kind is Kind.OPEN:
-        rz, omegas = s * r, geom.omega_of_k(k)
+        omegas = np.arange(omega_max + 1, dtype=float)
+        amp = s ** 3 * (omegas + 1.0) ** 2 * np.asarray(P(s * (omegas + 1.0)), dtype=float)
     else:
-        rz, omegas = r, k
+        if k_max is None or k_max <= 0:
+            raise DomainError("open/flat correlation needs k_max > 0")
+        k, w = gauss_legendre_grid(0.0, k_max, panels, order)
+        amp = w * k * k * np.asarray(P(k), dtype=float)
+        omegas = geom.omega_of_k(k)
+    rz = r if geom.kind is Kind.FLAT else s * r
+    live = amp != 0.0
+    amp, omegas = amp[live], omegas[live]
     out = np.zeros_like(r)
-    for om, a in zip(omegas, amp):
-        if a != 0.0:
-            out += a * zonal_spherical(geom, float(om), rz)
+    for blk in zonal_blocks(amp.size, rz.size):
+        out += amp[blk] @ zonal_spherical(geom, omegas[blk], rz)
+    if geom.kind is Kind.CLOSED:
+        return out
     for om, c in atoms:
         out = out + c * np.real(zonal_spherical(geom, om, rz))
     return out

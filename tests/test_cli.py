@@ -1,9 +1,12 @@
+import argparse
 import math
 
 import numpy as np
 import pytest
 
-from curvedfield.cli import main
+from curvedfield import __version__
+from curvedfield.cli import _write_table, main
+from curvedfield.config import config_hash
 from curvedfield.cosmology import (comoving_distance, hubble, lookback_time,
                                    make_params)
 from curvedfield.fieldfile import HEADER_BYTES, read_field
@@ -237,6 +240,35 @@ grid.chi_max = 2.0
 """)
     assert main(["spin", "--config", cfg, "--out",
                  str(tmp_path / "x.cfd")]) == 2
+
+
+def test_spin_l_max_past_harmonic_ceiling_exits_3(tmp_path, capsys):
+    cfg = write(tmp_path, "spin.cfg", """
+spin.s = 0
+spin.l_max = 33
+grid.chi_max = 2.0
+""")
+    assert main(["spin", "--config", cfg, "--out", str(tmp_path / "x.cfd")]) == 3
+    assert "harmonic ceiling" in capsys.readouterr().err
+    assert not (tmp_path / "x.cfd").exists()
+
+
+def test_csv_rows_match_per_value_formatting(tmp_path):
+    # the one-pass row format must print what f"{v:.17g}" printed per value
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+                        1e-310, 0.1, 1.0 / 3.0, -2.5e-17, 1e16, 12345678901234567.0,
+                        1.7976931348623157e308, 123456789.12345678, -1.0000000000000002])
+    cplx = np.empty(special.size, dtype=complex)
+    cplx.real, cplx.imag = special, special[::-1]
+    columns = {"a": special, "b": special[::-1] * -1.0, "n": np.arange(special.size),
+               "c": cplx}
+    out = tmp_path / "t.csv"
+    _write_table(argparse.Namespace(out=str(out), command="test"), {"x": "1"}, columns,
+                 notes=["note"])
+    expect = ["# curvedfield %s test" % __version__, "# config sha256: %s" % config_hash({"x": "1"}),
+              "# note", "a,b,n,c"]
+    expect += [",".join(f"{v:.17g}" for v in row) for row in zip(*columns.values())]
+    assert out.read_text(encoding="utf-8") == "\n".join(expect) + "\n"
 
 
 def test_version_and_usage_exit_codes(capsys):

@@ -6,8 +6,10 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvedfield import specfun
 from curvedfield.errors import DomainError
 from curvedfield.geometry import Geometry
+from curvedfield.quadrature import gauss_legendre_grid
 from curvedfield.randfield import (CorrelationEstimate, GaussianBump,
                                    PowerLaw, SynthesisConfig, Tabulated,
                                    analytic_correlation, estimate_correlation,
@@ -195,6 +197,12 @@ def test_closed_printed_weight_rescales_isolated_mode():
     np.testing.assert_allclose(prnt.values, 0.75 * plan.values, rtol=1e-13)
 
 
+def test_config_rejects_l_max_past_harmonic_ceiling():
+    SynthesisConfig(L_max=32)
+    with pytest.raises(DomainError, match="harmonic ceiling"):
+        SynthesisConfig(L_max=33)
+
+
 # ---------------------------------------------------------------------------
 # Analytic covariance
 # ---------------------------------------------------------------------------
@@ -223,6 +231,33 @@ def test_analytic_correlation_closed_is_lattice_sum():
         ref += (w + 1.0) ** 2 * float(P(w + 1.0)) * zonal_spherical(
             G_CLOSED, w, r)
     np.testing.assert_allclose(got, ref, rtol=1e-13)
+
+
+N_LAGS = 600
+ROWS = specfun.ZONAL_BLOCK // N_LAGS              # rows per block at N_LAGS lags
+
+
+@pytest.mark.parametrize("n_nodes", [1, ROWS, ROWS + 1, 2 * ROWS + 1])
+@pytest.mark.parametrize("name", ["open", "flat", "closed"])
+def test_analytic_correlation_matches_per_k_loop(name, n_nodes):
+    # lags from 0 (closed: past pi/2); the band cut zeroes the first nodes,
+    # which the blocked sum drops as the loop skipped them
+    geom = {"open": G_OPEN, "flat": G_FLAT, "closed": G_CLOSED}[name]
+    P = PowerLaw(1.0, -1.0, k_cut_low=0.05 if name != "closed" else 3.0)
+    if name == "closed":
+        r = np.linspace(0.0, math.pi, N_LAGS)
+        got = analytic_correlation(geom, P, r, omega_max=n_nodes - 1)
+        omega = np.arange(n_nodes, dtype=float)
+        amp = (omega + 1.0) ** 2 * P(omega + 1.0)
+    else:
+        r = np.linspace(0.0, 5.0, N_LAGS)
+        got = analytic_correlation(geom, P, r, k_max=12.0, panels=n_nodes, order=1)
+        omega, w = gauss_legendre_grid(0.0, 12.0, n_nodes, 1)
+        amp = w * omega ** 2 * P(omega)
+    terms = np.array([a * zonal_spherical(geom, float(om), r)
+                      for a, om in zip(amp, omega) if a != 0.0]).reshape(-1, r.size)
+    np.testing.assert_array_less(np.abs(got - terms.sum(axis=0)),
+                                 1e-13 * np.abs(terms).sum(axis=0) + 1e-300)
 
 
 def test_analytic_correlation_atoms_and_errors():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvedfield import sft, specfun
 from curvedfield.errors import (ConvergenceError, DomainError,
                                 SpectralLatticeError)
 from curvedfield.geometry import Geometry, surface_area
@@ -175,3 +176,144 @@ def test_forward_linearity(a, b):
         + b * forward_isotropic(RadialProfile(G_OPEN, chi, g, w), k,
                                 tail_tol=None).values
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# Blocked zonal tables against the per-k kernel loop
+# ---------------------------------------------------------------------------
+
+FORWARD_A = {"open": 1.0 / (2.0 * math.sqrt(math.pi)),
+             "flat": 1.0 / (math.pi * math.sqrt(2.0)),
+             "closed": 1.0 / (2.0 * math.sqrt(math.pi))}
+INVERSE_B = {"open": math.pi ** -1.5, "flat": 1.0 / (math.pi * math.sqrt(2.0)),
+             "closed": math.pi ** -1.5}          # closed at K = 1
+N_CHI = 600
+ROWS = specfun.ZONAL_BLOCK // N_CHI              # rows per block at N_CHI columns
+
+
+def blocked_setup(name, n_k):
+    """chi from 0 (past pi/2 for closed), k from 0 (closed: omega from 0)."""
+    geom = {"open": G_OPEN, "flat": G_FLAT, "closed": G_CLOSED}[name]
+    if name == "closed":
+        chi = np.linspace(0.0, math.pi, N_CHI)
+        k = closed_k_lattice(geom, n_k - 1)
+    else:
+        chi = np.linspace(0.0, 4.0, N_CHI)
+        k = np.linspace(0.0, 30.0, n_k)
+    f = bump_profile(chi, 1.6, 1.4) + 0.1 * np.cos(3.0 * chi)
+    return geom, chi, RadialProfile(geom, chi, f), k
+
+
+def loop_forward(prof, k):
+    w = np.empty_like(prof.chi)
+    w[1:-1] = 0.5 * (prof.chi[2:] - prof.chi[:-2])
+    w[0], w[-1] = 0.5 * (prof.chi[1] - prof.chi[0]), 0.5 * (prof.chi[-1] - prof.chi[-2])
+    base = w * prof.values * surface_area(prof.geometry, prof.chi)
+    terms = np.array([base * zonal_kernel(prof.geometry, float(kk), prof.chi)
+                      for kk in k])
+    return terms.sum(axis=1), np.abs(terms).sum(axis=1)
+
+
+@pytest.mark.parametrize("n_k", [1, ROWS, ROWS + 1, 2 * ROWS + 1])
+@pytest.mark.parametrize("name", ["open", "flat", "closed"])
+def test_forward_matches_per_k_loop(name, n_k):
+    geom, chi, prof, k = blocked_setup(name, n_k)
+    got = forward_isotropic(prof, k, tail_tol=None).values
+    ref, mass = loop_forward(prof, k)
+    # a reordered sum moves by a few ulps of the summed absolute mass
+    np.testing.assert_array_less(np.abs(got - FORWARD_A[name] * ref),
+                                 1e-13 * FORWARD_A[name] * mass + 1e-300)
+
+
+@pytest.mark.parametrize("n_k", [1, ROWS, ROWS + 1, 2 * ROWS + 1])
+@pytest.mark.parametrize("name", ["open", "flat", "closed"])
+def test_inverse_matches_per_k_loop(name, n_k):
+    geom, chi, prof, k = blocked_setup(name, n_k)
+    f00 = np.random.default_rng(n_k).standard_normal(k.size)
+    if name == "closed":
+        spec = Spectrum(geom, k, f00)
+        amp = (np.arange(k.size) + 1.0) ** 2 * f00
+    else:
+        wk = np.full(k.size, 0.25)
+        spec = Spectrum(geom, k, f00, wk)
+        amp = wk * k ** 2 * f00
+    got = inverse_isotropic(spec, chi, tail_tol=None).values
+    terms = np.array([a * zonal_kernel(geom, float(kk), chi) for a, kk in zip(amp, k)])
+    B = INVERSE_B[name]
+    np.testing.assert_array_less(np.abs(got - B * terms.sum(axis=0)),
+                                 1e-13 * B * np.abs(terms).sum(axis=0) + 1e-300)
+
+
+def test_single_row_blocks_match_per_k_loop(monkeypatch):
+    # a block budget below one row still takes one row per block
+    monkeypatch.setattr(specfun, "ZONAL_BLOCK", 100)
+    for name in ("open", "closed"):
+        geom, chi, prof, k = blocked_setup(name, 5)
+        ref, mass = loop_forward(prof, k)
+        got = forward_isotropic(prof, k, tail_tol=None).values
+        np.testing.assert_array_less(np.abs(got - FORWARD_A[name] * ref),
+                                     1e-13 * FORWARD_A[name] * mass)
+
+
+@pytest.mark.parametrize("name", ["open", "flat", "closed"])
+def test_zonal_table_equals_stacked_scalar_calls(name):
+    geom = {"open": G_OPEN, "flat": G_FLAT, "closed": G_CLOSED}[name]
+    r = np.array([0.0, 1e-6, 0.3, 1.2, math.pi / 2, 2.0, 3.0, math.pi])
+    omega = np.arange(0.0, 40.0) if name == "closed" else np.linspace(0.0, 60.0, 41)
+    table = zonal_spherical(geom, omega, r)
+    assert table.shape == (omega.size, r.size)
+    np.testing.assert_array_equal(table, np.stack([zonal_spherical(geom, om, r)
+                                                   for om in omega]))
+    np.testing.assert_array_equal(table[:, 0], 1.0)
+    # scalar r gives a column, 2-d r keeps its shape per row
+    np.testing.assert_array_equal(zonal_spherical(geom, omega, 1.2), table[:, 3])
+    assert zonal_spherical(geom, omega, r.reshape(2, 4)).shape == (omega.size, 2, 4)
+    np.testing.assert_array_equal(zonal_kernel(geom, geom.k_of_omega(omega[3]), r),
+                                  zonal_kernel(geom, geom.k_of_omega(omega), r)[3])
+
+
+def test_zonal_table_rejects_bad_omega():
+    with pytest.raises(DomainError):
+        zonal_spherical(G_OPEN, np.array([0.5j, 1.0]), 0.3)    # supplementary: scalar only
+    with pytest.raises(DomainError):
+        zonal_spherical(G_CLOSED, np.array([1.0, 2.5]), 0.3)
+    with pytest.raises(DomainError):
+        zonal_spherical(G_FLAT, np.array([1.0, -2.0]), 0.3)
+    with pytest.raises(DomainError):
+        zonal_spherical(G_FLAT, np.array([1.0, np.inf]), 0.3)
+    with pytest.raises(DomainError):
+        zonal_spherical(G_FLAT, np.ones((2, 2)), 0.3)
+
+
+@pytest.mark.parametrize("block", [specfun.ZONAL_BLOCK, 5 * 192])
+def test_forward_tail_monitor_checks_the_loop_node(monkeypatch, block):
+    # the monitor checks the node with the largest sum |contrib| over all k,
+    # as the per-k loop did; 5-row blocks put that node past the first block
+    monkeypatch.setattr(specfun, "ZONAL_BLOCK", block)
+    seen = []
+    check = sft._check_tail
+    monkeypatch.setattr(sft, "_check_tail",
+                        lambda c, tol, what: (seen.append(c.copy()), check(c, tol, what)))
+    chi, w = gauss_legendre_grid(1e-9, 4.0, 24, 8)
+
+    def loop_node(prof, k):
+        base = w * prof.values * surface_area(G_FLAT, chi)
+        contribs = [base * zonal_kernel(G_FLAT, float(kk), chi) for kk in k]
+        return contribs, int(np.argmax([np.sum(np.abs(c)) for c in contribs]))
+
+    # the unconverged inputs of test_forward_tail_monitor still raise
+    prof = RadialProfile(G_FLAT, chi, np.ones_like(chi), w)
+    k = np.array([0.1, 1.0])
+    with pytest.raises(ConvergenceError):
+        forward_isotropic(prof, k)
+    contribs, best = loop_node(prof, k)
+    np.testing.assert_array_equal(seen[-1], contribs[best])
+
+    # a narrow bump at chi = 2 whose first side lobe (k chi = 4.49) is the
+    # heaviest node of this k range, in a middle block
+    prof = RadialProfile(G_FLAT, chi, bump_profile(chi, 2.0, 0.3), w)
+    k = np.linspace(1.6, 2.9, 23)
+    forward_isotropic(prof, k, tail_tol=1.0)
+    contribs, best = loop_node(prof, k)
+    assert 5 <= best < 20
+    np.testing.assert_array_equal(seen[-1], contribs[best])

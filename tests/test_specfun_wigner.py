@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from curvedfield.errors import DomainError
-from curvedfield.specfun import (eth_ladder, gegenbauer, spherical_bessel,
-                                 spin_harmonic, wigner_D, wigner_d)
+from curvedfield.specfun import (HARMONIC_L_MAX, eth_ladder, gegenbauer,
+                                 spherical_bessel, spin_harmonic, wigner_D, wigner_d)
 
 ANGLES = np.array([0.0, 0.17, 0.8, math.pi / 2, 2.4, math.pi - 0.05, math.pi])
 
@@ -82,6 +82,24 @@ def test_index_validation():
         spin_harmonic(3, 2, 0, 0.3, 0.0)
     with pytest.raises(DomainError):
         spin_harmonic(0, -1, 0, 0.3, 0.0)
+
+
+def test_harmonic_ceiling_l32_passes_l33_raises():
+    theta = np.linspace(0.01, math.pi - 0.01, 61)
+    for m in (-32, -7, 0, 15, 32):
+        np.testing.assert_allclose(spin_harmonic(0, 32, m, theta, 0.4),
+                                   _scipy_ylm(32, m, theta, 0.4), rtol=0, atol=1e-6)
+        # d^l_{m0}(theta) = sqrt(4 pi/(2l+1)) Y_lm(theta, 0)
+        np.testing.assert_allclose(wigner_d(32, m, 0, theta),
+                                   math.sqrt(4 * math.pi / 65)
+                                   * _scipy_ylm(32, m, theta, 0.0).real, rtol=0, atol=1e-6)
+    for call in (lambda: spin_harmonic(0, 33, 0, 0.3, 0.0),
+                 lambda: spin_harmonic(2, 33, 1, 0.3, 0.0),
+                 lambda: wigner_d(33, 0, 0, 0.3),
+                 lambda: wigner_D(33, 1, -1, 0.1, 0.3, 0.2)):
+        with pytest.raises(DomainError, match="l=33 exceeds the harmonic ceiling"):
+            call()
+    assert HARMONIC_L_MAX == 32
 
 
 def _scipy_ylm(l, m, theta, phi):

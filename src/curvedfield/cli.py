@@ -32,8 +32,8 @@ from .geometry import Geometry, Kind
 from .quadrature import gauss_legendre_grid
 from .randfield import (GaussianBump, PowerLaw, SynthesisConfig, Tabulated,
                         analytic_correlation, estimate_correlation, synthesize)
-from .sft import (RadialProfile, Spectrum, bump_profile, closed_k_lattice,
-                  forward_isotropic, inverse_isotropic)
+from .sft import (RadialProfile, Spectrum, bump_profile, forward_isotropic,
+                  inverse_isotropic, spectral_nodes)
 from .specfun import HARMONIC_L_MAX
 from .spinfield import LENSING_SPINS, lensing_ladder, separable_kernels, synthesize_spin
 
@@ -238,19 +238,14 @@ def cmd_transform(args) -> int:
     f = bump_profile(chi, cfg["profile.center"], cfg["profile.halfwidth"],
                      cfg["profile.amplitude"])
     profile = RadialProfile(geom, chi, f, wchi)
-    if geom.kind is Kind.CLOSED:
-        if cfg["spectral.omega_max"] < 0:
-            raise ConfigError("closed transform needs spectral.omega_max")
-        k = closed_k_lattice(geom, cfg["spectral.omega_max"])
-        spec = forward_isotropic(profile, k, tail_tol=tail_tol)
-    else:
-        if cfg["spectral.k_max"] <= 0:
-            raise ConfigError("open/flat transform needs spectral.k_max > 0")
-        k, wk = gauss_legendre_grid(0.0, cfg["spectral.k_max"],
-                                    cfg["spectral.panels"] or cfg["grid.panels"],
-                                    cfg["spectral.order"] or order)
-        spec = forward_isotropic(profile, k, tail_tol=tail_tol)
-        spec = Spectrum(geom, k, spec.values, wk)
+    k_max, omega_max = cfg["spectral.k_max"], cfg["spectral.omega_max"]
+    closed = geom.kind is Kind.CLOSED
+    if omega_max < 0 if closed else k_max <= 0:
+        raise ConfigError("closed transform needs spectral.omega_max" if closed
+                          else "open/flat transform needs spectral.k_max > 0")
+    k, wk = spectral_nodes(geom, k_max, cfg["spectral.panels"] or cfg["grid.panels"],
+                           cfg["spectral.order"] or order, omega_max)
+    spec = Spectrum(geom, k, forward_isotropic(profile, k, tail_tol=tail_tol).values, wk)
     if mode == "forward":
         _write_table(args, raw, {"k": spec.k, "f00": spec.values})
         return 0
@@ -320,13 +315,9 @@ def cmd_estimate(args) -> int:
     phi = np.zeros_like(chi)
     field = synthesize(geom, P, scfg, chi, theta, phi)
     est = estimate_correlation(field.values[:, 0], field.values[:, 1:])
-    if geom.kind is Kind.CLOSED:
-        ana = analytic_correlation(geom, P, lags, omega_max=scfg.omega_max)
-    else:
-        ana = analytic_correlation(geom, P, lags,
-                                   k_max=cfg["analytic.k_max"] or scfg.k_max,
-                                   panels=cfg["analytic.panels"],
-                                   order=cfg["analytic.order"])
+    ana = analytic_correlation(geom, P, lags, k_max=cfg["analytic.k_max"] or scfg.k_max,
+                               panels=cfg["analytic.panels"],
+                               order=cfg["analytic.order"], omega_max=scfg.omega_max)
     z = np.abs(est.mean - ana) / np.where(est.stderr > 0, est.stderr, np.inf)
     notes = [f"realizations: {est.n}", f"max |z|: {float(np.max(z)):.3f}"]
     _write_table(args, raw, {"lag": lags, "estimate": est.mean,

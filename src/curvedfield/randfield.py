@@ -3,24 +3,27 @@
 A mean-zero isotropic field with spectral density P(k) >= 0 has covariance
 
     E[f(x1) conj(f(x2))] = C(d(x1, x2)),
-    C(r) = int_0^inf Phi_k(r) k^2 P(k) dk            (open, flat)
-    C(r) = sum_w K^(3/2) (w+1)^2 P(k_w) Phi_w(r)     (closed, k_w = sqrt(K)(w+1))
+    C(r) = sum_q w_q k_q^2 P(k_q) Phi_{k_q}(r)
 
-and the synthesis expansion over spherical modes
+over the spectral measure (k_q, w_q) of sft.spectral_nodes: Gauss-Legendre
+nodes on [0, k_max] for the open and flat models, the integral
+int_0^inf Phi_k(r) k^2 P(k) dk; the lattice k_w = sqrt(K)(w+1) with weight
+sqrt(K) for the closed model, the sum K^(3/2) sum_w (w+1)^2 P(k_w) Phi_w(r).
+The synthesis expansion over spherical modes on the same measure is
 
     f(chi, n) = alpha sum_lm Y_lm(n) sum_q R_{k_q l}(chi) k_q sqrt(P(k_q) w_q) xi_lm_q
 
-with iid standard complex Gaussians xi, Gauss-Legendre nodes/weights (k_q, w_q)
-on [0, k_max], and alpha = 2 sqrt(pi) (open), pi sqrt(2) (flat),
-2 sqrt(pi) K^(3/4) (closed, where the q sum runs over the lattice with weight
-(w+1) sqrt(P) in place of k sqrt(P w)).  The alpha values absorb the addition
-theorem constant linking the zonal kernel to the per-model radial
-normalization, so the discretized expansion reproduces the quadrature of C
-exactly in expectation.
+with iid standard complex Gaussians xi and alpha = c, the model's constant of
+sft: 2 sqrt(pi) (open, closed), pi sqrt(2) (flat).  alpha absorbs the
+addition theorem constant linking the zonal kernel to the per-model radial
+normalization, so the discretized expansion reproduces the measure sum of C
+exactly in expectation; the closed weight sqrt(K) carries the K^(3/4) that
+alpha would otherwise need.
 
-The closed-model weight (w+1) sqrt(P) matches the covariance lattice sum above
-and keeps the fundamental mode w = 0; closed_weight="printed" substitutes
-w sqrt(P), which silently drops w = 0.
+The closed-model weight k sqrt(P w) = K^(3/4) (w+1) sqrt(P) matches the
+covariance lattice sum above and keeps the fundamental mode w = 0;
+closed_weight="printed" substitutes (k - sqrt(K)) sqrt(P w), i.e. w in place
+of w+1, which silently drops w = 0.
 
 Randomness is counter-based (Philox) with one stream per (l, m) mode keyed by
 (seed, tag(l, m)), so realizations are reproducible and independent of how
@@ -37,7 +40,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .geometry import Geometry, Kind
-from .quadrature import gauss_legendre_grid
+from .sft import _norm_const, spectral_nodes
 from .specfun import (HARMONIC_L_MAX, radial_table, spin_harmonic, zonal_blocks,
                       zonal_spherical)
 from .specfun import radial  # noqa: F401  (perfbench/spans.py wraps randfield.radial)
@@ -234,31 +237,13 @@ def _draw_xi(rng: np.random.Generator, shape: tuple[int, ...], m: int,
 
 def _k_nodes(geom: Geometry, P: PowerSpectrum, cfg: SynthesisConfig):
     """(k nodes, per-node standard deviation weights k sqrt(P w))."""
-    if geom.kind is Kind.CLOSED:
-        if cfg.omega_max is None:
-            raise DomainError("closed synthesis needs omega_max")
-        omega = np.arange(cfg.omega_max + 1, dtype=float)
-        k = geom.curvature_scale * (omega + 1.0)
-        pk = np.asarray(P(k), dtype=float)
-        if np.any(pk < 0):
-            raise DomainError("P(k) must be >= 0")
-        base = omega if cfg.closed_weight == "printed" else omega + 1.0
-        return k, base * np.sqrt(pk)
-    if cfg.k_max is None:
-        raise DomainError("open/flat synthesis needs k_max")
-    k, w = gauss_legendre_grid(0.0, cfg.k_max, cfg.k_panels, cfg.k_order)
+    k, w = spectral_nodes(geom, cfg.k_max, cfg.k_panels, cfg.k_order, cfg.omega_max)
     pk = np.asarray(P(k), dtype=float)
     if np.any(pk < 0):
         raise DomainError("P(k) must be >= 0")
+    if geom.kind is Kind.CLOSED and cfg.closed_weight == "printed":
+        return k, (k - geom.curvature_scale) * np.sqrt(pk * w)
     return k, k * np.sqrt(pk * w)
-
-
-def _alpha(geom: Geometry) -> float:
-    if geom.kind is Kind.OPEN:
-        return 2.0 * math.sqrt(math.pi)
-    if geom.kind is Kind.FLAT:
-        return math.pi * math.sqrt(2.0)
-    return 2.0 * math.sqrt(math.pi) * geom.K ** 0.75
 
 
 def _synth_l(R, sd, l, inv, theta, phi, cfg) -> np.ndarray:
@@ -310,7 +295,7 @@ def synthesize(geom: Geometry, P: PowerSpectrum, cfg: SynthesisConfig,
     total = np.zeros((cfg.n_realizations, chi.size), dtype=complex)
     for p in parts:          # fixed l order: bitwise thread-count independent
         total += p
-    total *= _alpha(geom)
+    total *= _norm_const(geom)
     values = total.real if cfg.real else total
     return FieldRealization(geom, chi, theta, phi, values, cfg.seed, cfg)
 
@@ -323,36 +308,26 @@ def analytic_correlation(geom: Geometry, P: PowerSpectrum, r,
                          k_max: float | None = None, panels: int = 200,
                          order: int = 12, omega_max: int | None = None,
                          atoms=()) -> np.ndarray:
-    """Covariance C(r) at geodesic lags r.
+    """Covariance C(r) = sum w k^2 P(k) Phi_k(r) at geodesic lags r.
 
-    Open/flat: Gauss-Legendre quadrature of int Phi_k(r) k^2 P(k) dk over
-    [0, k_max].  Closed: exact lattice sum to omega_max.  atoms adds discrete
-    spectral lines sum_j c_j Phi_{omega_j}(r); an open-model atom may sit on
-    the supplementary series omega = i tau, tau in (0, 1].  Nodes with
-    nonzero weight are summed as matrix products over zonal table row blocks.
+    The sum runs over sft.spectral_nodes: Gauss-Legendre quadrature on
+    [0, k_max] (panels x order) for the open and flat models, the exact
+    lattice sum to omega_max for the closed model.  atoms adds discrete
+    spectral lines sum_j c_j Phi_{omega_j}(r) on every model; an open-model
+    atom may sit on the supplementary series omega = i tau, tau in (0, 1].
+    Nodes with nonzero weight are summed as matrix products over zonal table
+    row blocks.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     geom.check_chi(r)
-    s = geom.curvature_scale
-    if geom.kind is Kind.CLOSED:
-        if omega_max is None:
-            raise DomainError("closed correlation needs omega_max")
-        omegas = np.arange(omega_max + 1, dtype=float)
-        amp = s ** 3 * (omegas + 1.0) ** 2 * np.asarray(P(s * (omegas + 1.0)), dtype=float)
-    else:
-        if k_max is None or k_max <= 0:
-            raise DomainError("open/flat correlation needs k_max > 0")
-        k, w = gauss_legendre_grid(0.0, k_max, panels, order)
-        amp = w * k * k * np.asarray(P(k), dtype=float)
-        omegas = geom.omega_of_k(k)
-    rz = r if geom.kind is Kind.FLAT else s * r
+    k, w = spectral_nodes(geom, k_max, panels, order, omega_max)
+    amp = w * k * k * np.asarray(P(k), dtype=float)
     live = amp != 0.0
-    amp, omegas = amp[live], omegas[live]
+    amp, omegas = amp[live], geom.omega_of_k(k[live])
+    rz = r if geom.kind is Kind.FLAT else geom.curvature_scale * r
     out = np.zeros_like(r)
     for blk in zonal_blocks(amp.size, rz.size):
         out += amp[blk] @ zonal_spherical(geom, omegas[blk], rz)
-    if geom.kind is Kind.CLOSED:
-        return out
     for om, c in atoms:
         out = out + c * np.real(zonal_spherical(geom, om, rz))
     return out

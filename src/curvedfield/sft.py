@@ -4,27 +4,30 @@ The monopole transform pairs a radial profile f(chi) with a spectral density
 f00(k) through the zonal kernels Phi_k (zonal_spherical, Phi_k(0) = 1) and the
 shell measure S(chi) dchi = 4 pi f_K(chi)^2 dchi:
 
-    forward:  f00(k)   = A int f(chi) Phi_k(chi) S(chi) dchi
-    inverse:  f(chi)   = B int f00(k) Phi_k(chi) k^2 dk        (open, flat)
-              f(chi)   = B sum_w (w+1)^2 f00(w) Phi_w(chi)     (closed)
+    forward:  f00(k)   = (1/c) int f(chi) Phi_k(chi) S(chi) dchi
+    inverse:  f(chi)   = B sum_q w_q k_q^2 f00(k_q) Phi_{k_q}(chi)
 
-with forward prefactors A = 1/(2 sqrt(pi)) (open, closed) and 1/(pi sqrt(2))
-(flat).  The kernels obey
+over one spectral measure in all three models (spectral_nodes): nodes k_q and
+weights w_q with sum_q w_q k_q^2 g(k_q) the integral int g k^2 dk.  Open and
+flat use Gauss-Legendre nodes on [0, k_max] (or any stored weights, else the
+trapezoid rule); the closed model sums the lattice k = sqrt(K) (w+1),
+w = 0, 1, ..., every weight the lattice spacing sqrt(K), so the sum is
+K^(3/2) sum_w (w+1)^2 g(k_w).  The kernels obey
 
-    int Phi_k Phi_k' f_K^2 dchi = pi/(2 k^2) delta(k - k')          (open, flat)
-    int Phi_w Phi_w' S dchi     = 2 pi^2 / (K^(3/2) (w+1)^2) d_ww'  (closed)
+    int Phi_k Phi_k' S dchi = 2 pi^2 / k^2 delta(k - k')
 
-so inverse(forward(f)) = f requires A B = 1/(2 pi^2), resp. K^(3/2)/(2 pi^2).
-normalization="consistent" (default) uses the matching B: pi^(-3/2) open,
-1/(pi sqrt(2)) flat, (K/pi)^(3/2) closed.  normalization="printed" keeps the
-symmetric prefactor B = A (curved models), which overcounts the roundtrip by
-pi/2; it is exposed for comparison only.
+(on the closed lattice delta(k - k') = d_ww' / sqrt(K), the measure's delta),
+so one constant per model, c = 2 sqrt(pi) (open, closed) or pi sqrt(2) (flat),
+gives every normalisation: inverse(forward(f)) = f needs B = c/(2 pi^2)
+(normalization="consistent", the default), and Parseval reads
+sum w k^2 |f00|^2 = (2 pi^2/c^2) ||f||^2.  normalization="printed" keeps the
+symmetric prefactor B = 1/c, which overcounts the curved roundtrip by pi/2;
+it is exposed for comparison only.  spectrum_norm2 and parseval_constant quote
+the closed model per sum_w (w+1)^2, i.e. divided by K^(3/2).
 
-Closed-model wavenumbers live on the lattice k = sqrt(K) (w+1), w = 0, 1, ...
-Quadrature weights may ride along on both container types; otherwise the
-trapezoid rule over the stored nodes is used.  Non-compact integrals carry a
-tail monitor: if the trailing nodes contribute more than tail_tol of the
-total absolute mass, the grid is declared unconverged.
+Non-compact integrals carry a tail monitor: if the trailing nodes contribute
+more than tail_tol of the total absolute mass, the grid is declared
+unconverged.
 
 Both transforms are matrix products against the (k, chi) table of zonal
 kernels.  The table is built in row blocks of at most specfun.ZONAL_BLOCK
@@ -42,7 +45,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .geometry import Geometry, Kind, surface_area
-from .quadrature import tail_fraction
+from .quadrature import gauss_legendre_grid, tail_fraction
 from .specfun import zonal_blocks, zonal_spherical
 
 __all__ = [
@@ -63,9 +66,23 @@ def _as_grid(name: str, x) -> np.ndarray:
     return x
 
 
+def _set_samples(obj, grid_name: str, grid: np.ndarray):
+    """Store the grid and its finite float samples (values, weights if given)."""
+    object.__setattr__(obj, grid_name, grid)
+    for name in ("values",) if obj.weights is None else ("values", "weights"):
+        v = np.asarray(getattr(obj, name), dtype=float)
+        if v.shape != grid.shape:
+            raise DomainError(f"{name} must match the {grid_name} grid")
+        if not np.all(np.isfinite(v)):
+            raise DomainError(f"{name} must be finite")
+        object.__setattr__(obj, name, v)
+
+
 @dataclass(frozen=True)
 class RadialProfile:
-    """Sampled radial profile; weights are quadrature weights for the chi grid."""
+    """Sampled radial profile; weights are quadrature weights for the chi grid.
+
+    values and weights must be finite."""
 
     geometry: Geometry
     chi: np.ndarray
@@ -75,24 +92,18 @@ class RadialProfile:
     def __post_init__(self):
         chi = _as_grid("chi", self.chi)
         self.geometry.check_chi(chi)
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != chi.shape:
-            raise DomainError("values must match the chi grid")
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "values", vals)
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != chi.shape:
-                raise DomainError("weights must match the chi grid")
-            object.__setattr__(self, "weights", w)
+        _set_samples(self, "chi", chi)
 
 
 @dataclass(frozen=True)
 class Spectrum:
     """Monopole spectral amplitudes on a wavenumber grid.
 
-    For the closed model k must sit on the lattice sqrt(K) (w+1) and the
-    weights field is ignored (the inversion is a discrete sum).
+    weights are the spectral measure's weights for the k grid (see
+    spectral_nodes); without them the trapezoid rule is used.  For the
+    closed model k must sit on the lattice sqrt(K) (w+1) and the weights
+    field is ignored: the measure there is the lattice, weight sqrt(K).
+    values and weights must be finite.
     """
 
     geometry: Geometry
@@ -105,16 +116,7 @@ class Spectrum:
         if np.any(k < 0):
             raise DomainError("k must be >= 0")
         self.geometry.omega_of_k(k)  # lattice check (closed)
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != k.shape:
-            raise DomainError("values must match the k grid")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "values", vals)
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != k.shape:
-                raise DomainError("weights must match the k grid")
-            object.__setattr__(self, "weights", w)
+        _set_samples(self, "k", k)
 
 
 def closed_k_lattice(geom: Geometry, omega_max: int) -> np.ndarray:
@@ -136,22 +138,43 @@ def zonal_kernel(geom: Geometry, k, chi) -> np.ndarray:
     return zonal_spherical(geom, geom.omega_of_k(k), s * np.asarray(chi, dtype=float))
 
 
-_FORWARD_PREF = {
-    Kind.OPEN: 1.0 / (2.0 * math.sqrt(math.pi)),
-    Kind.FLAT: 1.0 / (math.pi * math.sqrt(2.0)),
-    Kind.CLOSED: 1.0 / (2.0 * math.sqrt(math.pi)),
-}
+def spectral_nodes(geom: Geometry, k_max: float | None, panels: int, order: int,
+                   omega_max: int | None):
+    """The spectral measure: (k, w) with sum w k^2 g(k) = int g(k) k^2 dk.
+
+    Open/flat: composite Gauss-Legendre nodes on [0, k_max] (panels x order).
+    Closed: closed_k_lattice(geom, omega_max), every weight the lattice
+    spacing sqrt(K), so the sum is K^(3/2) sum_w (w+1)^2 g(sqrt(K) (w+1)).
+    The arguments of the other models are ignored.
+    """
+    if geom.kind is Kind.CLOSED:
+        if omega_max is None:
+            raise DomainError("the closed spectral measure needs omega_max")
+        k = closed_k_lattice(geom, omega_max)
+        return k, np.full_like(k, geom.curvature_scale)
+    if k_max is None or k_max <= 0:
+        raise DomainError("the open/flat spectral measure needs k_max > 0")
+    return gauss_legendre_grid(0.0, k_max, panels, order)
+
+
+def _norm_const(geom: Geometry) -> float:
+    """c: forward prefactor 1/c, synthesis amplitude c, Parseval 2 pi^2/c^2."""
+    return math.pi * math.sqrt(2.0) if geom.kind is Kind.FLAT else 2.0 * math.sqrt(math.pi)
 
 
 def _inverse_pref(geom: Geometry, normalization: str) -> float:
     if normalization not in ("consistent", "printed"):
         raise DomainError(f"unknown normalization {normalization!r}")
-    if geom.kind is Kind.OPEN:
-        return _FORWARD_PREF[Kind.OPEN] if normalization == "printed" else math.pi ** -1.5
-    if geom.kind is Kind.FLAT:
-        return 1.0 / (math.pi * math.sqrt(2.0))
-    base = (geom.K / math.pi) ** 1.5
-    return (math.pi / 2.0) * base if normalization == "printed" else base
+    c = _norm_const(geom)
+    return c / (2.0 * math.pi ** 2) if normalization == "consistent" else 1.0 / c
+
+
+def _spectral_weights(spec: Spectrum) -> np.ndarray:
+    """The measure's weights on spec.k: sqrt(K) on the closed lattice, else the
+    stored weights or the trapezoid rule."""
+    if spec.geometry.kind is Kind.CLOSED:
+        return np.full_like(spec.k, spec.geometry.curvature_scale)
+    return _weights_or_trapezoid(spec.k, spec.weights)
 
 
 def _weights_or_trapezoid(x: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
@@ -180,7 +203,7 @@ def forward_isotropic(profile: RadialProfile, k, tail_tol: float | None = 1e-3) 
     k = _as_grid("k", np.atleast_1d(np.asarray(k, dtype=float)))
     w = _weights_or_trapezoid(profile.chi, profile.weights)
     base = w * profile.values * surface_area(geom, profile.chi)
-    pref = _FORWARD_PREF[geom.kind]
+    pref = 1.0 / _norm_const(geom)
     monitor = geom.kind is not Kind.CLOSED and tail_tol is not None
     abs_base = np.abs(base)
     out = np.empty_like(k)
@@ -211,10 +234,8 @@ def inverse_isotropic(spec: Spectrum, chi, normalization: str = "consistent",
     geom = spec.geometry
     chi = _as_grid("chi", np.atleast_1d(np.asarray(chi, dtype=float)))
     pref = _inverse_pref(geom, normalization)
-    if geom.kind is Kind.CLOSED:
-        amp = (geom.omega_of_k(spec.k) + 1.0) ** 2 * spec.values
-    else:
-        amp = _weights_or_trapezoid(spec.k, spec.weights) * spec.k ** 2 * spec.values
+    amp = _spectral_weights(spec) * spec.k ** 2 * spec.values
+    if geom.kind is not Kind.CLOSED:
         _check_tail(np.abs(amp), tail_tol, "inverse transform k")
     vals = np.zeros_like(chi)
     for blk in zonal_blocks(spec.k.size, chi.size):
@@ -243,17 +264,12 @@ def profile_norm2(profile: RadialProfile) -> float:
 
 def spectrum_norm2(spec: Spectrum) -> float:
     """int |f00|^2 k^2 dk (open, flat) or sum (w+1)^2 |f00|^2 (closed)."""
-    if spec.geometry.kind is Kind.CLOSED:
-        wp1 = spec.geometry.omega_of_k(spec.k) + 1.0
-        return float(np.sum(wp1 ** 2 * spec.values ** 2))
-    w = _weights_or_trapezoid(spec.k, spec.weights)
-    return float(np.sum(w * spec.k ** 2 * spec.values ** 2))
+    geom = spec.geometry
+    n2 = float(np.sum(_spectral_weights(spec) * spec.k ** 2 * spec.values ** 2))
+    return n2 / geom.K ** 1.5 if geom.kind is Kind.CLOSED else n2
 
 
 def parseval_constant(geom: Geometry) -> float:
     """c in ||f00||^2 = c ||f||^2 for the consistent normalization."""
-    if geom.kind is Kind.OPEN:
-        return math.pi / 2.0
-    if geom.kind is Kind.FLAT:
-        return 1.0
-    return math.pi / (2.0 * geom.K ** 1.5)
+    c = 2.0 * math.pi ** 2 / _norm_const(geom) ** 2
+    return c / geom.K ** 1.5 if geom.kind is Kind.CLOSED else c

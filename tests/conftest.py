@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
-    "numeric", deadline=None,
+    "numeric", deadline=None, derandomize=True,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 settings.load_profile("numeric")
 

@@ -141,6 +141,25 @@ spectral.panels = 16
     assert "tail" in capsys.readouterr().err
 
 
+def test_transform_without_spectral_grid_exits_2(tmp_path, capsys):
+    # the closed model needs spectral.omega_max, open and flat spectral.k_max
+    body = """
+transform.mode = forward
+profile.center = 1.0
+profile.halfwidth = 0.5
+grid.chi_max = 2.0
+grid.panels = 8
+"""
+    for head, missing in (
+            ("geometry.kind = closed\ngeometry.k = 0.5\nspectral.k_max = 10.0",
+             "spectral.omega_max"),
+            ("geometry.kind = open\ngeometry.k = -1.0\nspectral.omega_max = 8",
+             "spectral.k_max")):
+        cfg = write(tmp_path, "tr.cfg", head + body)
+        assert main(["transform", "--config", cfg]) == 2
+        assert missing in capsys.readouterr().err
+
+
 def test_domain_error_exits_3(tmp_path, capsys):
     cfg = write(tmp_path, "bad.cfg", SYN_CFG.replace(
         "geometry.kind = flat", "geometry.kind = closed\ngeometry.k = -1.0"))

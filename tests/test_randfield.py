@@ -158,19 +158,22 @@ def test_flat_zonal_correlation_within_errors():
 
 
 def test_closed_origin_variance_matches_lattice_sum():
-    # P = 1/k^2 on the lattice makes C(0) = sum (w+1)^2 P = omega_max + 1
-    kk = np.arange(1.0, 10.0)
-    P = Tabulated(kk, 1.0 / kk ** 2)
-    n = 6000
-    cfg = SynthesisConfig(L_max=0, seed=7, omega_max=8, n_realizations=n)
-    f = synthesize(G_CLOSED, P, cfg, np.array([0.0]), np.array([1.0]),
-                   np.array([0.0]))
-    var = float(np.mean(f.values[:, 0] ** 2))
-    expect = analytic_correlation(G_CLOSED, P, np.array([0.0]),
-                                  omega_max=8)[0]
-    assert abs(expect - 9.0) < 1e-12
-    stderr = expect * math.sqrt(2.0 / n)
-    assert abs(var - expect) < 5.0 * stderr
+    # P = 1/(sqrt(K) k^2) on the lattice makes
+    # C(0) = sum K^(3/2) (w+1)^2 P = omega_max + 1
+    for geom in (G_CLOSED, Geometry.closed(4.0)):
+        s = geom.curvature_scale
+        kk = s * np.arange(1.0, 10.0)
+        P = Tabulated(kk, 1.0 / (s * kk ** 2))
+        n = 6000
+        cfg = SynthesisConfig(L_max=0, seed=7, omega_max=8, n_realizations=n)
+        f = synthesize(geom, P, cfg, np.array([0.0]), np.array([1.0]),
+                       np.array([0.0]))
+        var = float(np.mean(f.values[:, 0] ** 2))
+        expect = analytic_correlation(geom, P, np.array([0.0]),
+                                      omega_max=8)[0]
+        assert abs(expect - 9.0) < 1e-12
+        stderr = expect * math.sqrt(2.0 / n)
+        assert abs(var - expect) < 5.0 * stderr
 
 
 def test_origin_couples_only_to_monopole():
@@ -187,14 +190,16 @@ def test_origin_couples_only_to_monopole():
 def test_closed_printed_weight_rescales_isolated_mode():
     # spectrum isolating the omega = 3 lattice point: the printed closed
     # weight scales its mode by omega/(omega+1) = 3/4
-    P = Tabulated(np.array([3.9, 4.0, 4.1]), np.array([0.0, 1.0, 0.0]))
-    pt = (np.array([0.9]), np.array([1.1]), np.array([0.4]))
-    plan = synthesize(G_CLOSED, P, SynthesisConfig(
-        L_max=2, seed=3, omega_max=8, n_realizations=6), *pt)
-    prnt = synthesize(G_CLOSED, P, SynthesisConfig(
-        L_max=2, seed=3, omega_max=8, n_realizations=6,
-        closed_weight="printed"), *pt)
-    np.testing.assert_allclose(prnt.values, 0.75 * plan.values, rtol=1e-13)
+    for geom in (G_CLOSED, Geometry.closed(4.0)):
+        s = geom.curvature_scale
+        P = Tabulated(s * np.array([3.9, 4.0, 4.1]), np.array([0.0, 1.0, 0.0]))
+        pt = (np.array([0.9 / s]), np.array([1.1]), np.array([0.4]))
+        plan = synthesize(geom, P, SynthesisConfig(
+            L_max=2, seed=3, omega_max=8, n_realizations=6), *pt)
+        prnt = synthesize(geom, P, SynthesisConfig(
+            L_max=2, seed=3, omega_max=8, n_realizations=6,
+            closed_weight="printed"), *pt)
+        np.testing.assert_allclose(prnt.values, 0.75 * plan.values, rtol=1e-13)
 
 
 def test_config_rejects_l_max_past_harmonic_ceiling():
@@ -273,6 +278,16 @@ def test_analytic_correlation_atoms_and_errors():
         analytic_correlation(G_CLOSED, P, r)       # needs omega_max
     with pytest.raises(DomainError):
         analytic_correlation(G_OPEN, P, r)         # needs k_max
+
+
+def test_closed_analytic_correlation_applies_atoms():
+    # the closed model used to return before adding its atoms
+    P = PowerLaw(1.0, -1.0, k_cut_low=0.5)
+    r = np.array([0.3, 1.0])
+    base = analytic_correlation(G_CLOSED, P, r, omega_max=3)
+    plus = analytic_correlation(G_CLOSED, P, r, omega_max=3, atoms=((2, 5.0),))
+    np.testing.assert_allclose(plus - base, 5.0 * zonal_spherical(G_CLOSED, 2, r),
+                               rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

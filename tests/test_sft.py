@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from curvedfield import sft, specfun
 from curvedfield.errors import (ConvergenceError, DomainError,
                                 SpectralLatticeError)
-from curvedfield.geometry import Geometry, surface_area
+from curvedfield.geometry import Geometry, Kind, surface_area
 from curvedfield.quadrature import gauss_legendre_grid
 from curvedfield.sft import (RadialProfile, Spectrum, bump_profile,
                              closed_k_lattice, forward_isotropic,
@@ -26,12 +26,14 @@ ROUNDTRIP = {
     "open": (G_OPEN, 4.0, 200.0, 2.0, 1.8),
     "flat": (G_FLAT, 4.0, 150.0, 2.0, 1.8),
     "closed": (G_CLOSED, math.pi, 200, 1.5, 1.4),
+    # K = 4: every power of sqrt(K) differs from 1; the same shape in units of 1/sqrt(K)
+    "closed4": (Geometry.closed(4.0), math.pi / 2, 200, 0.75, 0.7),
 }
 
 
 def transform_setup(geom, chi_max, k_top, center, halfwidth, order=12):
     if geom.kind.value == "closed":
-        panels = max(4, math.ceil((k_top + 1) * chi_max / 8))
+        panels = max(4, math.ceil((k_top + 1) * geom.curvature_scale * chi_max / 8))
         chi, wchi = gauss_legendre_grid(1e-9, chi_max, panels, order)
         k, wk = closed_k_lattice(geom, k_top), None
     else:
@@ -64,10 +66,16 @@ def test_parseval(name):
     lhs = spectrum_norm2(spec)
     rhs = parseval_constant(geom) * profile_norm2(prof)
     assert abs(lhs - rhs) < 1e-6 * rhs
+    if geom.kind is Kind.CLOSED:
+        # the closed norms are quoted per lattice sum, not per K^(3/2) of it
+        wp1 = np.arange(k.size) + 1.0
+        assert lhs == pytest.approx(np.sum(wp1 ** 2 * spec.values ** 2), rel=1e-14)
+        assert parseval_constant(geom) == pytest.approx(math.pi / (2 * geom.K ** 1.5),
+                                                        rel=1e-15)
 
 
 def test_printed_normalization_scales_curved_inverse():
-    for name in ("open", "closed"):
+    for name in ("open", "closed", "closed4"):
         geom, chi_max, k_top, center, hw = ROUNDTRIP[name]
         prof, k, wk = transform_setup(geom, chi_max, k_top, center, hw, order=6)
         spec = forward_isotropic(prof, k, tail_tol=None)
@@ -150,6 +158,24 @@ def test_grid_validation():
         Spectrum(G_FLAT, np.array([0.5, np.nan]), np.zeros(2))
     with pytest.raises(DomainError):
         RadialProfile(G_CLOSED, np.array([0.5, 4.0]), np.zeros(2))
+
+
+def test_containers_reject_non_finite_samples():
+    # a NaN sample used to reach the transforms, whose tail monitor reads a
+    # NaN mass as converged: forward_isotropic returned all-NaN amplitudes
+    chi, w = gauss_legendre_grid(0.0, 4.0, 24, 8)
+    f = np.ones_like(chi)
+    f[5] = np.nan
+    with pytest.raises(DomainError):
+        RadialProfile(G_FLAT, chi, f, w)
+    w[3] = np.inf
+    with pytest.raises(DomainError):
+        RadialProfile(G_FLAT, chi, np.ones_like(chi), w)
+    k = np.array([0.5, 1.0, 2.0])
+    with pytest.raises(DomainError):
+        Spectrum(G_FLAT, k, np.array([1.0, np.nan, 1.0]))
+    with pytest.raises(DomainError):
+        Spectrum(G_FLAT, k, np.ones(3), np.array([0.1, -np.inf, 0.1]))
 
 
 def test_bump_profile_support():

@@ -23,7 +23,7 @@ from .cosmology import (CosmologyParams, comoving_distance, critical_density,
                         make_params, scale_factor)
 from .specfun import (conical_legendre, eth_ladder, eth_numeric, gegenbauer,
                       radial, radial_table, spherical_bessel, spin_harmonic,
-                      wigner_D, wigner_d, zonal_spherical)
+                      spin_harmonic_table, wigner_D, wigner_d, zonal_spherical)
 from .sft import (RadialProfile, Spectrum, bump_profile, closed_k_lattice,
                   forward_isotropic, inverse_isotropic, parseval_constant,
                   profile_norm2, spectrum_norm2, zonal_kernel)
@@ -46,8 +46,8 @@ __all__ = [
     "CosmologyParams", "comoving_distance", "critical_density",
     "geometry_from_params", "hubble", "lookback_time", "make_params", "scale_factor",
     "conical_legendre", "eth_ladder", "eth_numeric", "gegenbauer", "radial",
-    "radial_table", "spherical_bessel", "spin_harmonic", "wigner_D", "wigner_d",
-    "zonal_spherical",
+    "radial_table", "spherical_bessel", "spin_harmonic", "spin_harmonic_table",
+    "wigner_D", "wigner_d", "zonal_spherical",
     "RadialProfile", "Spectrum", "bump_profile", "closed_k_lattice",
     "forward_isotropic", "inverse_isotropic", "parseval_constant",
     "profile_norm2", "spectrum_norm2", "zonal_kernel",

@@ -90,6 +90,8 @@ class PowerLaw(PowerSpectrum):
     k_cut_high: float = math.inf
 
     def __post_init__(self):
+        if not (math.isfinite(self.amplitude) and math.isfinite(self.index)):
+            raise DomainError("amplitude and index must be finite")
         if self.amplitude < 0:
             raise DomainError("amplitude must be >= 0")
         if not 0 <= self.k_cut_low <= self.k_cut_high:
@@ -113,6 +115,8 @@ class GaussianBump(PowerSpectrum):
     sigma: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.amplitude, self.k0, self.sigma))):
+            raise DomainError("amplitude, k0 and sigma must be finite")
         if self.amplitude < 0 or self.sigma <= 0 or self.k0 < 0:
             raise DomainError("need amplitude >= 0, sigma > 0, k0 >= 0")
 
@@ -216,11 +220,37 @@ class CorrelationEstimate:
 _SCALAR_TAG = 1
 
 
+def _mode_key(seed: int, l: int, m: int, tag: int, spin: int) -> np.ndarray:
+    # exact uint64 words: a Python list with a word >= 2^63 would pass through
+    # float64 and lose its low bits (the mode index)
+    packed = (tag & 0xFFFF) << 48 | (spin & 0xFF) << 40 | (l * (l + 1) + m)
+    return np.array([seed % (1 << 64), packed], dtype=np.uint64)
+
+
 def mode_rng(seed: int, l: int, m: int, tag: int = _SCALAR_TAG,
              spin: int = 0) -> np.random.Generator:
     """Counter-based generator for mode (l, m); independent of call order."""
-    packed = (tag & 0xFFFF) << 48 | (spin & 0xFF) << 40 | (l * (l + 1) + m)
-    return np.random.Generator(np.random.Philox(key=[seed, packed]))
+    return np.random.Generator(np.random.Philox(key=_mode_key(seed, l, m, tag, spin)))
+
+
+def mode_streams(seed: int, tag: int = _SCALAR_TAG, spin: int = 0):
+    """stream(l, m) -> the generator mode_rng(seed, l, m, tag, spin), bit for bit.
+
+    Every stream re-keys one Philox through its state (counter 0, empty
+    buffer) instead of constructing a generator, which would draw OS entropy
+    for a SeedSequence that the key then overrides.  The generator is shared:
+    each call restarts it on the new mode's stream.
+    """
+    gen = mode_rng(seed, 0, 0, tag, spin)
+    bitgen = gen.bit_generator
+    start = bitgen.state
+    key = start["state"]["key"]
+
+    def stream(l: int, m: int) -> np.random.Generator:
+        key[:] = _mode_key(seed, l, m, tag, spin)
+        bitgen.state = start
+        return gen
+    return stream
 
 
 def _draw_xi(rng: np.random.Generator, shape: tuple[int, ...], m: int,
@@ -235,12 +265,17 @@ def _draw_xi(rng: np.random.Generator, shape: tuple[int, ...], m: int,
 # Synthesis
 # ---------------------------------------------------------------------------
 
+def _power(P: PowerSpectrum, k: np.ndarray) -> np.ndarray:
+    pk = np.asarray(P(k), dtype=float)
+    if not np.all((pk >= 0) & np.isfinite(pk)):      # NaN fails both
+        raise DomainError("P(k) must be finite and >= 0")
+    return pk
+
+
 def _k_nodes(geom: Geometry, P: PowerSpectrum, cfg: SynthesisConfig):
     """(k nodes, per-node standard deviation weights k sqrt(P w))."""
     k, w = spectral_nodes(geom, cfg.k_max, cfg.k_panels, cfg.k_order, cfg.omega_max)
-    pk = np.asarray(P(k), dtype=float)
-    if np.any(pk < 0):
-        raise DomainError("P(k) must be >= 0")
+    pk = _power(P, k)
     if geom.kind is Kind.CLOSED and cfg.closed_weight == "printed":
         return k, (k - geom.curvature_scale) * np.sqrt(pk * w)
     return k, k * np.sqrt(pk * w)
@@ -321,7 +356,7 @@ def analytic_correlation(geom: Geometry, P: PowerSpectrum, r,
     r = np.atleast_1d(np.asarray(r, dtype=float))
     geom.check_chi(r)
     k, w = spectral_nodes(geom, k_max, panels, order, omega_max)
-    amp = w * k * k * np.asarray(P(k), dtype=float)
+    amp = w * k * k * _power(P, k)
     live = amp != 0.0
     amp, omegas = amp[live], geom.omega_of_k(k[live])
     rz = r if geom.kind is Kind.FLAT else geom.curvature_scale * r

@@ -21,6 +21,14 @@ eigenvalues below -1e-12 of the kernel scale indicate an indefinite input and
 raise KernelDefinitenessError, small negative roundoff is clipped to zero.
 Rows with zero diagonal (for instance chi = 0, where every l >= 1 process
 must vanish) are zeroed in the factor so those samples are exactly 0.0.
+The harmonics separate, sY_lm(theta, phi) = lambda_slm(theta) e^{i m phi},
+so synthesis builds one specfun.spin_harmonic_table of lambda_slm on the
+distinct theta.  Per l it draws all 2l+1 mode streams (one Philox re-keyed
+per mode by randfield.mode_streams: the streams of randfield.mode_rng) and
+contracts them with the kernel factor at once, giving a_slm(chi).  Per m it
+sums a_slm lambda_slm over l on the distinct theta and adds that, times
+e^{i m phi} on the distinct phi, at every point: 2L+1 passes over the
+points, not one per (l, m) mode.
 
 Kernel recovery inverts the two-point function in the polar configuration
 n1 = north pole, n2 = (beta, 0), where alpha + gamma = pi exactly:
@@ -50,8 +58,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, KernelDefinitenessError
-from .randfield import mode_rng
-from .specfun import spin_harmonic
+from .randfield import mode_rng  # noqa: F401  (perfbench/spans.py wraps spinfield.mode_rng)
+from .randfield import mode_streams
+from .specfun import spin_harmonic, spin_harmonic_table
 
 __all__ = [
     "SpinKernelSet", "SpinFieldRealization", "PointPairFrame",
@@ -94,10 +103,14 @@ class SpinKernelSet:
                 f"kernel content at l={bad} below spin weight |s|={abs(self.s)}")
         if chi.ndim != 1 or chi.size == 0 or (chi.size > 1 and np.any(np.diff(chi) <= 0)):
             raise DomainError("chi must be strictly increasing and non-empty")
+        if not np.all(np.isfinite(chi)):
+            raise DomainError("chi must be finite")
         if np.any(chi < 0):
             raise DomainError("chi must be >= 0")
         if ker.shape != (ell.size, chi.size, chi.size):
             raise DomainError("kernels must have shape (n_ell, n_chi, n_chi)")
+        if not np.all(np.isfinite(ker)):
+            raise DomainError("kernels must be finite")
         scale = np.max(np.abs(ker), axis=(1, 2), initial=0.0)
         asym = np.max(np.abs(ker - np.swapaxes(ker, 1, 2)), axis=(1, 2))
         if np.any(asym > 1e-10 * (scale + 1.0)):
@@ -256,27 +269,45 @@ def _factor(kernel: np.ndarray, l: int) -> np.ndarray:
 
 def synthesize_spin(s: int, kernels: SpinKernelSet, theta, phi, seed: int,
                     n_realizations: int = 1) -> SpinFieldRealization:
-    """Draw spin-s field realizations on the kernel chi grid x points (theta, phi)."""
+    """Draw spin-s field realizations on the kernel chi grid x points (theta, phi).
+
+    One harmonic table on the distinct theta, one factor contraction per l
+    for all its m, then one pass over the points per m (module notes).
+    """
     if s != kernels.s:
         raise DomainError(f"spin mismatch: s={s} but kernels carry s={kernels.s}")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     if theta.shape != phi.shape or theta.ndim != 1:
         raise DomainError("theta and phi must be matching 1-d point arrays")
-    if np.any(theta < 0) or np.any(theta > math.pi):
+    if not np.all((theta >= 0) & (theta <= math.pi)):      # NaN fails
         raise DomainError("theta must lie in [0, pi]")
+    if not np.all(np.isfinite(phi)):
+        raise DomainError("phi must be finite")
     if n_realizations < 1:
         raise DomainError("n_realizations must be >= 1")
     nchi = kernels.chi.size
+    L = int(kernels.ell[-1])
+    theta_u, phi_u = np.unique(theta), np.unique(phi)
+    lam = spin_harmonic_table(s, L, theta_u)[kernels.ell]     # (n_ell, 2L+1, n_theta_u)
+    # a[i, L + m] = a_{s, ell[i], m}(chi) per realization: all 2l+1 mode
+    # streams of one l drawn, then one contraction with the kernel factor
+    a = np.zeros((kernels.ell.size, 2 * L + 1, n_realizations, nchi), dtype=complex)
+    stream = mode_streams(seed, tag=_SPIN_TAG, spin=s)
+    for i, (kernel, l) in enumerate(zip(kernels.kernels, kernels.ell.tolist())):
+        fac = _factor(kernel, l)
+        z = np.empty((2 * l + 1, n_realizations, nchi, 2))
+        for j in range(2 * l + 1):
+            stream(l, j - l).standard_normal(out=z[j])
+        xi = (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
+        a[i, L - l:L + l + 1] = xi @ fac.T
+    it, ip = np.searchsorted(theta_u, theta), np.searchsorted(phi_u, phi)
     vals = np.zeros((n_realizations, nchi, theta.size), dtype=complex)
-    for kernel, l in zip(kernels.kernels, kernels.ell):
-        fac = _factor(kernel, int(l))
-        for m in range(-l, l + 1):
-            rng = mode_rng(seed, int(l), int(m), tag=_SPIN_TAG, spin=s)
-            z = rng.standard_normal((n_realizations, nchi, 2))
-            xi = (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
-            a = xi @ fac.T
-            vals += a[:, :, None] * spin_harmonic(s, int(l), int(m), theta, phi)[None, None, :]
+    for j in range(2 * L + 1):
+        # sum_l a_lm lam_lm(theta) on the distinct theta, then e^{i m phi}
+        b = (a[:, j].reshape(kernels.ell.size, -1).T @ lam[:, j]).reshape(
+            n_realizations, nchi, theta_u.size)
+        vals += b[..., it] * np.exp(1j * (j - L) * phi_u)[ip]
     return SpinFieldRealization(kernels, theta, phi, vals, seed)
 
 
@@ -371,7 +402,7 @@ def separable_kernels(s: int, ell, chi, amplitude: float = 1.0,
     """
     ell = np.asarray(ell, dtype=int)
     chi = np.asarray(chi, dtype=float)
-    if corr_length <= 0 or amplitude < 0 or ell_scale <= 0:
+    if not (corr_length > 0 and amplitude >= 0 and ell_scale > 0):   # NaN fails
         raise DomainError("need corr_length > 0, ell_scale > 0, amplitude >= 0")
     gauss = np.exp(-0.5 * ((chi[:, None] - chi[None, :]) / corr_length) ** 2)
     m = chi / (chi + corr_length)

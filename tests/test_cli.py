@@ -168,6 +168,22 @@ def test_domain_error_exits_3(tmp_path, capsys):
     assert "domain error" in capsys.readouterr().err
 
 
+def test_nan_spectrum_and_kernel_amplitudes_exit_3(tmp_path, capsys):
+    cfg = write(tmp_path, "nan.cfg", SYN_CFG.replace("spectrum.amplitude = 1.0",
+                                                     "spectrum.amplitude = nan"))
+    assert main(["synthesize", "--config", cfg, "--out", str(tmp_path / "f.out")]) == 3
+    assert "domain error" in capsys.readouterr().err
+    cfg = write(tmp_path, "spin.cfg", """
+spin.s = 2
+spin.l_max = 4
+kernel.amplitude = nan
+grid.chi_max = 2.0
+""")
+    assert main(["spin", "--config", cfg, "--out", str(tmp_path / "g.cfd")]) == 3
+    assert "domain error" in capsys.readouterr().err
+    assert not (tmp_path / "f.out").exists() and not (tmp_path / "g.cfd").exists()
+
+
 def test_synthesize_container_and_thread_invariance(tmp_path, capsys):
     cfg = write(tmp_path, "syn.cfg", SYN_CFG)
     paths = [str(tmp_path / f"f{i}.cfd") for i in range(3)]

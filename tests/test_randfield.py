@@ -11,9 +11,10 @@ from curvedfield.errors import DomainError
 from curvedfield.geometry import Geometry
 from curvedfield.quadrature import gauss_legendre_grid
 from curvedfield.randfield import (CorrelationEstimate, GaussianBump,
-                                   PowerLaw, SynthesisConfig, Tabulated,
-                                   analytic_correlation, estimate_correlation,
-                                   mode_rng, power_law_eval, synthesize)
+                                   PowerLaw, PowerSpectrum, SynthesisConfig,
+                                   Tabulated, analytic_correlation,
+                                   estimate_correlation, mode_rng, mode_streams,
+                                   power_law_eval, synthesize)
 from curvedfield.specfun import zonal_spherical
 
 G_OPEN = Geometry.open(-1.0)
@@ -42,6 +43,33 @@ def test_power_law_validation():
         PowerLaw(-1.0, 0.0)
     with pytest.raises(DomainError):
         PowerLaw(1.0, 0.0, k_cut_low=2.0, k_cut_high=1.0)
+
+
+def test_spectra_reject_non_finite_parameters():
+    nan, inf = math.nan, math.inf
+    for cls, args in ((PowerLaw, (nan, 0.0)), (PowerLaw, (1.0, nan)), (PowerLaw, (inf, 0.0)),
+                      (PowerLaw, (1.0, 0.0, nan)), (GaussianBump, (nan, 3.0, 0.8)),
+                      (GaussianBump, (1.0, nan, 0.8)), (GaussianBump, (1.0, 3.0, nan)),
+                      (GaussianBump, (inf, 3.0, 0.8))):
+        with pytest.raises(DomainError):
+            cls(*args)
+    PowerLaw(1.0, -1.0, k_cut_low=0.5, k_cut_high=math.inf)
+
+
+def test_non_finite_spectrum_values_rejected():
+    class Spiked(PowerSpectrum):
+        def __init__(self, bad):
+            self.bad = bad
+
+        def __call__(self, k):
+            out = np.ones_like(np.asarray(k, dtype=float))
+            out[3] = self.bad
+            return out
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(DomainError, match=r"P\(k\) must be finite and >= 0"):
+            synthesize(G_FLAT, Spiked(bad), small_cfg(), *POINTS)
+        with pytest.raises(DomainError, match=r"P\(k\) must be finite and >= 0"):
+            analytic_correlation(G_FLAT, Spiked(bad), [0.3], k_max=4.0)
 
 
 def test_gaussian_bump_eval():
@@ -75,6 +103,25 @@ def test_mode_rng_reproducible_and_distinct():
     for other in (mode_rng(11, 3, 2), mode_rng(11, 4, 1), mode_rng(12, 3, 1),
                   mode_rng(11, 3, 1, tag=2), mode_rng(11, 3, 1, spin=2)):
         assert not np.array_equal(a, other.standard_normal(4))
+
+
+def test_mode_streams_are_mode_rng_bit_for_bit():
+    for seed, tag, spin in ((0, 1, 0), (11, 2, 2), (2 ** 63 - 1, 2, -2), (7, 0xFFFF, 3)):
+        stream = mode_streams(seed, tag=tag, spin=spin)
+        modes = [(0, 0), (3, -3), (3, 3), (24, -17), (32, 32), (3, -3)]
+        for (l, m), shape in zip(modes, [(5,), (2, 3, 2), (1,), (4, 16, 2), (7, 1), (2, 3, 2)]):
+            ref = mode_rng(seed, l, m, tag=tag, spin=spin).standard_normal(shape)
+            got = stream(l, m).standard_normal(shape)
+            assert got.tobytes() == ref.tobytes(), (seed, tag, spin, l, m)
+            # a part-used stream restarts from its first draw
+            stream(l, m).standard_normal(3)
+            out = np.empty(shape)
+            stream(l, m).standard_normal(out=out)
+            assert out.tobytes() == ref.tobytes()
+    # tags past 0x7FFF fill the top bit of the key word, which once rounded
+    # away the mode index
+    assert not np.array_equal(mode_rng(7, 3, -3, tag=0xFFFF).standard_normal(3),
+                              mode_rng(7, 3, -2, tag=0xFFFF).standard_normal(3))
 
 
 # ---------------------------------------------------------------------------

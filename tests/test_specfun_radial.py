@@ -11,6 +11,7 @@ from curvedfield import randfield, specfun
 from curvedfield.errors import AccuracyError, DomainError, SpectralLatticeError
 from curvedfield.geometry import Geometry
 from curvedfield.randfield import GaussianBump, SynthesisConfig, synthesize
+from curvedfield.sft import spectral_nodes
 from curvedfield.specfun import conical_legendre, radial, radial_table, zonal_spherical
 from oracles import CLOSED_RADIAL, FLAT_RADIAL, OPEN_RADIAL
 
@@ -203,6 +204,17 @@ def test_radial_table_certifies_every_row(monkeypatch):
     monkeypatch.setattr(specfun, "_curved_table", broken)
     with pytest.raises(AccuracyError, match=r"l=3\)"):
         radial_table(G_OPEN, ks, 4, chi)
+
+
+def test_flat_two_point_grid_is_certified():
+    # k = 5.76 sits on the first zero of j_2 at chi = 1, so the samples alone
+    # give that exact row a scale of 1e-4 against 0.2 at the chi = 0.35 probe
+    k, _ = spectral_nodes(G_FLAT, 8.0, 8, 8, None)
+    chi = np.array([0.0, 1.0])
+    T = radial_table(G_FLAT, k, 2, chi)
+    for l in range(3):
+        np.testing.assert_allclose(T[l], math.sqrt(2 / math.pi) * sps.spherical_jn(
+            l, np.outer(k, chi)), rtol=0, atol=1e-15)
 
 
 def test_radial_table_certification_reaches_synthesis(monkeypatch):

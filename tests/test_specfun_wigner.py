@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from curvedfield.errors import DomainError
 from curvedfield.specfun import (HARMONIC_L_MAX, eth_ladder, gegenbauer,
-                                 spherical_bessel, spin_harmonic, wigner_D, wigner_d)
+                                 spherical_bessel, spin_harmonic, spin_harmonic_table,
+                                 wigner_D, wigner_d)
 
 ANGLES = np.array([0.0, 0.17, 0.8, math.pi / 2, 2.4, math.pi - 0.05, math.pi])
 
@@ -100,6 +101,34 @@ def test_harmonic_ceiling_l32_passes_l33_raises():
         with pytest.raises(DomainError, match="l=33 exceeds the harmonic ceiling"):
             call()
     assert HARMONIC_L_MAX == 32
+
+
+def test_spin_harmonic_table_matches_scipy_through_l32():
+    theta = np.linspace(0.01, math.pi - 0.01, 61)
+    T = spin_harmonic_table(0, 32, theta)
+    assert T.shape == (33, 65, 61)
+    for l in range(33):
+        ref = np.array([_scipy_ylm(l, m, theta, 0.0).real for m in range(-l, l + 1)])
+        np.testing.assert_allclose(T[l, 32 - l:33 + l], ref, rtol=0, atol=1e-6)
+        assert np.all(T[l, :32 - l] == 0.0) and np.all(T[l, 33 + l:] == 0.0)
+    with pytest.raises(DomainError, match="l=33 exceeds the harmonic ceiling"):
+        spin_harmonic_table(0, 33, theta)
+
+
+def test_spin_harmonic_and_wigner_d_are_table_slices():
+    # d^l_{mn}(theta) = (-1)^n sqrt(4 pi/(2l+1)) {-n}Y_lm(theta, 0)
+    theta = np.array([[0.0, 0.4], [2.0, math.pi]])
+    for s in (-3, 0, 2):
+        T = spin_harmonic_table(s, 12, theta)
+        assert T.shape == (13, 25, 2, 2)
+        assert np.all(T[:abs(s)] == 0.0)
+        for l in range(abs(s), 13):
+            for m in range(-l, l + 1):
+                y = spin_harmonic(s, l, m, theta, 0.7)
+                np.testing.assert_allclose(y, T[l, 12 + m] * np.exp(0.7j * m),
+                                           rtol=0, atol=1e-13)
+                d = (-1) ** s * math.sqrt(4 * math.pi / (2 * l + 1)) * T[l, 12 + m]
+                np.testing.assert_allclose(wigner_d(l, m, -s, theta), d, rtol=0, atol=1e-13)
 
 
 def _scipy_ylm(l, m, theta, phi):

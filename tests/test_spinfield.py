@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from curvedfield import spinfield
 from curvedfield.errors import DomainError, KernelDefinitenessError
+from curvedfield.randfield import SynthesisConfig, mode_rng
 from curvedfield.specfun import spin_harmonic
 from curvedfield.spinfield import (LENSING_SPINS, SpinKernelSet, beta_rule,
                                    euler_frame, ladder_radicand,
@@ -197,6 +199,64 @@ def test_synthesize_spin_reproducible_and_zero_at_origin():
     assert np.all(f1.values[:, 1:, :] != 0.0)
 
 
+def _per_mode_synthesis(s, kernels, theta, phi, seed, n):
+    # oracle: one stream, one contraction and one harmonic per (l, m) mode
+    vals = np.zeros((n, kernels.chi.size, theta.size), dtype=complex)
+    for kernel, l in zip(kernels.kernels, kernels.ell.tolist()):
+        fac = spinfield._factor(kernel, l)
+        for m in range(-l, l + 1):
+            z = mode_rng(seed, l, m, tag=spinfield._SPIN_TAG, spin=s).standard_normal(
+                (n, kernels.chi.size, 2))
+            a = ((z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)) @ fac.T
+            vals += a[:, :, None] * spin_harmonic(s, l, m, theta, phi)
+    return vals
+
+
+@pytest.mark.parametrize("s", [0, 2, -2, 3])
+def test_synthesize_spin_matches_per_mode_sum(s):
+    rng = np.random.default_rng(40 + s)
+    theta = rng.uniform(0.0, math.pi, 13)
+    phi = rng.uniform(0.0, 2 * math.pi, 13)
+    theta[[4, 9]] = theta[1]               # repeated theta, unsorted
+    phi[[2, 7, 12]] = phi[5]               # repeated phi
+    theta[3], theta[6] = 0.0, math.pi      # the poles
+    ell = np.array([3, 4, 7, 9])           # gaps
+    kern = separable_kernels(s, ell, np.array([0.0, 0.5, 1.2, 2.0]), 1.3, 0.8)
+    got = synthesize_spin(s, kern, theta, phi, seed=21, n_realizations=3).values
+    ref = _per_mode_synthesis(s, kern, theta, phi, 21, 3)
+    assert got.shape == ref.shape == (3, 4, 13)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.all(got[:, 0] == 0.0)
+
+
+def test_harmonic_ceiling_at_every_spin_entry_point():
+    chi = np.array([0.5, 1.0])
+    kern = separable_kernels(2, [2, 33], chi)
+    beta, w = beta_rule(33)
+    for call in (lambda: synthesize_spin(2, kern, [0.3], [0.0], seed=1),
+                 lambda: spin_correlation(kern, 0.5, (0.3, 0.0), 1.0, (1.1, 0.4)),
+                 lambda: spin_correlation(kern, 0.5, (0.3, 0.0), 1.0, (0.3, 0.0)),
+                 lambda: recover_kernels(np.zeros(beta.size), beta, w, 2, 33),
+                 lambda: SynthesisConfig(L_max=33)):
+        with pytest.raises(DomainError, match="exceeds the harmonic ceiling"):
+            call()
+
+
+def test_non_finite_spin_kernels_rejected():
+    chi = np.array([0.0, 0.8, 1.6])
+    for kw in ({"amplitude": math.nan}, {"corr_length": math.nan}, {"ell_scale": math.nan}):
+        with pytest.raises(DomainError):
+            separable_kernels(2, np.arange(2, 5), chi, **kw)
+    good = separable_kernels(2, np.arange(2, 5), chi).kernels
+    for bad in (math.nan, math.inf):
+        ker = good.copy()
+        ker[1, 1, 1] = bad
+        with pytest.raises(DomainError, match="kernels must be finite"):
+            SpinKernelSet(2, np.arange(2, 5), chi, ker)
+        with pytest.raises(DomainError, match="chi must be finite"):
+            SpinKernelSet(2, np.arange(2, 5), np.array([0.0, 0.8, bad]), good)
+
+
 def test_synthesize_spin_validation():
     kern = separable_kernels(2, np.arange(2, 6), CHI)
     with pytest.raises(DomainError):
@@ -205,6 +265,9 @@ def test_synthesize_spin_validation():
         synthesize_spin(2, kern, [0.3, 0.4], [0.0], seed=1)
     with pytest.raises(DomainError):
         synthesize_spin(2, kern, [3.5], [0.0], seed=1)
+    for theta, phi in (([math.nan], [0.0]), ([0.3], [math.nan]), ([0.3], [math.inf])):
+        with pytest.raises(DomainError):
+            synthesize_spin(2, kern, theta, phi, seed=1)
     with pytest.raises(DomainError):
         synthesize_spin(2, kern, [0.3], [0.0], seed=1, n_realizations=0)
 

@@ -25,25 +25,32 @@ covariance lattice sum above and keeps the fundamental mode w = 0;
 closed_weight="printed" substitutes (k - sqrt(K)) sqrt(P w), i.e. w in place
 of w+1, which silently drops w = 0.
 
+Per mode the field sees xi only through a_lm = xi_lm B_l on the distinct
+radii, B_l = diag(k sqrt(P w)) R_l (n_k x n_radii), of kernel C_l = B_l^T B_l.
+With fewer radii than nodes, B_l = Q T_l (thin QR) and xi Q is again iid, so
+eta_lm T_l draws it from n_radii Gaussians with no clipping; else T_l = B_l.
+Per m, b_m = sum_l a_lm lambda_lm on the distinct (chi, theta), from one
+spin_harmonic_table, is gathered to the points times e^{i m phi}; real fields
+(xi_{l,-m} = (-1)^m conj(xi_lm)) are Re b_0 + 2 Re sum_{m>0} b_m e^{i m phi}.
+
 Randomness is counter-based (Philox) with one stream per (l, m) mode keyed by
-(seed, tag(l, m)), so realizations are reproducible and independent of how
-modes are scheduled across threads; partial sums are reduced in a fixed l
-order, making the output bitwise identical for any thread count.
+(seed, tag(l, m)), so realizations are reproducible and, as each l fills its
+own coefficients, bitwise identical for any thread count.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .geometry import Geometry, Kind
 from .sft import _norm_const, spectral_nodes
-from .specfun import (HARMONIC_L_MAX, radial_table, spin_harmonic, zonal_blocks,
+from .specfun import (HARMONIC_L_MAX, radial_table, spin_harmonic_table, zonal_blocks,
                       zonal_spherical)
-from .specfun import radial  # noqa: F401  (perfbench/spans.py wraps randfield.radial)
+from .specfun import radial, spin_harmonic  # noqa: F401  (perfbench/spans.py wraps them)
 
 __all__ = [
     "PowerSpectrum", "PowerLaw", "GaussianBump", "Tabulated", "power_law_eval",
@@ -253,12 +260,18 @@ def mode_streams(seed: int, tag: int = _SCALAR_TAG, spin: int = 0):
     return stream
 
 
-def _draw_xi(rng: np.random.Generator, shape: tuple[int, ...], m: int,
-             real_mode: bool) -> np.ndarray:
-    if real_mode and m == 0:
-        return rng.standard_normal(shape).astype(complex)
-    z = rng.standard_normal(shape + (2,))
-    return (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
+def _draw_xi(stream, l: int, shape: tuple[int, ...], real_mode: bool) -> np.ndarray:
+    """Standard complex Gaussians xi_lm of shape, m = -l..l (real field: 0..l, m = 0 real)."""
+    ms = range(0 if real_mode else -l, l + 1)
+    xi = np.zeros((len(ms),) + shape, dtype=complex)
+    z = xi.view(float).reshape(xi.shape + (2,))         # z[..., 0] + 1j z[..., 1] is xi
+    for n, m in enumerate(ms):
+        if real_mode and m == 0:
+            z[n, ..., 0] = stream(l, m).standard_normal(shape)
+        else:
+            stream(l, m).standard_normal(out=z[n])
+    xi[int(real_mode):] /= math.sqrt(2.0)
+    return xi
 
 
 # ---------------------------------------------------------------------------
@@ -281,23 +294,40 @@ def _k_nodes(geom: Geometry, P: PowerSpectrum, cfg: SynthesisConfig):
     return k, k * np.sqrt(pk * w)
 
 
-def _synth_l(R, sd, l, inv, theta, phi, cfg) -> np.ndarray:
-    """Contribution of all m modes at one l; (n_realizations, n_points) complex.
+def _radial_factor(B: np.ndarray) -> np.ndarray:
+    """The fewest rows T with T^T T = B^T B: QR's triangle if B is tall, else B."""
+    return np.linalg.qr(B, mode="r") if B.shape[1] < B.shape[0] else B
 
-    Each mode contracts on the unique radii (R is (n_k, n_radii)), then expands."""
-    nb = cfg.n_realizations
-    acc = np.zeros((nb, theta.size), dtype=complex)
-    ms = range(0, l + 1) if cfg.real else range(-l, l + 1)
-    for m in ms:
-        xi = _draw_xi(mode_rng(cfg.seed, l, m), (nb, sd.size), m, cfg.real)
-        g = ((xi * sd) @ R)[:, inv]                 # (nb, npts)
-        Y = spin_harmonic(0, l, m, theta, phi)
-        acc += g * Y
-        if cfg.real and m > 0:
-            # xi_{l,-m} = (-1)^m conj(xi_lm) keeps f real
-            Ym = spin_harmonic(0, l, -m, theta, phi)
-            acc += (((-1) ** m) * np.conj(xi * sd) @ R)[:, inv] * Ym
-    return acc
+
+def _synthesize_modes(factor, ls, streams, lam, pick, phi, shape, real: bool,
+                      threads: int = 1) -> np.ndarray:
+    """sum_lm a_lm(chi) lam_lm(theta) e^{i m phi} at the points (its real part if
+    real), shape (n_realizations, n_chi): a_lm = eta_lm factor(i) for l = ls[i]
+    (ascending), eta from one streams() per worker, m = -L..L or 0..L (lam's
+    columns); per m, b_m = sum_l a_lm lam_lm on the distinct (chi, theta) is
+    gathered by pick (indices into that flattened table) times e^{i m phi}."""
+    L = ls[-1]
+    a = np.zeros((len(ls), lam.shape[1]) + shape, dtype=complex)
+
+    def work(t: int):
+        stream = streams()
+        for i in range(t, len(ls), threads):
+            F, l = factor(i), ls[i]
+            eta = _draw_xi(stream, l, (shape[0], F.shape[0]), real)
+            lo = 0 if real else L - l
+            np.matmul(eta, F, out=a[i, lo:lo + len(eta)])
+
+    with ThreadPoolExecutor(max_workers=max(threads - 1, 1)) as ex:
+        rest = ex.map(work, range(1, threads))   # worker 0 is this thread: 1 starts none
+        work(0)
+        list(rest)
+    phi_u, ip = np.unique(phi, return_inverse=True)
+    out = np.zeros((shape[0],) + pick.shape, dtype=float if real else complex)
+    for j, m in enumerate(range(0 if real else -L, L + 1)):
+        b = (a[:, j].reshape(len(ls), -1).T @ lam[:, j]).reshape(shape[0], -1)
+        term = b[:, pick] * np.exp(1j * m * phi_u)[ip]
+        out += term.real if real else term
+    return out
 
 
 def synthesize(geom: Geometry, P: PowerSpectrum, cfg: SynthesisConfig,
@@ -309,29 +339,23 @@ def synthesize(geom: Geometry, P: PowerSpectrum, cfg: SynthesisConfig,
     if not (chi.shape == theta.shape == phi.shape and chi.ndim == 1):
         raise DomainError("chi, theta, phi must be matching 1-d point arrays")
     geom.check_chi(chi)
-    if np.any(theta < 0) or np.any(theta > math.pi):
+    if not np.all((theta >= 0) & (theta <= math.pi)):      # NaN fails
         raise DomainError("theta must lie in [0, pi]")
+    if not np.all(np.isfinite(phi)):
+        raise DomainError("phi must be finite")
 
     k, sd = _k_nodes(geom, P, cfg)
-    chi_u, inv = np.unique(chi, return_inverse=True)
-    if np.array_equal(chi_u, chi):
-        inv = slice(None)    # sorted distinct radii: the expansion is a view
+    chi_u, theta_u = np.unique(chi), np.unique(theta)
     R = radial_table(geom, k, cfg.L_max, chi_u)
-    ls = list(range(cfg.L_max + 1))
-
-    if cfg.threads == 1:
-        parts = [_synth_l(R[l], sd, l, inv, theta, phi, cfg) for l in ls]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            futs = {l: ex.submit(_synth_l, R[l], sd, l, inv, theta, phi, cfg)
-                    for l in ls}
-            parts = [futs[l].result() for l in ls]
-
-    total = np.zeros((cfg.n_realizations, chi.size), dtype=complex)
-    for p in parts:          # fixed l order: bitwise thread-count independent
-        total += p
-    total *= _norm_const(geom)
-    values = total.real if cfg.real else total
+    L = cfg.L_max
+    lam = spin_harmonic_table(0, L, theta_u)[:, L if cfg.real else 0:]
+    if cfg.real:
+        lam[:, 1:] *= 2.0       # Re b_0 + 2 Re sum_{m>0} b_m e^{i m phi}
+    pick = np.searchsorted(chi_u, chi) * theta_u.size + np.searchsorted(theta_u, theta)
+    values = _synthesize_modes(lambda l: _radial_factor(sd[:, None] * R[l]), range(L + 1),
+                               lambda: mode_streams(cfg.seed), lam, pick, phi,
+                               (cfg.n_realizations, chi_u.size), cfg.real, cfg.threads)
+    values *= _norm_const(geom)
     return FieldRealization(geom, chi, theta, phi, values, cfg.seed, cfg)
 
 

@@ -39,8 +39,11 @@ accumulated in extended precision.  The table runs that coefficient
 recursion once for all (l, k), one ladder sweep storing every l, and one
 Horner pass; flat models apply spherical_bessel to the (k, chi) array.
 Worst measured error against 40-digit reference values is ~1e-13 for l <= 8
-over the full parameter map.  Outside the tested envelope accuracy is
-guarded by the ODE residual certification of every (l, k) row.
+over the full parameter map.  Toward r = 1.5 the cancellation (~1e11 at
+l = 19) and the error grow with l: 6.7e-13, 1.9e-11, 9.1e-10, 1.5e-8, 1.2e-6,
+6.8e-6 of the row max at l = 8, 14, 19, 24, 28, 32 (K = -1, r in [1.3, 1.5),
+k <= min(8, (l+2)/1.5)).  Outside the tested envelope accuracy is guarded by
+the ODE residual certification of every (l, k) row.
 """
 from __future__ import annotations
 
@@ -61,6 +64,7 @@ __all__ = [
 ]
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_SERIES_R_MAX = 1.5     # the radial series serves r < 1.5 (and x_eff < l+2), the ladder the rest
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +380,8 @@ def _series_table(sign: int, omega: np.ndarray, L: int):
     ~exp(sqrt(lam) r) and would lose 4-5 digits in double.  Row l keeps
     max(60, 3l+40) terms, and w0 = W_l(0) = sqrt(prod_{n<l} lam_n) / (2l+1)!!.
     """
-    jmax = max(60, 3 * L + 40)
+    last = np.maximum(60, 3 * np.arange(L + 1) + 40)
+    jmax = int(last[-1])
     g = _coth_series().astype(np.longdouble)
     if sign > 0:
         g = g * (-1.0) ** np.arange(1, g.size + 1)
@@ -389,11 +394,12 @@ def _series_table(sign: int, omega: np.ndarray, L: int):
     c[0] = 1.0
     neg_lam = -lam.astype(np.longdouble)
     for j in range(jmax):
+        lo = int(np.searchsorted(last, j + 1))                # rows that keep term j+1
         n = np.arange(1, min(j, g.size) + 1)                  # mm = j+1-n >= 1
-        terms = np.concatenate([(neg_lam * c[j])[None], a[n - 1, j + 1 - n] * c[j + 1 - n]])
-        c[j + 1] = (np.subtract.reduce(terms, axis=0)       # sequential, as the scalar sum
-                    / ((2 * j + 2) * (2 * j + 1) + two_l1 * (2 * j + 2)))
-    c[np.arange(jmax + 1)[:, None] > np.maximum(60, 3 * ls.T + 40)] = 0.0
+        terms = np.concatenate([(neg_lam[lo:] * c[j, lo:])[None],
+                                a[n - 1, j + 1 - n, lo:] * c[j + 1 - n, lo:]])
+        c[j + 1, lo:] = (np.subtract.reduce(terms, axis=0)  # sequential, as the scalar sum
+                         / ((2 * j + 2) * (2 * j + 1) + two_l1[lo:] * (2 * j + 2)))
     w0 = np.sqrt(np.cumprod(np.vstack([np.ones_like(omega), lam[:-1]]), axis=0))
     for l in range(1, L + 1):
         for n in range(3, 2 * l + 2, 2):
@@ -413,7 +419,7 @@ def _curved_table(sign: int, s: float, omega: np.ndarray, L: int, series, chi) -
         refl = r > math.pi / 2.0
         r = np.where(refl, math.pi - r, r)
     a = om if sign < 0 else om + 1.0
-    xeff, small = a * r, r < 1.5
+    xeff, small = a * r, r < _SERIES_R_MAX
     out = np.empty((L + 1,) + r.shape)
 
     # series points (xeff < l+2, r < 1.5) only grow with l: one Horner pass
@@ -460,8 +466,10 @@ def _certify(geom: Geometry, k: np.ndarray, chi: np.ndarray, R: np.ndarray, tabl
              cert_tol: float):
     """Helmholtz residual of every nonzero (l, k) row on 5-point stencils at
     the 0.35 and 0.75 quantiles of chi lying 4h inside the domain; else at the
-    middle of that range, or its lower end when the grid is shorter.  The
-    residual is scaled by the larger of max|R| over chi and over the stencil."""
+    middle of that range, or its lower end when the grid is shorter; one within
+    3h of the series/ladder switch moves 3h past it onto the ladder.  The
+    residual is scaled by k^2 + |K| + l(l+1)/f_K^2 + 1 (|lambda| cancels near
+    the turning point) times the larger of max|R| over chi and the stencil."""
     L = R.shape[0] - 1
     h = np.minimum(0.02, 0.02 / np.sqrt(k * k + abs(geom.K) + 1.0))
     if geom.kind is not Kind.FLAT:
@@ -472,6 +480,11 @@ def _certify(geom: Geometry, k: np.ndarray, chi: np.ndarray, R: np.ndarray, tabl
     ok = (lo[:, None] <= q) & (q <= hi[:, None])                      # (n_k, 2)
     use = ok | (~ok.any(axis=1)[:, None] & (np.arange(2) == 0))
     chi0 = np.where(ok, q, np.maximum(0.5 * (lo + hi), lo)[:, None])
+    switches = {Kind.OPEN: [(_SERIES_R_MAX, 1.0)], Kind.FLAT: [],      # (r, ladder side)
+                Kind.CLOSED: [(_SERIES_R_MAX, 1.0), (math.pi - _SERIES_R_MAX, -1.0)]}
+    for r_sw, side in switches[geom.kind]:
+        sw, h3 = r_sw / geom.curvature_scale, 3.0 * h[:, None]
+        chi0 = np.where(np.abs(chi0 - sw) < h3, sw + side * h3, chi0)
     stencil = chi0[:, :, None] + h[:, None, None] * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     probe = table(stencil.reshape(k.size, 10)).reshape(L + 1, k.size, 2, 5)
     R0, R1, R2, R3, R4 = np.moveaxis(probe, -1, 0)
@@ -482,7 +495,8 @@ def _certify(geom: Geometry, k: np.ndarray, chi: np.ndarray, R: np.ndarray, tabl
     dlog = {Kind.OPEN: np.cosh, Kind.CLOSED: np.cos}.get(geom.kind, np.ones_like)(
         geom.curvature_scale * chi0) / fk                                # f_K' / f_K
     ls = np.arange(L + 1)[:, None, None]
-    lam = (k * k)[:, None] - geom.K - ls * (ls + 1) / (fk * fk)
+    k2, cf = (k * k)[:, None], ls * (ls + 1) / (fk * fk)          # cf: centrifugal term
+    lam, terms = k2 - geom.K - cf, k2 + abs(geom.K) + cf + 1.0
     resid = np.abs(d2 + 2.0 * dlog * d1 + lam * R2)
     rmax = np.max(np.abs(R), axis=2)[:, :, None]
     # the larger of max|R| over the samples and over the stencil: a short grid
@@ -490,7 +504,7 @@ def _certify(geom: Geometry, k: np.ndarray, chi: np.ndarray, R: np.ndarray, tabl
     scale = np.maximum(rmax, np.max(np.abs(probe), axis=3))
     # rows whose samples are all 0 (closed l > omega, l > 0 at chi = 0 alone)
     # have nothing to certify; a NaN anywhere in a row fails it
-    bad = use & (rmax != 0.0) & ~(resid <= cert_tol * (np.abs(lam) + 1.0) * scale)
+    bad = use & (rmax != 0.0) & ~(resid <= cert_tol * terms * scale)
     if np.any(bad):
         l, iq, ip = np.argwhere(bad)[0]
         raise AccuracyError(
@@ -505,8 +519,8 @@ def radial_table(geom: Geometry, k, L_max: int, chi, check: bool = True,
     The one radial evaluator (see the module notes); closed rows with
     l > omega are exactly 0.  check=True certifies every nonzero (l, k) row:
     the Helmholtz ODE residual on probe stencils must stay below cert_tol
-    times |k^2 - K - l(l+1)/f_K^2| + 1 times max|R_kl| (over chi and the
-    stencil), else AccuracyError.
+    times the term magnitudes k^2 + |K| + l(l+1)/f_K^2 + 1 times max|R_kl|
+    (over chi and the stencil), else AccuracyError.
     """
     if L_max < 0:
         raise DomainError("l must be >= 0")

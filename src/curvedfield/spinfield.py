@@ -21,14 +21,8 @@ eigenvalues below -1e-12 of the kernel scale indicate an indefinite input and
 raise KernelDefinitenessError, small negative roundoff is clipped to zero.
 Rows with zero diagonal (for instance chi = 0, where every l >= 1 process
 must vanish) are zeroed in the factor so those samples are exactly 0.0.
-The harmonics separate, sY_lm(theta, phi) = lambda_slm(theta) e^{i m phi},
-so synthesis builds one specfun.spin_harmonic_table of lambda_slm on the
-distinct theta.  Per l it draws all 2l+1 mode streams (one Philox re-keyed
-per mode by randfield.mode_streams: the streams of randfield.mode_rng) and
-contracts them with the kernel factor at once, giving a_slm(chi).  Per m it
-sums a_slm lambda_slm over l on the distinct theta and adds that, times
-e^{i m phi} on the distinct phi, at every point: 2L+1 passes over the
-points, not one per (l, m) mode.
+Synthesis runs randfield._synthesize_modes with this factor in place of T_l:
+per-l draws, then one pass over the points per m with one harmonic table.
 
 Kernel recovery inverts the two-point function in the polar configuration
 n1 = north pole, n2 = (beta, 0), where alpha + gamma = pi exactly:
@@ -59,8 +53,8 @@ import numpy as np
 
 from .errors import DomainError, KernelDefinitenessError
 from .randfield import mode_rng  # noqa: F401  (perfbench/spans.py wraps spinfield.mode_rng)
-from .randfield import mode_streams
-from .specfun import spin_harmonic, spin_harmonic_table
+from .randfield import _synthesize_modes, mode_streams
+from .specfun import spin_harmonic, spin_harmonic_table  # noqa: F401 (traced by perfbench)
 
 __all__ = [
     "SpinKernelSet", "SpinFieldRealization", "PointPairFrame",
@@ -195,25 +189,15 @@ def spin_correlation(kernels: SpinKernelSet, chi1: float, n1,
     s = kernels.s
     frame = euler_frame(n1, n2)
     c12 = kernels.kernels[:, i1, i2]
+    L = int(kernels.ell[-1])
     if not frame.defined:
         # coincident/antipodal: sum the addition theorem over m directly
-        tot = 0.0 + 0.0j
-        for c, l in zip(c12, kernels.ell):
-            if c == 0.0:
-                continue
-            acc = 0.0 + 0.0j
-            for m in range(-l, l + 1):
-                acc += (spin_harmonic(s, l, m, n1[0], n1[1])
-                        * np.conj(spin_harmonic(s, l, m, n2[0], n2[1])))
-            tot += c * acc
-        return complex(tot)
-    phase = np.exp(-1j * s * (frame.alpha + frame.gamma))
-    tot = 0.0 + 0.0j
-    for c, l in zip(c12, kernels.ell):
-        if c != 0.0:
-            tot += (c * math.sqrt(2 * l + 1)
-                    * spin_harmonic(s, l, -s, frame.beta, 0.0))
-    return complex(tot * phase / (2.0 * math.sqrt(math.pi)))
+        lam = spin_harmonic_table(s, L, np.array([n1[0], n2[0]], dtype=float))[kernels.ell]
+        phase = np.exp(1j * np.arange(-L, L + 1) * (float(n1[1]) - float(n2[1])))
+        return complex(np.sum(c12[:, None] * lam[..., 0] * lam[..., 1] * phase))
+    y = spin_harmonic_table(s, L, frame.beta)[kernels.ell, L - s]
+    tot = np.sum(c12 * np.sqrt(2 * kernels.ell + 1) * y)
+    return complex(tot * np.exp(-1j * s * (frame.alpha + frame.gamma)) / math.sqrt(4.0 * math.pi))
 
 
 def beta_rule(L_max: int, extra: int = 8):
@@ -241,13 +225,11 @@ def recover_kernels(R: np.ndarray, beta: np.ndarray, weights: np.ndarray,
     if beta.size < L_max + 1:
         raise DomainError(
             f"need at least L_max+1 = {L_max + 1} beta nodes for exact recovery")
-    out = np.zeros(R.shape[:-1] + (L_max + 1,), dtype=complex)
-    sign = (-1.0) ** (abs(s) % 2)
-    for l in range(abs(s), L_max + 1):
-        y = spin_harmonic(s, l, -s, beta, 0.0)
-        proj = np.tensordot(R, weights * np.real(y), axes=([-1], [0]))
-        out[..., l] = sign * 4.0 * math.pi ** 1.5 / math.sqrt(2 * l + 1) * proj
-    return out.real if not np.iscomplexobj(R) else out
+    Lt = max(L_max, abs(s))                     # the table needs the column m = -s
+    y = spin_harmonic_table(s, Lt, beta)[:L_max + 1, Lt - s]     # rows l < |s| are 0
+    norm = (-1.0) ** (abs(s) % 2) * 4.0 * math.pi ** 1.5 / np.sqrt(2 * np.arange(L_max + 1) + 1)
+    out = np.tensordot(R, weights * y, axes=([-1], [1])) * norm
+    return out if np.iscomplexobj(R) else out.real
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +251,7 @@ def _factor(kernel: np.ndarray, l: int) -> np.ndarray:
 
 def synthesize_spin(s: int, kernels: SpinKernelSet, theta, phi, seed: int,
                     n_realizations: int = 1) -> SpinFieldRealization:
-    """Draw spin-s field realizations on the kernel chi grid x points (theta, phi).
-
-    One harmonic table on the distinct theta, one factor contraction per l
-    for all its m, then one pass over the points per m (module notes).
-    """
+    """Draw spin-s field realizations on the kernel chi grid x points (theta, phi)."""
     if s != kernels.s:
         raise DomainError(f"spin mismatch: s={s} but kernels carry s={kernels.s}")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -286,28 +264,12 @@ def synthesize_spin(s: int, kernels: SpinKernelSet, theta, phi, seed: int,
         raise DomainError("phi must be finite")
     if n_realizations < 1:
         raise DomainError("n_realizations must be >= 1")
-    nchi = kernels.chi.size
-    L = int(kernels.ell[-1])
-    theta_u, phi_u = np.unique(theta), np.unique(phi)
-    lam = spin_harmonic_table(s, L, theta_u)[kernels.ell]     # (n_ell, 2L+1, n_theta_u)
-    # a[i, L + m] = a_{s, ell[i], m}(chi) per realization: all 2l+1 mode
-    # streams of one l drawn, then one contraction with the kernel factor
-    a = np.zeros((kernels.ell.size, 2 * L + 1, n_realizations, nchi), dtype=complex)
-    stream = mode_streams(seed, tag=_SPIN_TAG, spin=s)
-    for i, (kernel, l) in enumerate(zip(kernels.kernels, kernels.ell.tolist())):
-        fac = _factor(kernel, l)
-        z = np.empty((2 * l + 1, n_realizations, nchi, 2))
-        for j in range(2 * l + 1):
-            stream(l, j - l).standard_normal(out=z[j])
-        xi = (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
-        a[i, L - l:L + l + 1] = xi @ fac.T
-    it, ip = np.searchsorted(theta_u, theta), np.searchsorted(phi_u, phi)
-    vals = np.zeros((n_realizations, nchi, theta.size), dtype=complex)
-    for j in range(2 * L + 1):
-        # sum_l a_lm lam_lm(theta) on the distinct theta, then e^{i m phi}
-        b = (a[:, j].reshape(kernels.ell.size, -1).T @ lam[:, j]).reshape(
-            n_realizations, nchi, theta_u.size)
-        vals += b[..., it] * np.exp(1j * (j - L) * phi_u)[ip]
+    ell, theta_u = kernels.ell.tolist(), np.unique(theta)
+    lam = spin_harmonic_table(s, ell[-1], theta_u)[kernels.ell]     # (n_ell, 2L+1, n_theta_u)
+    pick = np.arange(kernels.chi.size)[:, None] * theta_u.size + np.searchsorted(theta_u, theta)
+    vals = _synthesize_modes(lambda i: _factor(kernels.kernels[i], ell[i]).T, ell,
+                             lambda: mode_streams(seed, tag=_SPIN_TAG, spin=s), lam, pick,
+                             phi, (n_realizations, kernels.chi.size), real=False)
     return SpinFieldRealization(kernels, theta, phi, vals, seed)
 
 

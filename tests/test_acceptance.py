@@ -222,6 +222,14 @@ def test_monte_carlo_zonal_correlation():
     zc = np.abs(estc.mean - refc) / estc.stderr
     assert np.all(zc < 5.0), ("closed", zc)
 
+    # open model: 6 radii against 240 k-nodes, so the coefficients are
+    # drawn in the smaller radial basis
+    fieldo = synthesize(G_OPEN, P, cfg, pts, theta, phi)
+    esto = estimate_correlation(fieldo.values[:, 0], fieldo.values[:, 1:])
+    refo = analytic_correlation(G_OPEN, P, lags, k_max=8.0)
+    zo = np.abs(esto.mean - refo) / esto.stderr
+    assert np.all(zo < 5.0), ("open", zo)
+
     assert time.perf_counter() - start < 300.0
 
 

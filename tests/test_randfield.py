@@ -6,7 +6,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvedfield import specfun
+from curvedfield import randfield, specfun
 from curvedfield.errors import DomainError
 from curvedfield.geometry import Geometry
 from curvedfield.quadrature import gauss_legendre_grid
@@ -151,11 +151,31 @@ def test_synthesize_reproducible_real_dtype_shape():
 
 
 def test_thread_count_invariance():
+    # 3 radii against 48 k-nodes: the draws run in the smaller basis
     P = GaussianBump(1.0, 2.0, 0.7)
     for geom in (G_OPEN, G_FLAT):
-        a = synthesize(geom, P, small_cfg(threads=1), *POINTS)
-        b = synthesize(geom, P, small_cfg(threads=3), *POINTS)
-        np.testing.assert_array_equal(a.values, b.values)
+        for real in (True, False):
+            runs = [synthesize(geom, P, small_cfg(threads=n, real=real), *POINTS).values
+                    for n in (1, 2, 8)]
+            assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
+
+
+def test_radial_factor_keeps_the_kernel():
+    # T_l^T T_l = B_l^T B_l: eta T_l has the law of xi B_l with fewer draws
+    P = GaussianBump(1.0, 2.0, 0.7)
+    cfg = small_cfg()
+    k, sd = randfield._k_nodes(G_OPEN, P, cfg)
+    chi = np.unique(POINTS[0])
+    R = specfun.radial_table(G_OPEN, k, cfg.L_max, chi)
+    for l in range(cfg.L_max + 1):
+        B = sd[:, None] * R[l]
+        T = randfield._radial_factor(B)
+        assert T.shape == (chi.size, chi.size) and chi.size < k.size
+        C = B.T @ B
+        np.testing.assert_allclose(T.T @ T, C, rtol=0, atol=1e-12 * np.max(np.abs(C)))
+    # more radii than nodes: B_l itself, so the draws are those of xi B_l
+    B = sd[:2, None] * R[1, :2]
+    assert randfield._radial_factor(B) is B
 
 
 def test_synthesize_validation():
@@ -170,6 +190,12 @@ def test_synthesize_validation():
                    POINTS[0], POINTS[1], POINTS[2])
     with pytest.raises(DomainError):
         synthesize(G_FLAT, P, small_cfg(k_max=None), *POINTS)
+    # NaN fails every comparison, so a range check alone would pass it
+    cfg = SynthesisConfig(L_max=2, k_max=6.0, k_panels=2, k_order=4)
+    for theta, phi in (([math.nan, 1.0], [0.0, 0.0]), ([0.5, 1.0], [0.0, math.nan]),
+                       ([0.5, 1.0], [math.inf, 0.0])):
+        with pytest.raises(DomainError):
+            synthesize(G_FLAT, GaussianBump(1, 3, 0.8), cfg, [0.5, 1.0], theta, phi)
 
 
 def test_config_validation():

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from curvedfield import randfield, specfun
 from curvedfield.errors import AccuracyError, DomainError, SpectralLatticeError
 from curvedfield.geometry import Geometry
+from curvedfield.quadrature import gauss_legendre_grid
 from curvedfield.randfield import GaussianBump, SynthesisConfig, synthesize
 from curvedfield.sft import spectral_nodes
 from curvedfield.specfun import conical_legendre, radial, radial_table, zonal_spherical
-from oracles import CLOSED_RADIAL, FLAT_RADIAL, OPEN_RADIAL
+from oracles import CLOSED_RADIAL, FLAT_RADIAL, OPEN_RADIAL, OPEN_RADIAL_HIGH_L
 
 G_OPEN = Geometry.open(-1.0)
 G_FLAT = Geometry.flat()
@@ -198,12 +199,42 @@ def test_radial_table_certifies_every_row(monkeypatch):
         out[3, 5] *= 1.0 + 1e-3 * np.broadcast_to(chi, out.shape[1:])[5]
         return out
 
+    def nan_sample(*args):
+        # one NaN sample, at a radius no probe stencil reaches
+        out, chi = good(*args), args[-1]
+        out[3, 5] = np.where(np.broadcast_to(chi, out.shape[1:])[5] == 3.0, np.nan, out[3, 5])
+        return out
+
     ks = np.linspace(0.3, 6.0, 12)
     chi = np.linspace(0.0, 3.0, 16)
     radial_table(G_OPEN, ks, 4, chi)
-    monkeypatch.setattr(specfun, "_curved_table", broken)
-    with pytest.raises(AccuracyError, match=r"l=3\)"):
-        radial_table(G_OPEN, ks, 4, chi)
+    for defect in (broken, nan_sample):
+        monkeypatch.setattr(specfun, "_curved_table", defect)
+        with pytest.raises(AccuracyError, match=r"l=3\)"):
+            radial_table(G_OPEN, ks, 4, chi)
+
+
+def test_open_high_l_rows_certify_near_the_switch():
+    # on this K = -1 grid lambda cancels near the turning point at l = 14,
+    # chi = 1.5 (a row accurate to 5e-13), and that probe sits on the
+    # series/ladder switch at r = 1.5
+    k, _ = gauss_legendre_grid(0.0, 8.0, 24, 12)
+    chi = np.linspace(0.0, 2.0, 8)
+    T = radial_table(G_OPEN, k, 20, chi)
+    rows = {}
+    for kk, l, x, ref in OPEN_RADIAL_HIGH_L:
+        rows.setdefault((kk, l), []).append(ref)
+    for (kk, l), ref in rows.items():
+        got = T[l, np.flatnonzero(k == kk)[0], 1:]
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-9 * np.max(np.abs(ref)),
+                                   err_msg=f"k={kk}, l={l}")
+    # from l = 24 on, the ladder's roundoff at k -> 0, r >= 1.5 reaches the
+    # level of the K = -0.5 losses below, and the grid is rejected
+    with pytest.raises(AccuracyError, match=r"l=(2[4-9]|3[0-2])\)"):
+        radial_table(G_OPEN, k, 32, chi)
+    # real losses: open K = -0.5, chi in [0, 3], rows l = 24..32
+    with pytest.raises(AccuracyError, match=r"l=(2[4-9]|3[0-2])\)"):
+        radial_table(Geometry.open(-0.5), k, 32, np.linspace(0.0, 3.0, 8))
 
 
 def test_flat_two_point_grid_is_certified():

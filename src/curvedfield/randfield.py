@@ -29,7 +29,7 @@ Per mode the field sees xi only through a_lm = xi_lm B_l on the distinct
 radii, B_l = diag(k sqrt(P w)) R_l (n_k x n_radii), of kernel C_l = B_l^T B_l.
 With fewer radii than nodes, B_l = Q T_l (thin QR) and xi Q is again iid, so
 eta_lm T_l draws it from n_radii Gaussians with no clipping; else T_l = B_l.
-Per m, b_m = sum_l a_lm lambda_lm on the distinct (chi, theta), from one
+Per m, b_m = sum_l a_lm lambda_lm on the distinct (chi, theta) pairs, from one
 spin_harmonic_table, is gathered to the points times e^{i m phi}; real fields
 (xi_{l,-m} = (-1)^m conj(xi_lm)) are Re b_0 + 2 Re sum_{m>0} b_m e^{i m phi}.
 
@@ -243,10 +243,8 @@ def mode_rng(seed: int, l: int, m: int, tag: int = _SCALAR_TAG,
 def mode_streams(seed: int, tag: int = _SCALAR_TAG, spin: int = 0):
     """stream(l, m) -> the generator mode_rng(seed, l, m, tag, spin), bit for bit.
 
-    Every stream re-keys one Philox through its state (counter 0, empty
-    buffer) instead of constructing a generator, which would draw OS entropy
-    for a SeedSequence that the key then overrides.  The generator is shared:
-    each call restarts it on the new mode's stream.
+    Each call re-keys one shared Philox through its state (counter 0, empty
+    buffer): a new generator would draw OS entropy for a discarded SeedSequence.
     """
     gen = mode_rng(seed, 0, 0, tag, spin)
     bitgen = gen.bit_generator
@@ -299,14 +297,25 @@ def _radial_factor(B: np.ndarray) -> np.ndarray:
     return np.linalg.qr(B, mode="r") if B.shape[1] < B.shape[0] else B
 
 
-def _synthesize_modes(factor, ls, streams, lam, pick, phi, shape, real: bool,
+def _points(theta, phi, *more):
+    """(theta, phi, *more) as matching 1-d float arrays; theta in [0, pi], phi finite."""
+    pts = [np.atleast_1d(np.asarray(x, dtype=float)) for x in (theta, phi) + more]
+    if pts[0].ndim != 1 or any(x.shape != pts[0].shape for x in pts):
+        raise DomainError("point coordinates must be matching 1-d arrays")
+    if not (np.all((pts[0] >= 0) & (pts[0] <= math.pi)) and np.all(np.isfinite(pts[1]))):
+        raise DomainError("theta must lie in [0, pi] and phi must be finite")   # NaN fails
+    return pts
+
+
+def _synthesize_modes(factor, ls, streams, lam, ci, ti, phi, shape, real: bool,
                       threads: int = 1) -> np.ndarray:
     """sum_lm a_lm(chi) lam_lm(theta) e^{i m phi} at the points (its real part if
-    real), shape (n_realizations, n_chi): a_lm = eta_lm factor(i) for l = ls[i]
-    (ascending), eta from one streams() per worker, m = -L..L or 0..L (lam's
-    columns); per m, b_m = sum_l a_lm lam_lm on the distinct (chi, theta) is
-    gathered by pick (indices into that flattened table) times e^{i m phi}."""
-    L = ls[-1]
+    real), shape (n_realizations,) + (ci * ti).shape, ci and ti indexing the
+    distinct chi and theta: a_lm = eta_lm factor(i) for l = ls[i] (ascending),
+    eta from one streams() per worker, m = -L..L or 0..L (lam's columns).  Per m,
+    b_m = sum_l a_lm lam_lm on the distinct (chi, theta) pairs, from the chi x
+    theta product only if they fill half of it, is gathered times e^{i m phi}."""
+    L, threads = ls[-1], min(threads, len(ls))
     a = np.zeros((len(ls), lam.shape[1]) + shape, dtype=complex)
 
     def work(t: int):
@@ -321,10 +330,16 @@ def _synthesize_modes(factor, ls, streams, lam, pick, phi, shape, real: bool,
         rest = ex.map(work, range(1, threads))   # worker 0 is this thread: 1 starts none
         work(0)
         list(rest)
+    n_t = lam.shape[2]
+    pairs, pick = np.unique(ci * n_t + ti, return_inverse=True)
+    grid = 2 * pairs.size >= shape[1] * n_t          # b over chi x theta, else per pair
+    pick = (pairs[pick] if grid else pick).reshape(np.broadcast(ci, ti).shape)
+    cp, tp = np.divmod(pairs, n_t)
     phi_u, ip = np.unique(phi, return_inverse=True)
     out = np.zeros((shape[0],) + pick.shape, dtype=float if real else complex)
     for j, m in enumerate(range(0 if real else -L, L + 1)):
-        b = (a[:, j].reshape(len(ls), -1).T @ lam[:, j]).reshape(shape[0], -1)
+        b = ((a[:, j].reshape(len(ls), -1).T @ lam[:, j]).reshape(shape[0], -1) if grid
+             else sum(a[i, j][:, cp] * lam[i, j, tp] for i in range(len(ls))))
         term = b[:, pick] * np.exp(1j * m * phi_u)[ip]
         out += term.real if real else term
     return out
@@ -333,27 +348,18 @@ def _synthesize_modes(factor, ls, streams, lam, pick, phi, shape, real: bool,
 def synthesize(geom: Geometry, P: PowerSpectrum, cfg: SynthesisConfig,
                chi, theta, phi) -> FieldRealization:
     """Draw Gaussian field realizations at points (chi, theta, phi)."""
-    chi = np.atleast_1d(np.asarray(chi, dtype=float))
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    if not (chi.shape == theta.shape == phi.shape and chi.ndim == 1):
-        raise DomainError("chi, theta, phi must be matching 1-d point arrays")
+    theta, phi, chi = _points(theta, phi, chi)
     geom.check_chi(chi)
-    if not np.all((theta >= 0) & (theta <= math.pi)):      # NaN fails
-        raise DomainError("theta must lie in [0, pi]")
-    if not np.all(np.isfinite(phi)):
-        raise DomainError("phi must be finite")
 
     k, sd = _k_nodes(geom, P, cfg)
-    chi_u, theta_u = np.unique(chi), np.unique(theta)
-    R = radial_table(geom, k, cfg.L_max, chi_u)
+    (chi_u, ci), (theta_u, ti) = (np.unique(x, return_inverse=True) for x in (chi, theta))
     L = cfg.L_max
+    R = radial_table(geom, k, L, chi_u)
     lam = spin_harmonic_table(0, L, theta_u)[:, L if cfg.real else 0:]
     if cfg.real:
         lam[:, 1:] *= 2.0       # Re b_0 + 2 Re sum_{m>0} b_m e^{i m phi}
-    pick = np.searchsorted(chi_u, chi) * theta_u.size + np.searchsorted(theta_u, theta)
     values = _synthesize_modes(lambda l: _radial_factor(sd[:, None] * R[l]), range(L + 1),
-                               lambda: mode_streams(cfg.seed), lam, pick, phi,
+                               lambda: mode_streams(cfg.seed), lam, ci, ti, phi,
                                (cfg.n_realizations, chi_u.size), cfg.real, cfg.threads)
     values *= _norm_const(geom)
     return FieldRealization(geom, chi, theta, phi, values, cfg.seed, cfg)

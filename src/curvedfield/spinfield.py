@@ -52,8 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, KernelDefinitenessError
-from .randfield import mode_rng  # noqa: F401  (perfbench/spans.py wraps spinfield.mode_rng)
-from .randfield import _synthesize_modes, mode_streams
+from .randfield import _points, _synthesize_modes, mode_rng, mode_streams  # noqa: F401 (traced)
 from .specfun import spin_harmonic, spin_harmonic_table  # noqa: F401 (traced by perfbench)
 
 __all__ = [
@@ -254,22 +253,16 @@ def synthesize_spin(s: int, kernels: SpinKernelSet, theta, phi, seed: int,
     """Draw spin-s field realizations on the kernel chi grid x points (theta, phi)."""
     if s != kernels.s:
         raise DomainError(f"spin mismatch: s={s} but kernels carry s={kernels.s}")
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    if theta.shape != phi.shape or theta.ndim != 1:
-        raise DomainError("theta and phi must be matching 1-d point arrays")
-    if not np.all((theta >= 0) & (theta <= math.pi)):      # NaN fails
-        raise DomainError("theta must lie in [0, pi]")
-    if not np.all(np.isfinite(phi)):
-        raise DomainError("phi must be finite")
+    theta, phi = _points(theta, phi)
     if n_realizations < 1:
         raise DomainError("n_realizations must be >= 1")
     ell, theta_u = kernels.ell.tolist(), np.unique(theta)
     lam = spin_harmonic_table(s, ell[-1], theta_u)[kernels.ell]     # (n_ell, 2L+1, n_theta_u)
-    pick = np.arange(kernels.chi.size)[:, None] * theta_u.size + np.searchsorted(theta_u, theta)
     vals = _synthesize_modes(lambda i: _factor(kernels.kernels[i], ell[i]).T, ell,
-                             lambda: mode_streams(seed, tag=_SPIN_TAG, spin=s), lam, pick,
-                             phi, (n_realizations, kernels.chi.size), real=False)
+                             lambda: mode_streams(seed, tag=_SPIN_TAG, spin=s), lam,
+                             np.arange(kernels.chi.size)[:, None],
+                             np.searchsorted(theta_u, theta), phi,
+                             (n_realizations, kernels.chi.size), real=False)
     return SpinFieldRealization(kernels, theta, phi, vals, seed)
 
 

@@ -160,6 +160,22 @@ def test_thread_count_invariance():
             assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
 
 
+def test_thread_pool_is_capped_by_the_l_rows(monkeypatch):
+    # workers beyond the L_max + 1 rows would have no row to fill
+    sizes = []
+
+    class Pool(randfield.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(randfield, "ThreadPoolExecutor", Pool)
+    P = GaussianBump(1.0, 2.0, 0.7)
+    runs = [synthesize(G_FLAT, P, small_cfg(threads=n), *POINTS).values for n in (1, 16)]
+    assert sizes == [1, small_cfg().L_max]      # this thread is worker 0
+    assert runs[0].tobytes() == runs[1].tobytes()
+
+
 def test_radial_factor_keeps_the_kernel():
     # T_l^T T_l = B_l^T B_l: eta T_l has the law of xi B_l with fewer draws
     P = GaussianBump(1.0, 2.0, 0.7)
@@ -176,6 +192,36 @@ def test_radial_factor_keeps_the_kernel():
     # more radii than nodes: B_l itself, so the draws are those of xi B_l
     B = sd[:2, None] * R[1, :2]
     assert randfield._radial_factor(B) is B
+
+
+def test_scattered_points_match_per_mode_sum():
+    # every point has its own chi and theta: b_m is formed pair by pair, never as
+    # the n_chi x n_theta product (64 MB here), and equals the per-mode sum
+    import tracemalloc
+    n = 2000
+    rng = np.random.default_rng(11)
+    chi, theta, phi = rng.uniform(0, 1.5, n), rng.uniform(0, math.pi, n), rng.uniform(0, 6, n)
+    P = GaussianBump(1.0, 2.0, 0.7)
+    for real in (True, False):
+        cfg = SynthesisConfig(L_max=2, seed=9, k_max=6.0, k_panels=2, k_order=4, real=real)
+        tracemalloc.start()
+        f = synthesize(G_OPEN, P, cfg, chi, theta, phi).values[0]
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 16e6, peak
+        k, sd = randfield._k_nodes(G_OPEN, P, cfg)
+        order = np.argsort(chi)
+        R = specfun.radial_table(G_OPEN, k, cfg.L_max, chi[order])
+        stream, ref = mode_streams(cfg.seed), np.zeros(n, dtype=complex)
+        for l in range(cfg.L_max + 1):
+            T = randfield._radial_factor(sd[:, None] * R[l])
+            a = np.empty((l + 1 if real else 2 * l + 1, n), dtype=complex)
+            a[:, order] = (randfield._draw_xi(stream, l, (1, T.shape[0]), real) @ T)[:, 0]
+            for i, m in enumerate(range(0 if real else -l, l + 1)):
+                y = specfun.spin_harmonic(0, l, m, theta, phi)
+                ref += a[i] * y * (2.0 if real and m > 0 else 1.0)
+        ref = (ref.real if real else ref) * randfield._norm_const(G_OPEN)
+        np.testing.assert_allclose(f, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
 
 def test_synthesize_validation():

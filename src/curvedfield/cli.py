@@ -2,22 +2,21 @@
 
     curvedfield background  --config run.cfg [--out table.csv] [--tolerance T]
     curvedfield transform   --config run.cfg [--out table.csv] [--tolerance T]
-    curvedfield synthesize  --config run.cfg --out field.cfd [--seed S] [--threads N]
-    curvedfield estimate    --config run.cfg [--out table.csv] [--seed S] [--threads N]
+    curvedfield synthesize  --config run.cfg --out field.cfd [--seed S]
+    curvedfield estimate    --config run.cfg [--out table.csv] [--seed S]
     curvedfield spin        --config run.cfg --out field.cfd [--seed S]
 
 Configs are flat key=value files (see config module).  Exit codes: 0 success,
 2 configuration or usage error, 3 invalid domain or malformed data, 4 failed
 convergence or accuracy certification.  CSV outputs carry provenance comments
 (library version, command, config hash, seed); binary outputs use the field
-container (see fieldfile module).  --threads (or CURVEDFIELD_THREADS) only
-changes scheduling: outputs are bitwise independent of it.
+container (see fieldfile module).  Synthesis runs on one thread; --threads is
+parsed and ignored so existing command lines still run.
 """
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -36,16 +35,6 @@ from .sft import (RadialProfile, Spectrum, bump_profile, forward_isotropic,
                   inverse_isotropic, spectral_nodes)
 from .specfun import HARMONIC_L_MAX
 from .spinfield import LENSING_SPINS, lensing_ladder, separable_kernels, synthesize_spin
-
-
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        n = args.threads
-    else:
-        n = int(os.environ.get("CURVEDFIELD_THREADS", "1"))
-    if n < 1:
-        raise ConfigError("thread count must be >= 1")
-    return n
 
 
 def _provenance(args, raw) -> list[str]:
@@ -142,14 +131,14 @@ def _spectrum(cfg):
     raise ConfigError(f"unknown spectrum.form {form!r}")
 
 
-def _synth_config(cfg, geom, seed, threads, n_realizations=1) -> SynthesisConfig:
+def _synth_config(cfg, seed, n_realizations=1) -> SynthesisConfig:
     return SynthesisConfig(
         L_max=cfg["synthesis.l_max"], seed=seed,
         k_max=cfg["synthesis.k_max"] or None,
         k_panels=cfg["synthesis.k_panels"], k_order=cfg["synthesis.k_order"],
         omega_max=None if cfg["synthesis.omega_max"] < 0 else cfg["synthesis.omega_max"],
         n_realizations=n_realizations, real=cfg["synthesis.real"],
-        closed_weight=cfg["synthesis.closed_weight"], threads=threads)
+        closed_weight=cfg["synthesis.closed_weight"])
 
 
 def _tensor_grid(cfg):
@@ -191,6 +180,8 @@ def cmd_background(args) -> int:
                          cfg["cosmology.omega_l"], cfg["cosmology.omega_r"], omega_k)
     geom = geometry_from_params(params)
     rtol = args.tolerance or 1e-8
+    if cfg["grid.n_z"] < 1:
+        raise ConfigError("grid.n_z must be >= 1")
     z = np.linspace(0.0, cfg["grid.z_max"], cfg["grid.n_z"])
     table = {
         "z": z,
@@ -273,7 +264,7 @@ def cmd_synthesize(args) -> int:
         raise ConfigError("synthesize needs --out for the field container")
     geom = _geometry(cfg)
     P = _spectrum(cfg)
-    scfg = _synth_config(cfg, geom, args.seed, _threads(args))
+    scfg = _synth_config(cfg, args.seed)
     chi, theta, phi = _tensor_grid(cfg)
     cc, tt, pp = np.meshgrid(chi, theta, phi, indexing="ij")
     field = synthesize(geom, P, scfg, cc.ravel(), tt.ravel(), pp.ravel())
@@ -308,7 +299,7 @@ def cmd_estimate(args) -> int:
                           f"{cfg['estimate.lags']!r}") from None
     if lags.size == 0:
         raise ConfigError("estimate.lags is empty")
-    scfg = _synth_config(cfg, geom, args.seed, _threads(args),
+    scfg = _synth_config(cfg, args.seed,
                          n_realizations=cfg["estimate.n_realizations"])
     chi = np.concatenate([[0.0], lags])
     theta = np.full_like(chi, 0.5 * math.pi)
@@ -395,8 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0, help="RNG seed")
         if threads:
             p.add_argument("--threads", type=int, default=None,
-                           help="worker threads (or CURVEDFIELD_THREADS); "
-                                "never changes results, only scheduling")
+                           help="ignored; kept so existing command lines still run")
         if tolerance:
             p.add_argument("--tolerance", type=float, default=None,
                            help="numerical tolerance override")

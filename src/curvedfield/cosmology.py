@@ -47,6 +47,8 @@ class CosmologyParams:
     def __post_init__(self):
         if not (self.H0 > 0 and math.isfinite(self.H0)):
             raise DomainError("H0 must be positive and finite")
+        if not all(map(math.isfinite, (self.Omega_R, self.Omega_M, self.Omega_K, self.Omega_L))):
+            raise DomainError("density parameters must be finite")
         if self.Omega_R < 0 or self.Omega_M < 0:
             raise DomainError("Omega_R and Omega_M must be >= 0")
         resid = self.Omega_R + self.Omega_M + self.Omega_K + self.Omega_L - 1.0
@@ -68,7 +70,7 @@ def make_params(H0: float, Omega_M: float, Omega_L: float, Omega_R: float = 0.0,
     a sum-rule residual.
     """
     solved = 1.0 - Omega_R - Omega_M - Omega_L
-    if Omega_K is not None and abs(solved - Omega_K) > 1e-6:
+    if Omega_K is not None and not abs(solved - Omega_K) <= 1e-6:     # NaN fails
         raise DomainError(
             f"Omega values do not close: 1 - OmegaR - OmegaM - OmegaL = {solved:.6g} "
             f"but Omega_K = {Omega_K:.6g} was required")
@@ -78,8 +80,8 @@ def make_params(H0: float, Omega_M: float, Omega_L: float, Omega_R: float = 0.0,
 def scale_factor(z) -> np.ndarray:
     """a = 1/(1+z)."""
     z = np.asarray(z, dtype=float)
-    if np.any(z <= -1):
-        raise DomainError("z must be > -1")
+    if not np.all(z > -1):
+        raise DomainError("z must be > -1 and not NaN")
     return 1.0 / (1.0 + z)
 
 
@@ -95,8 +97,8 @@ def _efunc(params: CosmologyParams, z: float) -> float:
 def hubble(params: CosmologyParams, z):
     """H(z) in km/s/Mpc."""
     z = np.asarray(z, dtype=float)
-    if np.any(z <= -1):
-        raise DomainError("z must be > -1")
+    if not np.all(z > -1):
+        raise DomainError("z must be > -1 and not NaN")
     zp = 1.0 + z
     rad = (params.Omega_R * zp ** 4 + params.Omega_M * zp ** 3
            + params.Omega_K * zp ** 2 + params.Omega_L)
@@ -107,8 +109,8 @@ def hubble(params: CosmologyParams, z):
 
 
 def _line_of_sight(params: CosmologyParams, z: float, weight, rtol: float) -> float:
-    if z < 0:
-        raise DomainError("z must be >= 0")
+    if not z >= 0:
+        raise DomainError("z must be >= 0 and not NaN")
     if z == 0.0:
         return 0.0
     val, err = quad(lambda u: weight(u) / _efunc(params, u), 0.0, z,

@@ -34,13 +34,12 @@ spin_harmonic_table, is gathered to the points times e^{i m phi}; real fields
 (xi_{l,-m} = (-1)^m conj(xi_lm)) are Re b_0 + 2 Re sum_{m>0} b_m e^{i m phi}.
 
 Randomness is counter-based (Philox) with one stream per (l, m) mode keyed by
-(seed, tag(l, m)), so realizations are reproducible and, as each l fills its
-own coefficients, bitwise identical for any thread count.
+(seed, tag(l, m)), so a realization depends only on the seed, never on the
+order in which the modes are drawn.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,11 +179,10 @@ class SynthesisConfig:
     n_realizations: int = 1
     real: bool = True
     closed_weight: str = "plancherel"
-    threads: int = 1
 
     def __post_init__(self):
-        if self.L_max < 0 or self.n_realizations < 1 or self.threads < 1:
-            raise DomainError("L_max >= 0, n_realizations >= 1, threads >= 1 required")
+        if self.L_max < 0 or self.n_realizations < 1:
+            raise DomainError("L_max >= 0 and n_realizations >= 1 required")
         if self.L_max > HARMONIC_L_MAX:
             raise DomainError(f"L_max={self.L_max} exceeds the harmonic ceiling "
                               f"{HARMONIC_L_MAX} (see specfun.spin_harmonic)")
@@ -307,29 +305,19 @@ def _points(theta, phi, *more):
     return pts
 
 
-def _synthesize_modes(factor, ls, streams, lam, ci, ti, phi, shape, real: bool,
-                      threads: int = 1) -> np.ndarray:
+def _synthesize_modes(factor, ls, stream, lam, ci, ti, phi, shape, real: bool) -> np.ndarray:
     """sum_lm a_lm(chi) lam_lm(theta) e^{i m phi} at the points (its real part if
     real), shape (n_realizations,) + (ci * ti).shape, ci and ti indexing the
     distinct chi and theta: a_lm = eta_lm factor(i) for l = ls[i] (ascending),
-    eta from one streams() per worker, m = -L..L or 0..L (lam's columns).  Per m,
+    eta from stream (see mode_streams), m = -L..L or 0..L (lam's columns).  Per m,
     b_m = sum_l a_lm lam_lm on the distinct (chi, theta) pairs, from the chi x
     theta product only if they fill half of it, is gathered times e^{i m phi}."""
-    L, threads = ls[-1], min(threads, len(ls))
+    L = ls[-1]
     a = np.zeros((len(ls), lam.shape[1]) + shape, dtype=complex)
-
-    def work(t: int):
-        stream = streams()
-        for i in range(t, len(ls), threads):
-            F, l = factor(i), ls[i]
-            eta = _draw_xi(stream, l, (shape[0], F.shape[0]), real)
-            lo = 0 if real else L - l
-            np.matmul(eta, F, out=a[i, lo:lo + len(eta)])
-
-    with ThreadPoolExecutor(max_workers=max(threads - 1, 1)) as ex:
-        rest = ex.map(work, range(1, threads))   # worker 0 is this thread: 1 starts none
-        work(0)
-        list(rest)
+    for i, l in enumerate(ls):      # each draw is freed with its row, before the per-m pass
+        F = factor(i)
+        lo, hi = (0, l + 1) if real else (L - l, L + l + 1)
+        np.matmul(_draw_xi(stream, l, (shape[0], F.shape[0]), real), F, out=a[i, lo:hi])
     n_t = lam.shape[2]
     pairs, pick = np.unique(ci * n_t + ti, return_inverse=True)
     grid = 2 * pairs.size >= shape[1] * n_t          # b over chi x theta, else per pair
@@ -359,8 +347,8 @@ def synthesize(geom: Geometry, P: PowerSpectrum, cfg: SynthesisConfig,
     if cfg.real:
         lam[:, 1:] *= 2.0       # Re b_0 + 2 Re sum_{m>0} b_m e^{i m phi}
     values = _synthesize_modes(lambda l: _radial_factor(sd[:, None] * R[l]), range(L + 1),
-                               lambda: mode_streams(cfg.seed), lam, ci, ti, phi,
-                               (cfg.n_realizations, chi_u.size), cfg.real, cfg.threads)
+                               mode_streams(cfg.seed), lam, ci, ti, phi,
+                               (cfg.n_realizations, chi_u.size), cfg.real)
     values *= _norm_const(geom)
     return FieldRealization(geom, chi, theta, phi, values, cfg.seed, cfg)
 

@@ -259,7 +259,7 @@ def synthesize_spin(s: int, kernels: SpinKernelSet, theta, phi, seed: int,
     ell, theta_u = kernels.ell.tolist(), np.unique(theta)
     lam = spin_harmonic_table(s, ell[-1], theta_u)[kernels.ell]     # (n_ell, 2L+1, n_theta_u)
     vals = _synthesize_modes(lambda i: _factor(kernels.kernels[i], ell[i]).T, ell,
-                             lambda: mode_streams(seed, tag=_SPIN_TAG, spin=s), lam,
+                             mode_streams(seed, tag=_SPIN_TAG, spin=s), lam,
                              np.arange(kernels.chi.size)[:, None],
                              np.searchsorted(theta_u, theta), phi,
                              (n_realizations, kernels.chi.size), real=False)

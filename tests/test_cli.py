@@ -102,6 +102,18 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_background_bad_redshift_grid(tmp_path, capsys):
+    for n_z in ("0", "-1"):
+        cfg = write(tmp_path, "nz.cfg", BG_CFG.replace("grid.n_z = 9", f"grid.n_z = {n_z}"))
+        assert main(["background", "--config", cfg]) == 2
+        assert "grid.n_z" in capsys.readouterr().err
+    cfg = write(tmp_path, "nan.cfg", BG_CFG.replace("grid.z_max = 4.0", "grid.z_max = nan"))
+    out = tmp_path / "bg.csv"
+    assert main(["background", "--config", cfg, "--out", str(out)]) == 3
+    assert "NaN" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_transform_roundtrip_note(tmp_path):
     cfg = write(tmp_path, "tr.cfg", """
 geometry.kind = flat
@@ -205,18 +217,15 @@ def test_synthesize_requires_out(tmp_path):
     assert main(["synthesize", "--config", cfg]) == 2
 
 
-def test_threads_env_variable(tmp_path, monkeypatch):
+def test_threads_flag_is_ignored(tmp_path):
     cfg = write(tmp_path, "syn.cfg", SYN_CFG)
     a = str(tmp_path / "a.cfd")
     b = str(tmp_path / "b.cfd")
     assert main(["synthesize", "--config", cfg, "--out", a,
                  "--threads", "2"]) == 0
-    monkeypatch.setenv("CURVEDFIELD_THREADS", "2")
     assert main(["synthesize", "--config", cfg, "--out", b]) == 0
     assert open(a, "rb").read()[HEADER_BYTES:] == \
         open(b, "rb").read()[HEADER_BYTES:]
-    monkeypatch.setenv("CURVEDFIELD_THREADS", "0")
-    assert main(["synthesize", "--config", cfg, "--out", b]) == 2
 
 
 def test_estimate_reports_z_scores(tmp_path):

@@ -57,6 +57,26 @@ def test_params_validation():
         CosmologyParams(70.0, 0.0, -0.3, 0.0, 1.3)
 
 
+def test_non_finite_input_rejected():
+    nan = math.nan
+    for omegas in ((nan, 0.3, 0.0, 0.7), (0.0, 0.3, nan, 0.7), (0.0, 0.3, 0.0, nan),
+                   (0.0, 0.3, math.inf, -math.inf)):
+        with pytest.raises(DomainError):
+            CosmologyParams(70.0, *omegas)
+    with pytest.raises(DomainError):
+        make_params(70.0, 0.3, 0.7, 0.0, Omega_K=nan)
+    p = make_params(70.0, 0.3, 0.7)
+    for fn in (scale_factor, lambda z: hubble(p, z), lambda z: comoving_distance(p, z),
+               lambda z: lookback_time(p, z)):
+        for z in (nan, [0.5, nan]):
+            with pytest.raises(DomainError):
+                fn(z)
+    # z = inf is a valid redshift: the look-back time to it is the flat LCDM age
+    age = 2.0 / (3.0 * math.sqrt(0.7)) * math.asinh(math.sqrt(0.7 / 0.3))
+    assert math.isclose(float(lookback_time(p, math.inf)), age, rel_tol=1e-8)
+    assert math.isfinite(float(comoving_distance(p, math.inf)))
+
+
 def test_geometry_from_params_signs_and_flat_snap():
     p = make_params(67.80, 0.315, 0.685, 4.9e-5)    # omega_k < 0: closed
     g = geometry_from_params(p)

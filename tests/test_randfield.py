@@ -150,32 +150,6 @@ def test_synthesize_reproducible_real_dtype_shape():
     assert fc.values.dtype == np.complex128
 
 
-def test_thread_count_invariance():
-    # 3 radii against 48 k-nodes: the draws run in the smaller basis
-    P = GaussianBump(1.0, 2.0, 0.7)
-    for geom in (G_OPEN, G_FLAT):
-        for real in (True, False):
-            runs = [synthesize(geom, P, small_cfg(threads=n, real=real), *POINTS).values
-                    for n in (1, 2, 8)]
-            assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
-
-
-def test_thread_pool_is_capped_by_the_l_rows(monkeypatch):
-    # workers beyond the L_max + 1 rows would have no row to fill
-    sizes = []
-
-    class Pool(randfield.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(randfield, "ThreadPoolExecutor", Pool)
-    P = GaussianBump(1.0, 2.0, 0.7)
-    runs = [synthesize(G_FLAT, P, small_cfg(threads=n), *POINTS).values for n in (1, 16)]
-    assert sizes == [1, small_cfg().L_max]      # this thread is worker 0
-    assert runs[0].tobytes() == runs[1].tobytes()
-
-
 def test_radial_factor_keeps_the_kernel():
     # T_l^T T_l = B_l^T B_l: eta T_l has the law of xi B_l with fewer draws
     P = GaussianBump(1.0, 2.0, 0.7)
@@ -255,6 +229,8 @@ def test_config_validation():
         small_cfg(k_order=1)
     with pytest.raises(DomainError):
         small_cfg(closed_weight="other")
+    with pytest.raises(TypeError):          # synthesis runs on one thread
+        small_cfg(threads=2)
 
 
 # ---------------------------------------------------------------------------

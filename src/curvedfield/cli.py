@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import Option, apply_schema, config_hash, load_config
+from .config import Option, _coerce, apply_schema, config_hash, load_config
 from .cosmology import geometry_from_params, hubble, lookback_time, make_params, comoving_distance
 from .errors import (AccuracyError, ConfigError, ConvergenceError, DomainError,
                      FieldFileError, KernelDefinitenessError)
@@ -175,13 +175,16 @@ def cmd_background(args) -> int:
         "grid.z_max": Option("float", 10.0),
         "grid.n_z": Option("int", 65),
     })
-    omega_k = None if cfg["cosmology.omega_k"] in ("", "solve") else float(cfg["cosmology.omega_k"])
+    omega_k = cfg["cosmology.omega_k"]
+    omega_k = None if omega_k in ("", "solve") else _coerce("cosmology.omega_k", omega_k, "float")
     params = make_params(cfg["cosmology.h0"], cfg["cosmology.omega_m"],
                          cfg["cosmology.omega_l"], cfg["cosmology.omega_r"], omega_k)
     geom = geometry_from_params(params)
-    rtol = args.tolerance or 1e-8
+    rtol = 1e-8 if args.tolerance is None else args.tolerance
     if cfg["grid.n_z"] < 1:
         raise ConfigError("grid.n_z must be >= 1")
+    if math.isinf(cfg["grid.z_max"]) or cfg["grid.z_max"] < 0:    # NaN stays a DomainError
+        raise ConfigError("grid.z_max must be finite and >= 0")
     z = np.linspace(0.0, cfg["grid.z_max"], cfg["grid.n_z"])
     table = {
         "z": z,

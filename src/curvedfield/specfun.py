@@ -48,10 +48,9 @@ the ODE residual certification of every (l, k) row.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
-from scipy.special import bernoulli as _bernoulli
 
 from .errors import AccuracyError, DomainError
 from .geometry import Geometry, Kind, f_K, surface_area  # noqa: F401 (re-export)
@@ -360,12 +359,19 @@ def gegenbauer(p: int, q: int, x):
 # Radial eigenfunctions: one all-l table (series + scaled upward ladder)
 # ---------------------------------------------------------------------------
 
-# coth r = 1/r + sum_n G_n r^{2n-1}; cot r has (-1)^n G_n.  G_n = 4^n B_2n/(2n)!.
-@lru_cache(maxsize=1)
-def _coth_series() -> np.ndarray:
-    nmax = 30
-    B = _bernoulli(2 * nmax)
-    return np.array([4.0 ** n * B[2 * n] / math.factorial(2 * n) for n in range(1, nmax + 1)])
+# coth r = 1/r + sum_n G_n r^{2n-1}; cot r has (-1)^n G_n.  G_n = 4^n B_2n/(2n)!, n <= 30, as
+# scipy.special.bernoulli(60) gives them (G_2 is 1.7e-12 off -1/45): exact ones move every table.
+_COTH_SERIES = np.array([
+    0.3333333333333333, -0.02222222222218394, 0.0021164021164019877,
+    -0.00021164021164020956, 2.1377799155576894e-05, -2.1644042808063964e-06,
+    2.1925947851873788e-07, -2.2214608789979695e-08, 2.2507846516809015e-09,
+    -2.2805151204592207e-10, 2.3106432599002653e-11, -2.3411706819824915e-12,
+    2.372101740023369e-13, -2.4034415333307743e-14, 2.4351954029183403e-15,
+    -2.467368804517211e-16, 2.4999672771220844e-17, -2.5329964357406384e-18,
+    2.5664619702826326e-19, -2.600369646013732e-20, 2.634725304415384e-21,
+    -2.6695348641573993e-22, 2.704804322109036e-23, -2.740539754369957e-24,
+    2.776747317316449e-25, -2.8134332486618855e-26, 2.850603868531298e-27,
+    -2.888265580550181e-28, 2.926424872947682e-29, -2.9650883196743716e-30])
 
 
 def _lam(sign: int, omega, j):
@@ -382,7 +388,7 @@ def _series_table(sign: int, omega: np.ndarray, L: int):
     """
     last = np.maximum(60, 3 * np.arange(L + 1) + 40)
     jmax = int(last[-1])
-    g = _coth_series().astype(np.longdouble)
+    g = _COTH_SERIES.astype(np.longdouble)
     if sign > 0:
         g = g * (-1.0) ** np.arange(1, g.size + 1)
     ls = np.arange(L + 1)[:, None]

@@ -52,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, KernelDefinitenessError
+from .quadrature import gauss_legendre_grid
 from .randfield import _points, _synthesize_modes, mode_rng, mode_streams  # noqa: F401 (traced)
 from .specfun import spin_harmonic, spin_harmonic_table  # noqa: F401 (traced by perfbench)
 
@@ -202,7 +203,7 @@ def spin_correlation(kernels: SpinKernelSet, chi1: float, n1,
 def beta_rule(L_max: int, extra: int = 8):
     """Gauss-Legendre nodes/weights in cos(beta), exact through degree 2 L_max."""
     n = max(L_max + 1, 2) + extra
-    u, w = np.polynomial.legendre.leggauss(n)
+    u, w = gauss_legendre_grid(-1.0, 1.0, 1, n)
     return np.arccos(u)[::-1], w[::-1]
 
 

@@ -1,9 +1,14 @@
 import argparse
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curvedfield
 from curvedfield import __version__
 from curvedfield.cli import _write_table, main
 from curvedfield.config import config_hash
@@ -320,3 +325,29 @@ def test_version_and_usage_exit_codes(capsys):
     assert "curvedfield" in capsys.readouterr().out
     assert main([]) == 2
     assert main(["unknown-command"]) == 2
+
+
+def test_background_config_errors_exit_2(tmp_path, capsys):
+    for old, new, key in (("omega_k = solve", "omega_k = abc", "cosmology.omega_k"),
+                          ("z_max = 4.0", "z_max = inf", "grid.z_max"),
+                          ("z_max = 4.0", "z_max = -1", "grid.z_max")):
+        cfg = write(tmp_path, "bad.cfg", BG_CFG.replace(old, new))
+        assert main(["background", "--config", cfg]) == 2
+        assert key in capsys.readouterr().err
+
+
+def test_background_tolerance_is_checked(tmp_path, capsys):
+    cfg = write(tmp_path, "bg.cfg", BG_CFG)
+    for tol in ("0", "-1", "nan", "inf"):
+        assert main(["background", "--config", cfg, "--tolerance", tol]) == 3
+        assert "rtol" in capsys.readouterr().err
+    assert main(["background", "--config", cfg, "--tolerance", "1e-300"]) == 4
+    assert "did not converge" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    env = {**os.environ, "PYTHONPATH": str(Path(curvedfield.__file__).parents[1])}
+    code = "import sys, curvedfield.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -128,3 +129,53 @@ def test_vector_and_scalar_agree():
     vec = comoving_distance(EDS, z)
     assert vec.shape == (2,)
     assert math.isclose(vec[1], float(comoving_distance(EDS, 1.4)), rel_tol=1e-14)
+
+
+def test_hubble_at_infinite_redshift():
+    with np.errstate(all="raise"):
+        assert hubble(make_params(70.0, 0.3, 0.7), math.inf) == math.inf
+        assert hubble(make_params(70.0, 0.4, 0.8, 8e-5), math.inf) == math.inf   # closed
+        assert hubble(make_params(70.0, 0.0, 1.0), math.inf) == 70.0            # de Sitter
+        np.testing.assert_array_equal(hubble(make_params(70.0, 0.0, 0.7), [0.0, math.inf]),
+                                      [70.0, math.inf])
+    # curvature alone outgrows OmegaL with the wrong sign: negative radicand
+    with pytest.raises(DomainError, match="z=inf"):
+        hubble(CosmologyParams(70.0, 0.0, 0.0, -0.5, 1.5), math.inf)
+
+
+def _quad_line_of_sight(p, z, power):
+    """scipy.integrate.quad over [0, z] in u, split at decades; written in
+    x = 1/(1+u) so the z = inf tail cannot overflow."""
+    def f(u):
+        x = 1.0 / (1.0 + u)
+        return x ** (2 + power) / math.sqrt(p.Omega_R + p.Omega_M * x + p.Omega_K * x * x
+                                            + p.Omega_L * x ** 4)
+    edges = [0.0] + [e for e in (1.0, 10.0, 100.0, 1e3, 1e4) if e < z] + [z]
+    return sum(scipy.integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for a, b in zip(edges, edges[1:]))
+
+
+def test_line_of_sight_matches_scipy_quad():
+    z = np.concatenate([np.linspace(0.0, 4.0, 9), [10.0, 100.0, 1e3, 1e4, math.inf]])
+    for p in (make_params(67.8, 0.315, 0.685, 4.9e-5),    # Planck-like with radiation
+              make_params(70.0, 0.3, 0.5),                 # open
+              make_params(70.0, 0.4, 0.8, 8e-5)):          # closed
+        chi, t_l = comoving_distance(p, z), lookback_time(p, z)
+        np.testing.assert_allclose(chi, [p.c / p.H0 * _quad_line_of_sight(p, zz, 0) for zz in z],
+                                   rtol=1e-10, atol=0)
+        np.testing.assert_allclose(t_l, [_quad_line_of_sight(p, zz, 1) for zz in z],
+                                   rtol=1e-10, atol=0)
+
+
+def test_line_of_sight_never_returns_garbage():
+    desitter = make_params(70.0, 0.0, 1.0)
+    for fn in (comoving_distance, lookback_time):
+        with pytest.raises(ConvergenceError, match="z=inf"):   # the integral diverges
+            fn(desitter, [1.0, math.inf])
+    p = make_params(70.0, 0.3, 0.7, 8e-5)
+    for rtol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="rtol"):
+            comoving_distance(p, 1.0, rtol=rtol)
+    # roundoff alone exceeds 1e-300 relative somewhere on the grid
+    with pytest.raises(ConvergenceError, match="order-doubling"):
+        lookback_time(p, np.linspace(0.0, 4.0, 33), rtol=1e-300)

@@ -1,5 +1,6 @@
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -258,9 +259,31 @@ def test_radial_table_certification_reaches_synthesis(monkeypatch):
                    pts, np.full(3, 1.0), np.zeros(3))
 
 
+def _exact_bernoulli(n_max):
+    # Akiyama-Tanigawa: B_0..B_n_max as exact rationals
+    a, out = [Fraction(0)] * (n_max + 1), []
+    for m in range(n_max + 1):
+        a[m] = Fraction(1, m + 1)
+        for j in range(m, 0, -1):
+            a[j - 1] = j * (a[j - 1] - a[j])
+        out.append(a[0])
+    return out
+
+
+def test_coth_series_literal():
+    # the table holds G_n = 4^n B_2n / (2n)! from scipy.special.bernoulli(60),
+    # bitwise; those floats miss the exact values by up to 1.7e-12 (n = 2)
+    B = sps.bernoulli(60)
+    scipy_g = np.array([4.0 ** n * B[2 * n] / math.factorial(2 * n) for n in range(1, 31)])
+    assert np.array_equal(specfun._COTH_SERIES, scipy_g)
+    exact = _exact_bernoulli(60)
+    g = [float(4 ** n * exact[2 * n] / math.factorial(2 * n)) for n in range(1, 31)]
+    np.testing.assert_allclose(specfun._COTH_SERIES, g, rtol=2e-12, atol=0)
+
+
 def _scalar_series(sign, omega, l):
     # the former per-(k, l) recursion: reference for the vectorised table
-    g = specfun._coth_series().astype(np.longdouble)
+    g = specfun._COTH_SERIES.astype(np.longdouble)
     if sign > 0:
         g = g * (-1.0) ** np.arange(1, g.size + 1)
     lam = np.longdouble(specfun._lam(sign, omega, l))

@@ -26,7 +26,7 @@ from .specfun import (conical_legendre, eth_ladder, eth_numeric, gegenbauer,
                       spin_harmonic_table, wigner_D, wigner_d, zonal_spherical)
 from .sft import (RadialProfile, Spectrum, bump_profile, closed_k_lattice,
                   forward_isotropic, inverse_isotropic, parseval_constant,
-                  profile_norm2, spectrum_norm2, zonal_kernel)
+                  profile_norm2, roundtrip_isotropic, spectrum_norm2, zonal_kernel)
 from .randfield import (CorrelationEstimate, FieldRealization, GaussianBump,
                         PowerLaw, PowerSpectrum, SynthesisConfig, Tabulated,
                         analytic_correlation, estimate_correlation,
@@ -50,7 +50,7 @@ __all__ = [
     "wigner_D", "wigner_d", "zonal_spherical",
     "RadialProfile", "Spectrum", "bump_profile", "closed_k_lattice",
     "forward_isotropic", "inverse_isotropic", "parseval_constant",
-    "profile_norm2", "spectrum_norm2", "zonal_kernel",
+    "profile_norm2", "roundtrip_isotropic", "spectrum_norm2", "zonal_kernel",
     "CorrelationEstimate", "FieldRealization", "GaussianBump", "PowerLaw",
     "PowerSpectrum", "SynthesisConfig", "Tabulated", "analytic_correlation",
     "estimate_correlation", "power_law_eval", "synthesize",

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import __version__
 from .config import Option, _coerce, apply_schema, config_hash, load_config
-from .cosmology import geometry_from_params, hubble, lookback_time, make_params, comoving_distance
+from .cosmology import (comoving_distance, geometry_from_params, hubble, lookback_time,
+                        make_params, to_gyr)
 from .errors import (AccuracyError, ConfigError, ConvergenceError, DomainError,
                      FieldFileError, KernelDefinitenessError)
 from .fieldfile import FieldFile, write_field
@@ -31,8 +32,9 @@ from .geometry import Geometry, Kind
 from .quadrature import gauss_legendre_grid
 from .randfield import (GaussianBump, PowerLaw, SynthesisConfig, Tabulated,
                         analytic_correlation, estimate_correlation, synthesize)
-from .sft import (RadialProfile, Spectrum, bump_profile, forward_isotropic,
-                  inverse_isotropic, spectral_nodes)
+from .sft import (RadialProfile, bump_profile, forward_isotropic,
+                  roundtrip_isotropic, spectral_nodes)
+from .sft import inverse_isotropic  # noqa: F401  (unused; perfbench/spans.py wraps it)
 from .specfun import HARMONIC_L_MAX
 from .spinfield import LENSING_SPINS, lensing_ladder, separable_kernels, synthesize_spin
 
@@ -186,12 +188,13 @@ def cmd_background(args) -> int:
     if math.isinf(cfg["grid.z_max"]) or cfg["grid.z_max"] < 0:    # NaN stays a DomainError
         raise ConfigError("grid.z_max must be finite and >= 0")
     z = np.linspace(0.0, cfg["grid.z_max"], cfg["grid.n_z"])
+    lookback = lookback_time(params, z, rtol=rtol)
     table = {
         "z": z,
         "hubble_km_s_mpc": hubble(params, z),
         "comoving_distance_mpc": comoving_distance(params, z, rtol=rtol),
-        "lookback_h0": lookback_time(params, z, rtol=rtol),
-        "lookback_gyr": lookback_time(params, z, rtol=rtol, unit="Gyr"),
+        "lookback_h0": lookback,
+        "lookback_gyr": to_gyr(params, lookback),
     }
     notes = [
         f"omega_k: {params.Omega_K:.17g} (closure residual {params.closure_residual:.3e})",
@@ -239,12 +242,12 @@ def cmd_transform(args) -> int:
                           else "open/flat transform needs spectral.k_max > 0")
     k, wk = spectral_nodes(geom, k_max, cfg["spectral.panels"] or cfg["grid.panels"],
                            cfg["spectral.order"] or order, omega_max)
-    spec = Spectrum(geom, k, forward_isotropic(profile, k, tail_tol=tail_tol).values, wk)
     if mode == "forward":
+        spec = forward_isotropic(profile, k, tail_tol=tail_tol)
         _write_table(args, raw, {"k": spec.k, "f00": spec.values})
         return 0
-    back = inverse_isotropic(spec, chi, normalization=cfg["transform.normalization"],
-                             tail_tol=tail_tol)
+    _, back = roundtrip_isotropic(profile, k, wk, normalization=cfg["transform.normalization"],
+                                  tail_tol=tail_tol)
     scale = float(np.max(np.abs(f))) or 1.0
     err = float(np.max(np.abs(back.values - f))) / scale
     notes = [f"max relative roundtrip error: {err:.6e}"]

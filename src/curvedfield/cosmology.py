@@ -13,9 +13,13 @@ distance and look-back time are the line-of-sight integrals
 With s = (1+u)^(-1/2) both become int_{s_z}^1 2 s^(2p+1) ds / sqrt(OmegaR +
 OmegaM s^2 + OmegaK s^4 + OmegaL s^8), p = 0 for chi and 1 for t_L, smooth up
 to s = 0 (z = inf) when OmegaR + OmegaM > 0.  One composite Gauss-Legendre rule
-on [0, 1] (4 panels, order 24), mapped onto every [s_z, 1], serves all z of a
-call.  The order-48 sum is returned; if the two differ by more than rtol
-relative, ConvergenceError (as for the divergent z = inf integrals of de Sitter).
+on [0, 1] (order 24 on the 4 panels between 0, 1e-3, 1e-2, 0.1 and 1), mapped
+onto every [s_z, 1], serves all z of a call.  The panels shrink geometrically
+toward s_z, where the integrand is steep when OmegaR + OmegaM is small (de
+Sitter to z = 1e8, Milne to z = 1e8 and OmegaR = 1e-10 with OmegaM = 0.3 to z
+= inf converge).  The order-48 sum is returned; if the two differ by more than
+rtol relative, ConvergenceError (as for the divergent z = inf integrals of de
+Sitter).
 
 Units: H0 in km/s/Mpc, c in km/s, distances in Mpc.  Look-back times are
 dimensionless (units of 1/H0) or Gyr via 1 Mpc = 3.0856775814913673e19 km
@@ -40,7 +44,8 @@ GYR_S = 3.15576e16
 # newtonian gravitational constant, m^3 kg^-1 s^-2
 _G_SI = 6.67430e-11
 
-_PANELS, _ORDER, _CHUNK = 4, 24, 2048   # _CHUNK z per pass keeps (z, node) arrays ~3 MB
+_ORDER, _CHUNK = 24, 2048              # _CHUNK z per pass keeps (z, node) arrays ~3 MB
+_EDGES = np.array([0.0, 1e-3, 1e-2, 0.1, 1.0])     # panels of the s rule (module notes)
 
 
 @dataclass(frozen=True)
@@ -115,6 +120,13 @@ def hubble(params: CosmologyParams, z):
     return params.H0 * np.sqrt(_radicand(params, 1.0 + z))
 
 
+def _graded_rule(order: int):
+    """Gauss-Legendre nodes and weights of the given order on each panel of _EDGES."""
+    t, wt = quad(0.0, 1.0, 1, order)
+    h = np.diff(_EDGES)[:, None]
+    return (_EDGES[:-1, None] + h * t).ravel(), (h * wt).ravel()
+
+
 def _line_of_sight(params: CosmologyParams, z, p: int, rtol: float):
     """int_0^z du / ((1+u)^p E(u)) for every z by the s rule of the module notes;
     the integrand is evaluated as 2 s^(2p-3) / E at 1 + u = s^-2, nodes s > 0."""
@@ -123,7 +135,7 @@ def _line_of_sight(params: CosmologyParams, z, p: int, rtol: float):
         raise DomainError("z must be >= 0 and not NaN")
     if not 0.0 < rtol < math.inf:
         raise DomainError(f"rtol must be finite and > 0, got {rtol}")
-    rules = [quad(0.0, 1.0, _PANELS, order) for order in (_ORDER, 2 * _ORDER)]
+    rules = [_graded_rule(order) for order in (_ORDER, 2 * _ORDER)]
     sz = (1.0 + z.ravel()) ** -0.5
     lo, hi = np.empty((2, sz.size))
     for i in range(0, sz.size, _CHUNK):
@@ -150,7 +162,12 @@ def lookback_time(params: CosmologyParams, z, rtol: float = 1e-8, unit: str = "H
     if unit not in ("H0", "Gyr"):
         raise DomainError(f"unknown time unit {unit!r}")
     vals = _line_of_sight(params, z, 1, rtol)
-    return vals * (MPC_KM / params.H0) / GYR_S if unit == "Gyr" else vals
+    return to_gyr(params, vals) if unit == "Gyr" else vals
+
+
+def to_gyr(params: CosmologyParams, t):
+    """A time in units of 1/H0 (lookback_time's unit="H0") in Gyr."""
+    return t * (MPC_KM / params.H0) / GYR_S
 
 
 def critical_density(params: CosmologyParams, z=0.0):

@@ -6,9 +6,19 @@ panel exactly.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DomainError
+
+
+@functools.lru_cache(maxsize=16)
+def _legendre_rule(order: int):
+    """leggauss(order) on [-1, 1], computed once per order; the arrays are read-only."""
+    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg.flags.writeable = wg.flags.writeable = False
+    return xg, wg
 
 
 def gauss_legendre_grid(a: float, b: float, panels: int, order: int = 8):
@@ -20,7 +30,7 @@ def gauss_legendre_grid(a: float, b: float, panels: int, order: int = 8):
         raise DomainError(f"empty integration interval [{a}, {b}]")
     if panels < 1 or order < 1:
         raise DomainError("panels and order must be >= 1")
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg, wg = _legendre_rule(order)
     edges = np.linspace(a, b, panels + 1)
     half = np.diff(edges) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0

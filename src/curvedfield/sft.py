@@ -34,7 +34,9 @@ kernels.  The table is built in row blocks of at most specfun.ZONAL_BLOCK
 elements (zonal_kernel with an array of k), each reduced at once: forward
 takes Phi_blk @ (w f S), inverse accumulates (w k^2 f00)_blk @ Phi_blk.  The
 sums therefore run in BLAS order, not node by node, which moves results by
-about one unit in the last place.
+about one unit in the last place.  roundtrip_isotropic builds each block once
+and does both products with it, in the same order and with the same bits as
+forward_isotropic followed by inverse_isotropic on the same chi.
 """
 from __future__ import annotations
 
@@ -50,8 +52,8 @@ from .specfun import zonal_blocks, zonal_spherical
 
 __all__ = [
     "RadialProfile", "Spectrum", "surface_area", "forward_isotropic",
-    "inverse_isotropic", "closed_k_lattice", "zonal_kernel", "bump_profile",
-    "profile_norm2", "spectrum_norm2", "parseval_constant",
+    "inverse_isotropic", "roundtrip_isotropic", "closed_k_lattice", "zonal_kernel",
+    "bump_profile", "profile_norm2", "spectrum_norm2", "parseval_constant",
 ]
 
 
@@ -197,20 +199,24 @@ def _check_tail(contrib: np.ndarray, tol: float | None, what: str):
             f"(tolerance {tol:.0e}); extend or refine the grid")
 
 
-def forward_isotropic(profile: RadialProfile, k, tail_tol: float | None = 1e-3) -> Spectrum:
-    """Transform a radial profile to monopole spectral amplitudes on grid k."""
+def _forward_blocks(profile: RadialProfile, k: np.ndarray, out: np.ndarray,
+                    tail_tol: float | None):
+    """Fill out with the forward amplitudes on k, one zonal block at a time.
+
+    Yields (blk, phi) once out[blk] is set; phi = Phi(k[blk], chi) is intact
+    until the generator resumes, when the tail monitor overwrites it.  The
+    forward tail check runs after the last block."""
     geom = profile.geometry
-    k = _as_grid("k", np.atleast_1d(np.asarray(k, dtype=float)))
     w = _weights_or_trapezoid(profile.chi, profile.weights)
     base = w * profile.values * surface_area(geom, profile.chi)
     pref = 1.0 / _norm_const(geom)
     monitor = geom.kind is not Kind.CLOSED and tail_tol is not None
     abs_base = np.abs(base)
-    out = np.empty_like(k)
     worst = (-1.0, 0)                  # (sum |contrib|, k index) of the heaviest node
     for blk in zonal_blocks(k.size, base.size):
         phi = zonal_kernel(geom, k[blk], profile.chi)
         out[blk] = pref * (phi @ base)
+        yield blk, phi
         if monitor:
             # sum |contrib| per node: |phi| |base| is bitwise |phi base|, and
             # a row sum rounds as the 1-d np.sum of a per-node loop; the first
@@ -225,7 +231,20 @@ def forward_isotropic(profile: RadialProfile, k, tail_tol: float | None = 1e-3) 
     if monitor:
         contrib = base * zonal_kernel(geom, k[worst[1]], profile.chi)
         _check_tail(contrib, tail_tol, "forward transform chi")
-    return Spectrum(geom, k, out)
+
+
+def _check_inverse_tail(geom: Geometry, amp: np.ndarray, tail_tol: float | None):
+    if geom.kind is not Kind.CLOSED:
+        _check_tail(np.abs(amp), tail_tol, "inverse transform k")
+
+
+def forward_isotropic(profile: RadialProfile, k, tail_tol: float | None = 1e-3) -> Spectrum:
+    """Transform a radial profile to monopole spectral amplitudes on grid k."""
+    k = _as_grid("k", np.atleast_1d(np.asarray(k, dtype=float)))
+    out = np.empty_like(k)
+    for _blk, phi in _forward_blocks(profile, k, out, tail_tol):
+        del phi                        # hold no block while the next one is built
+    return Spectrum(profile.geometry, k, out)
 
 
 def inverse_isotropic(spec: Spectrum, chi, normalization: str = "consistent",
@@ -235,12 +254,34 @@ def inverse_isotropic(spec: Spectrum, chi, normalization: str = "consistent",
     chi = _as_grid("chi", np.atleast_1d(np.asarray(chi, dtype=float)))
     pref = _inverse_pref(geom, normalization)
     amp = _spectral_weights(spec) * spec.k ** 2 * spec.values
-    if geom.kind is not Kind.CLOSED:
-        _check_tail(np.abs(amp), tail_tol, "inverse transform k")
+    _check_inverse_tail(geom, amp, tail_tol)
     vals = np.zeros_like(chi)
     for blk in zonal_blocks(spec.k.size, chi.size):
         vals += amp[blk] @ zonal_kernel(geom, spec.k[blk], chi)
     return RadialProfile(geom, chi, pref * vals)
+
+
+def roundtrip_isotropic(profile: RadialProfile, k, weights=None,
+                        normalization: str = "consistent",
+                        tail_tol: float | None = 1e-3) -> tuple[Spectrum, RadialProfile]:
+    """forward_isotropic then inverse_isotropic back onto profile.chi, with the
+    spectral measure's weights on k, building each zonal block once.
+
+    Returns (spectrum, profile back), bitwise equal to the two calls; the
+    forward tail is checked before the inverse tail, as there."""
+    geom = profile.geometry
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    grid = Spectrum(geom, k, np.zeros(k.shape), weights)    # checks k and weights first
+    pref = _inverse_pref(geom, normalization)
+    wk2 = _spectral_weights(grid) * grid.k ** 2
+    out = np.empty_like(grid.k)
+    vals = np.zeros_like(profile.chi)
+    for blk, phi in _forward_blocks(profile, grid.k, out, tail_tol):
+        vals += (wk2[blk] * out[blk]) @ phi
+        del phi
+    _check_inverse_tail(geom, wk2 * out, tail_tol)
+    return (Spectrum(geom, grid.k, out, grid.weights),
+            RadialProfile(geom, profile.chi, pref * vals))
 
 
 def bump_profile(chi, center: float, halfwidth: float, amplitude: float = 1.0) -> np.ndarray:

@@ -80,6 +80,9 @@ def test_background_matches_library(tmp_path):
     np.testing.assert_allclose(cols["lookback_gyr"],
                                lookback_time(params, z, unit="Gyr"),
                                rtol=1e-7)
+    # one look-back integral serves both columns, with lookback_time's conversion
+    np.testing.assert_array_equal(cols["lookback_gyr"],
+                                  lookback_time(params, cols["z"], unit="Gyr"))
 
 
 def test_background_stdout(tmp_path, capsys):

@@ -6,6 +6,7 @@ import scipy.integrate
 from hypothesis import given
 from hypothesis import strategies as st
 
+from curvedfield import quadrature
 from curvedfield.cosmology import (CosmologyParams, comoving_distance,
                                    critical_density, geometry_from_params,
                                    hubble, lookback_time, make_params,
@@ -165,6 +166,39 @@ def test_line_of_sight_matches_scipy_quad():
                                    rtol=1e-10, atol=0)
         np.testing.assert_allclose(t_l, [_quad_line_of_sight(p, zz, 1) for zz in z],
                                    rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("model, z", [
+    ((70.0, 0.0, 1.0, 0.0), 1e4),               # de Sitter
+    ((70.0, 0.0, 0.0, 0.0), 1e5),               # Milne
+    ((70.0, 0.3, 0.7 - 1e-5, 1e-5), 1e6),       # OmegaR = 1e-5: steep near s = 0
+    ((70.0, 0.3, 0.7 - 1e-5, 1e-5), math.inf),
+])
+def test_line_of_sight_steep_near_s0_matches_scipy_quad(model, z):
+    # finite integrals whose integrand is steep near s = 0; equal panels in s
+    # raised ConvergenceError on each of them
+    p = make_params(*model)
+    assert math.isclose(float(comoving_distance(p, z)),
+                        p.c / p.H0 * _quad_line_of_sight(p, z, 0), rel_tol=1e-8)
+    assert math.isclose(float(lookback_time(p, z)), _quad_line_of_sight(p, z, 1),
+                        rel_tol=1e-8)
+
+
+def test_legendre_rule_is_cached_read_only():
+    xg, wg = quadrature._legendre_rule(24)
+    assert quadrature._legendre_rule(24)[0] is xg
+    for a in (xg, wg):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    # grids are fresh, writable arrays, identical on every call
+    x1, w1 = quadrature.gauss_legendre_grid(0.0, 2.0, 3, 24)
+    x2, w2 = quadrature.gauss_legendre_grid(0.0, 2.0, 3, 24)
+    np.testing.assert_array_equal(x1, x2)
+    np.testing.assert_array_equal(w1, w2)
+    x1[0] = w1[0] = -1.0
+    assert x2[0] != -1.0 and w2[0] != -1.0
+    np.testing.assert_array_equal(quadrature._legendre_rule(24)[0],
+                                  np.polynomial.legendre.leggauss(24)[0])
 
 
 def test_line_of_sight_never_returns_garbage():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from curvedfield.quadrature import gauss_legendre_grid
 from curvedfield.sft import (RadialProfile, Spectrum, bump_profile,
                              closed_k_lattice, forward_isotropic,
                              inverse_isotropic, parseval_constant,
-                             profile_norm2, spectrum_norm2, zonal_kernel)
+                             profile_norm2, roundtrip_isotropic,
+                             spectrum_norm2, zonal_kernel)
 from curvedfield.specfun import zonal_spherical
 
 G_OPEN = Geometry.open(-1.0)
@@ -106,9 +108,12 @@ def test_closed_kernel_orthogonality():
 def test_forward_tail_monitor():
     chi, w = gauss_legendre_grid(1e-9, 4.0, 24, 8)
     prof = RadialProfile(G_FLAT, chi, np.ones_like(chi), w)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError) as two_call:
         forward_isotropic(prof, np.array([0.1, 1.0]))
     forward_isotropic(prof, np.array([0.1, 1.0]), tail_tol=None)
+    # the fused roundtrip raises the same error
+    with pytest.raises(ConvergenceError, match=re.escape(str(two_call.value))):
+        roundtrip_isotropic(prof, np.array([0.1, 1.0]))
     # compact support well inside the grid passes the default monitor
     prof2 = RadialProfile(G_FLAT, chi, bump_profile(chi, 1.5, 0.8), w)
     forward_isotropic(prof2, np.array([0.1, 1.0]))
@@ -120,6 +125,16 @@ def test_inverse_tail_monitor():
     with pytest.raises(ConvergenceError):
         inverse_isotropic(spec, np.array([0.5, 1.0]))
     inverse_isotropic(spec, np.array([0.5, 1.0]), tail_tol=None)
+    # a bump whose forward tail converges but whose spectrum is cut at k = 3:
+    # the fused roundtrip raises the inverse error of the two calls
+    chi, w = gauss_legendre_grid(1e-9, 4.0, 24, 8)
+    prof = RadialProfile(G_FLAT, chi, bump_profile(chi, 1.5, 0.8), w)
+    k, wk = gauss_legendre_grid(1e-9, 3.0, 8, 8)
+    spec = Spectrum(G_FLAT, k, forward_isotropic(prof, k).values, wk)
+    with pytest.raises(ConvergenceError, match="inverse transform k") as two_call:
+        inverse_isotropic(spec, chi)
+    with pytest.raises(ConvergenceError, match=re.escape(str(two_call.value))):
+        roundtrip_isotropic(prof, k, wk)
 
 
 def test_closed_lattice_construction_and_rejection():
@@ -279,6 +294,59 @@ def test_single_row_blocks_match_per_k_loop(monkeypatch):
         got = forward_isotropic(prof, k, tail_tol=None).values
         np.testing.assert_array_less(np.abs(got - FORWARD_A[name] * ref),
                                      1e-13 * FORWARD_A[name] * mass)
+
+
+def two_call_roundtrip(prof, k, wk, normalization, tail_tol):
+    spec = Spectrum(prof.geometry, k,
+                    forward_isotropic(prof, k, tail_tol=tail_tol).values, wk)
+    return spec, inverse_isotropic(spec, prof.chi, normalization, tail_tol=tail_tol)
+
+
+@pytest.mark.parametrize("normalization", ["consistent", "printed"])
+@pytest.mark.parametrize("name", ["open", "flat", "closed"])
+def test_roundtrip_equals_two_calls(monkeypatch, name, normalization):
+    # tail_tol=1.0 runs both monitors (a tail fraction never exceeds 1), so the
+    # in-place monitor work on each block is exercised without raising
+    for block in (specfun.ZONAL_BLOCK, 100):       # 100: one row per block
+        monkeypatch.setattr(specfun, "ZONAL_BLOCK", block)
+        geom, chi, prof, k = blocked_setup(name, 2 * ROWS + 1)
+        wk = None if name == "closed" else np.full(k.size, 30.0 / (k.size - 1))
+        spec, back = roundtrip_isotropic(prof, k, wk, normalization, tail_tol=1.0)
+        ref_spec, ref_back = two_call_roundtrip(prof, k, wk, normalization, 1.0)
+        np.testing.assert_array_equal(spec.k, ref_spec.k)
+        np.testing.assert_array_equal(spec.values, ref_spec.values)
+        assert (spec.weights is None) == (wk is None)
+        if wk is not None:
+            np.testing.assert_array_equal(spec.weights, wk)
+        np.testing.assert_array_equal(back.chi, ref_back.chi)
+        np.testing.assert_array_equal(back.values, ref_back.values)
+
+
+@pytest.mark.parametrize("name", ["open", "flat", "closed"])
+def test_roundtrip_builds_each_block_once(monkeypatch, name):
+    calls = []
+    kernel = sft.zonal_kernel
+    monkeypatch.setattr(sft, "zonal_kernel",
+                        lambda *a: (calls.append(a), kernel(*a))[1])
+    geom, chi, prof, k = blocked_setup(name, 2 * ROWS + 1)
+    n_blocks = len(specfun.zonal_blocks(k.size, chi.size))
+    assert n_blocks == 3
+    monitor = name != "closed"         # the forward monitor rebuilds its heaviest node
+    roundtrip_isotropic(prof, k, tail_tol=1.0)
+    assert len(calls) == n_blocks + monitor
+    calls.clear()
+    two_call_roundtrip(prof, k, None, "consistent", 1.0)
+    assert len(calls) == 2 * n_blocks + monitor
+
+
+def test_roundtrip_checks_its_arguments_first():
+    geom, chi, prof, k = blocked_setup("flat", 5)
+    with pytest.raises(DomainError, match="normalization"):
+        roundtrip_isotropic(prof, k, normalization="other")
+    with pytest.raises(DomainError, match="weights"):
+        roundtrip_isotropic(prof, k, np.ones(4))
+    with pytest.raises(SpectralLatticeError):
+        roundtrip_isotropic(blocked_setup("closed", 5)[2], np.array([1.0, 2.5]))
 
 
 @pytest.mark.parametrize("name", ["open", "flat", "closed"])

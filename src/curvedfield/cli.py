@@ -229,7 +229,12 @@ def cmd_transform(args) -> int:
     mode = cfg["transform.mode"]
     if mode not in ("forward", "inverse", "roundtrip"):
         raise ConfigError(f"transform.mode must be forward, inverse or roundtrip, not {mode!r}")
-    tail_tol = args.tolerance or 1e-3
+    tail_tol = 1e-3 if args.tolerance is None else args.tolerance
+    if not 0.0 < tail_tol < math.inf:
+        raise DomainError(f"tolerance must be finite and > 0, got {tail_tol}")
+    normalization = cfg["transform.normalization"]
+    if normalization not in ("consistent", "printed"):
+        raise DomainError(f"unknown normalization {normalization!r}")
     order = cfg["grid.order"]
     chi, wchi = gauss_legendre_grid(0.0, cfg["grid.chi_max"], cfg["grid.panels"], order)
     f = bump_profile(chi, cfg["profile.center"], cfg["profile.halfwidth"],
@@ -246,8 +251,7 @@ def cmd_transform(args) -> int:
         spec = forward_isotropic(profile, k, tail_tol=tail_tol)
         _write_table(args, raw, {"k": spec.k, "f00": spec.values})
         return 0
-    _, back = roundtrip_isotropic(profile, k, wk, normalization=cfg["transform.normalization"],
-                                  tail_tol=tail_tol)
+    _, back = roundtrip_isotropic(profile, k, wk, normalization=normalization, tail_tol=tail_tol)
     scale = float(np.max(np.abs(f))) or 1.0
     err = float(np.max(np.abs(back.values - f))) / scale
     notes = [f"max relative roundtrip error: {err:.6e}"]

@@ -167,7 +167,8 @@ class SynthesisConfig:
     flat); omega_max bounds the closed-model lattice.  real=True imposes the
     conjugation symmetry xi_{l,-m} = (-1)^m conj(xi_lm) so realizations are
     real valued with the same two-point function.  L_max may not exceed
-    specfun.HARMONIC_L_MAX, the ceiling of the harmonic evaluator.
+    specfun.HARMONIC_L_MAX = 32: the harmonics stay accurate beyond it, but
+    the radial table cannot yet vouch for its rows near l = 32.
     """
 
     L_max: int
@@ -185,7 +186,7 @@ class SynthesisConfig:
             raise DomainError("L_max >= 0 and n_realizations >= 1 required")
         if self.L_max > HARMONIC_L_MAX:
             raise DomainError(f"L_max={self.L_max} exceeds the harmonic ceiling "
-                              f"{HARMONIC_L_MAX} (see specfun.spin_harmonic)")
+                              f"{HARMONIC_L_MAX} (see specfun.HARMONIC_L_MAX)")
         if self.seed < 0 or self.seed > 2 ** 63 - 1:
             raise DomainError("seed must fit in a non-negative 63-bit integer")
         if self.k_max is not None and self.k_max <= 0:

@@ -2,9 +2,13 @@
 spherical Bessel and Gegenbauer recurrences, conical Legendre values, radial
 eigenfunctions for the three curvature models, and zonal spherical functions.
 
-All harmonic values come from one direct sum, the table
-`spin_harmonic_table(s, L, theta)`; `spin_harmonic` and `wigner_d` are rows
-of it.
+All harmonic values come from one three-term recurrence in l for the Wigner
+d^l_{mn}(theta), seeded at l = max(|m|, |n|) by its one-term closed form and
+vectorised over m: `spin_harmonic_table(s, L, theta)` takes every m at
+n = -s, and `spin_harmonic` and `wigner_d` take one m.  It has no alternating
+sum to cancel: d^l_{m0} stays within 5e-14 of scipy through l = 128.  The
+public ceiling l <= HARMONIC_L_MAX = 32 comes from synthesis and the radial
+table.
 
 Radial eigenfunctions R_kl solve
 
@@ -70,9 +74,10 @@ _SERIES_R_MAX = 1.5     # the radial series serves r < 1.5 (and x_eff < l+2), th
 # Wigner matrix elements and spin-weighted harmonics
 # ---------------------------------------------------------------------------
 
-# Largest l at which the harmonic direct sum keeps its accuracy (tables in the
-# spin_harmonic and wigner_d docstrings); every harmonic entry point raises
-# DomainError beyond it.
+# Largest l any harmonic entry point accepts; beyond it they raise DomainError.
+# The recurrence itself stays accurate past it (d^l_{m0} within 5e-14 of scipy
+# at l = 128), but synthesis takes its l range from this constant, and the
+# radial table cannot yet vouch for its rows near l = 32 (module notes).
 HARMONIC_L_MAX = 32
 
 
@@ -81,46 +86,47 @@ def _check_index(l: int, *ms: int):
         raise DomainError(f"l must be >= 0, got {l}")
     if l > HARMONIC_L_MAX:
         raise DomainError(f"l={l} exceeds the harmonic ceiling l <= {HARMONIC_L_MAX}: "
-                          "the direct sum loses accuracy to cancellation beyond it")
+                          "synthesis takes its l range from it, and radial rows "
+                          "beyond it are not certified")
     for m in ms:
         if abs(m) > l:
             raise DomainError(f"index |{m}| > l={l}")
 
 
-def _harmonic_rows(s: int, l: int, ms, theta: np.ndarray,
-                   norm: float = 1.0) -> np.ndarray:
-    """norm * sqrt(4 pi/(2l+1)) sY_lm(theta, 0) = norm * (-1)^s d^l_{m,-s}(theta)
-    for every m in ms, shaped (len(ms), theta.size) for a 1-d theta.
+def _d_rows(n: int, L: int, ms, theta: np.ndarray) -> np.ndarray:
+    """d^l_{mn}(theta) for every l <= L and every m in ms, shaped
+    (L+1, len(ms), theta.size) for a 1-d theta; 0 where l < l0 = max(|m|, |n|).
 
-    The one direct sum behind spin_harmonic, spin_harmonic_table and wigner_d:
+    The one harmonic evaluator.  Each column starts at l0 from the one-term
+    closed form (-1)^max(m-n, 0) sqrt(binom(2 l0, a)) cos^a(theta/2) sin^b(theta/2),
+    a = |m+n|, b = |m-n|, and climbs with the three-term recurrence in l
+    (Kostelec & Rockmore 2008, "FFTs on the rotation group"):
 
-        (-1)^m sqrt((l+m)!(l-m)! / ((l+s)!(l-s)!)) sin^{2l}(theta/2)
-        * sum_u binom(l-s, u) binom(l+s, u-m+s) (-1)^{l-u-s} cot^{2u-m+s}(theta/2),
-        u = max(0, m-s) .. min(l+m, l-s).
-
-    cot powers are folded into cos^a sin^{2l-a}, a = 2u-m+s, so the poles
-    theta = 0, pi are exact.  The (m, u) terms form one matrix over the
-    powers a = 0..2l; each entry is the exact integer product of the two
-    binomials, rounded to float once, and the factorial ratio is rounded
-    once from exact integers.
+        l sqrt(((l+1)^2-m^2)((l+1)^2-n^2)) d^{l+1}
+            = (2l+1)(l(l+1) cos theta - mn) d^l - (l+1) sqrt((l^2-m^2)(l^2-n^2)) d^{l-1}.
     """
-    ms = np.asarray(ms, dtype=int).reshape(-1, 1)
-    u = np.arange(l - s + 1)
-    v = u - ms + s                                    # second binomial index
-    im, iu = np.nonzero((v >= 0) & (v <= l + s))
-    iv = v[im, iu]
-    ca = [math.comb(l - s, i) for i in range(l - s + 1)]
-    cb = [math.comb(l + s, j) for j in range(l + s + 1)]
-    coef = [ca[i] * cb[j] * (-1) ** (l - i - s) for i, j in zip(iu.tolist(), iv.tolist())]
-    terms = np.zeros((ms.shape[0], 2 * l + 1))       # columns: the power a
-    terms[im, iu + iv] = np.array(coef, dtype=float)
-    a = np.arange(2 * l + 1)[:, None]
-    tab = np.cos(theta / 2.0) ** a * np.sin(theta / 2.0) ** (2 * l - a)
-    pref = [norm * (-1) ** m * math.sqrt(
-        math.factorial(l + m) * math.factorial(l - m)
-        / (math.factorial(l + s) * math.factorial(l - s))) for m in ms[:, 0].tolist()]
-    # einsum's own loop, not BLAS: no gemm is paged in for these small products
-    return np.array(pref)[:, None] * np.einsum("ma,at->mt", terms, tab)
+    ms = np.asarray(ms, dtype=int)
+    l0 = np.maximum(np.abs(ms), abs(n))
+    out = np.zeros((L + 1, ms.size, theta.size))
+    i = np.flatnonzero(l0 <= L)                  # the columns that are not all 0
+    a, b = np.abs(ms[i] + n), np.abs(ms[i] - n)
+    root_binom = np.sqrt([float(math.comb(2 * j, k)) for j, k in zip(l0[i].tolist(), a.tolist())])
+    out[l0[i], i] = ((-1.0) ** np.maximum(ms[i] - n, 0) * root_binom)[:, None] \
+        * np.cos(theta / 2.0) ** a[:, None] * np.sin(theta / 2.0) ** b[:, None]
+    # the step to row l, d^l = (p cos theta - q) d^{l-1} - r d^{l-2}, is the
+    # recurrence at l-1, and zero for l <= l0.  Only m = n = 0 climbs at l = 1,
+    # where mn and r are 0: the divisor l-1 is kept off 0, and row -1 adds nothing.
+    l = np.arange(L + 1.0)[:, None]
+    root = np.sqrt(np.maximum((l * l - ms * ms) * (l * l - n * n), 0.0))
+    inv_root = (l > l0) / np.where(l > l0, root, 1.0)
+    lm1 = np.maximum(l - 1, 1.0)
+    p = ((2 * l - 1) * l * inv_root)[..., None]
+    q = ((2 * l - 1) * (ms * n) / lm1 * inv_root)[..., None]
+    r = (l * np.roll(root, 1, axis=0) / lm1 * inv_root)[..., None]
+    c = np.cos(theta)
+    for j in range(1, L + 1):
+        out[j] += (p[j] * c - q[j]) * out[j - 1] - r[j] * out[j - 2]
+    return out
 
 
 def _on_unique(fn, x) -> np.ndarray:
@@ -135,44 +141,41 @@ def spin_harmonic_table(s: int, L_max: int, theta) -> np.ndarray:
     """sY_lm(theta, 0) for every l <= L_max and |m| <= l, shaped
     (L_max+1, 2 L_max+1) + theta.shape, with entry [l, L_max + m].
 
-    The one harmonic evaluator: one direct sum per l, vectorised over m and
-    the sum index.  At s = 0 its max |error| against
+    One recurrence over all l and m: sY_lm(theta, 0) = (-1)^s sqrt((2l+1)/4 pi)
+    d^l_{m,-s}(theta).  At s = 0 its max |error| against
     scipy.special.sph_harm_y (all m, 181 theta in [0.01, pi - 0.01]) is
-    3.1e-10 at l = 24 and 9.2e-08 at l = 32, as for spin_harmonic, whose
-    docstring has the full table.  Entries with l < |s| or |m| > l are 0.
+    2.7e-14 at l = 32, as for spin_harmonic, whose docstring has the full table.
+    Entries with l < |s| or |m| > l are 0.
     The azimuth separates, sY_lm(theta, phi) = e^{i m phi} sY_lm(theta, 0),
     and a bulk caller passes each distinct theta once.
     L_max > HARMONIC_L_MAX raises DomainError.
     """
     _check_index(L_max)
     theta = np.asarray(theta, dtype=float)
-    out = np.zeros((L_max + 1, 2 * L_max + 1, theta.size))
-    for l in range(abs(s), L_max + 1):
-        out[l, L_max - l:L_max + l + 1] = _harmonic_rows(
-            s, l, range(-l, l + 1), theta.ravel(), math.sqrt((2 * l + 1) / (4.0 * math.pi)))
+    out = _d_rows(-s, L_max, np.arange(-L_max, L_max + 1), theta.ravel())
+    out *= ((-1.0) ** s * np.sqrt((2 * np.arange(L_max + 1) + 1) / (4.0 * math.pi)))[:, None, None]
     return out.reshape(out.shape[:2] + theta.shape)
 
 
 def wigner_d(l: int, m: int, n: int, theta):
     """Reduced Wigner matrix element d^l_{mn}(theta).
 
-    Evaluated as d^l_{mn}(theta) = (-1)^n sqrt(4 pi/(2l+1)) {-n}Y_lm(theta, 0),
-    the row (l, m) of spin_harmonic_table at s = -n, once per distinct theta.
+    The row l of the recurrence in l at this (m, n), once per distinct theta;
+    d^l_{mn}(theta) = (-1)^n sqrt(4 pi/(2l+1)) {-n}Y_lm(theta, 0).
 
     Sign convention: d(0) is the identity, d^1_{10} = -sin(theta)/sqrt(2),
     and rows compose, d(t1) @ d(t2) = d(t1 + t2).
 
-    The alternating sum cancels, so accuracy falls with l.  Max |error| of
-    d^l_{m0} over all m and 181 theta in [0.01, pi - 0.01], against
-    sqrt(4 pi/(2l+1)) Y_lm(theta, 0) from scipy.special.sph_harm_y:
+    Max |error| of d^l_{m0} over all m and 181 theta in [0.01, pi - 0.01],
+    against sqrt(4 pi/(2l+1)) Y_lm(theta, 0) from scipy.special.sph_harm_y:
 
-        l       24       32       33       36       40       48
-        error   1.6e-10  4.1e-08  8.1e-08  6.4e-07  7.5e-06  1.9e-03
+        l       8        16       24       32
+        error   2.4e-15  4.6e-15  7.8e-15  1.2e-14
 
     l > HARMONIC_L_MAX = 32 raises DomainError.
     """
     _check_index(l, m, n)
-    return _on_unique(lambda t: _harmonic_rows(-n, l, [m], t, (-1.0) ** n)[0], theta)[()]
+    return _on_unique(lambda t: _d_rows(n, l, [m], t)[l, 0], theta)[()]
 
 
 def wigner_D(l: int, m: int, n: int, phi, theta, psi):
@@ -185,35 +188,26 @@ def wigner_D(l: int, m: int, n: int, phi, theta, psi):
 def spin_harmonic(s: int, l: int, m: int, theta, phi):
     """Spin-weight-s spherical harmonic sY_lm(theta, phi).
 
-    Explicit summation form, evaluated as one row of spin_harmonic_table
-    once per distinct theta, with the phase once per distinct phi:
+        sY_lm(theta, phi) = (-1)^s sqrt((2l+1)/4 pi) d^l_{m,-s}(theta) e^{i m phi},
 
-        sY_lm = e^{i m phi} (-1)^m
-                sqrt((2l+1)(l+m)!(l-m)! / (4 pi (l+s)!(l-s)!)) sin^{2l}(theta/2)
-                * sum_u binom(l-s, u) binom(l+s, u-m+s) (-1)^{l-u-s}
-                        cot^{2u-m+s}(theta/2),
-        u = max(0, m-s) .. min(l+m, l-s).
+    that is wigner_d(l, m, -s, theta) once per distinct theta, with the
+    phase once per distinct phi.
 
     s=0 reduces to the ordinary Y_lm with Condon-Shortley phase.  The ladder
     operators act with coefficients +sqrt((l-s)(l+s+1)) (raise) and
-    -sqrt((l+s)(l-s+1)) (lower); conjugation obeys
-    conj(sY_lm) = (-1)^{s+m} {-s}Y_{l,-m}, and the azimuth enters through
-    e^{+i m phi} only, so sY_lm(theta, phi) = e^{i m phi} sY_lm(theta, 0).
-    The alternating sum cancels, so accuracy falls with l.  Max |error| of
-    spin_harmonic(0, l, m) over all m and 181 theta in [0.01, pi - 0.01],
-    against scipy.special.sph_harm_y:
+    -sqrt((l+s)(l-s+1)) (lower), and conjugation obeys
+    conj(sY_lm) = (-1)^{s+m} {-s}Y_{l,-m}.
+    Max |error| of spin_harmonic(0, l, m) over all m and 181 theta in
+    [0.01, pi - 0.01], against scipy.special.sph_harm_y:
 
-        l       24       32       33       36       40       48
-        error   3.1e-10  9.2e-08  1.9e-07  1.6e-06  1.9e-05  5.3e-03
+        l       8        16       24       32
+        error   2.8e-15  7.3e-15  1.5e-14  2.7e-14
 
-    l > HARMONIC_L_MAX = 32 raises DomainError.
+    l > HARMONIC_L_MAX = 32 or |s| > l raises DomainError.
     """
-    _check_index(l, m)
-    if abs(s) > l:
-        raise DomainError(f"spin |s|={abs(s)} exceeds l={l}")
-    norm = math.sqrt((2 * l + 1) / (4.0 * math.pi))
-    lam = _on_unique(lambda t: _harmonic_rows(s, l, [m], t, norm)[0], theta)
-    return lam * _on_unique(lambda p: np.exp(1j * m * p), phi)
+    d = wigner_d(l, m, -s, theta)
+    return d * ((-1.0) ** s * math.sqrt((2 * l + 1) / (4.0 * math.pi))) \
+        * _on_unique(lambda p: np.exp(1j * m * p), phi)
 
 
 def eth_ladder(s: int, l: int, direction: str) -> float:

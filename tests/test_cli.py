@@ -348,6 +348,34 @@ def test_background_tolerance_is_checked(tmp_path, capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
+TR_CFG = """
+geometry.kind = flat
+profile.center = 2.0
+profile.halfwidth = 1.8
+grid.chi_max = 4.5
+grid.panels = 16
+spectral.k_max = 40.0
+"""
+
+
+def test_transform_tolerance_is_checked(tmp_path, capsys):
+    cfg = write(tmp_path, "tr.cfg", TR_CFG)
+    for tol in ("0", "-1", "nan", "inf"):
+        assert main(["transform", "--config", cfg, "--tolerance", tol]) == 3
+        assert "tolerance must be finite and > 0" in capsys.readouterr().err
+    # a tiny positive tolerance still reaches the tail monitor
+    assert main(["transform", "--config", cfg, "--tolerance", "1e-300"]) == 4
+    assert "tail" in capsys.readouterr().err
+
+
+def test_transform_normalization_is_checked_in_every_mode(tmp_path, capsys):
+    for mode in ("forward", "inverse", "roundtrip"):
+        cfg = write(tmp_path, "tr.cfg", TR_CFG + f"transform.mode = {mode}\n"
+                    "transform.normalization = bogus\n")
+        assert main(["transform", "--config", cfg]) == 3
+        assert "unknown normalization 'bogus'" in capsys.readouterr().err
+
+
 def test_cli_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": str(Path(curvedfield.__file__).parents[1])}
     code = "import sys, curvedfield.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -89,11 +89,11 @@ def test_harmonic_ceiling_l32_passes_l33_raises():
     theta = np.linspace(0.01, math.pi - 0.01, 61)
     for m in (-32, -7, 0, 15, 32):
         np.testing.assert_allclose(spin_harmonic(0, 32, m, theta, 0.4),
-                                   _scipy_ylm(32, m, theta, 0.4), rtol=0, atol=1e-6)
+                                   _scipy_ylm(32, m, theta, 0.4), rtol=0, atol=1e-12)
         # d^l_{m0}(theta) = sqrt(4 pi/(2l+1)) Y_lm(theta, 0)
         np.testing.assert_allclose(wigner_d(32, m, 0, theta),
                                    math.sqrt(4 * math.pi / 65)
-                                   * _scipy_ylm(32, m, theta, 0.0).real, rtol=0, atol=1e-6)
+                                   * _scipy_ylm(32, m, theta, 0.0).real, rtol=0, atol=1e-12)
     for call in (lambda: spin_harmonic(0, 33, 0, 0.3, 0.0),
                  lambda: spin_harmonic(2, 33, 1, 0.3, 0.0),
                  lambda: wigner_d(33, 0, 0, 0.3),
@@ -109,10 +109,23 @@ def test_spin_harmonic_table_matches_scipy_through_l32():
     assert T.shape == (33, 65, 61)
     for l in range(33):
         ref = np.array([_scipy_ylm(l, m, theta, 0.0).real for m in range(-l, l + 1)])
-        np.testing.assert_allclose(T[l, 32 - l:33 + l], ref, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(T[l, 32 - l:33 + l], ref, rtol=0, atol=1e-12)
         assert np.all(T[l, :32 - l] == 0.0) and np.all(T[l, 33 + l:] == 0.0)
     with pytest.raises(DomainError, match="l=33 exceeds the harmonic ceiling"):
         spin_harmonic_table(0, 33, theta)
+
+
+def test_spin_harmonic_table_orthonormal_through_l32():
+    # 2 pi sum_j w_j sY_lm sY_l'm = delta_ll' for l, l' >= max(|m|, |s|): each
+    # product is a polynomial of degree <= 64 in cos(theta), exact on 48 nodes
+    x, w = np.polynomial.legendre.leggauss(48)
+    ls = np.arange(33)
+    for s in range(-3, 4):
+        T = spin_harmonic_table(s, 32, np.arccos(x))
+        gram = 2 * math.pi * np.einsum("lmj,kmj,j->mlk", T, T, w)
+        for m in range(-32, 33):
+            expect = np.diag((ls >= max(abs(m), abs(s))).astype(float))
+            np.testing.assert_allclose(gram[32 + m], expect, rtol=0, atol=1e-12)
 
 
 def test_spin_harmonic_and_wigner_d_are_table_slices():

@@ -167,8 +167,7 @@ class SynthesisConfig:
     flat); omega_max bounds the closed-model lattice.  real=True imposes the
     conjugation symmetry xi_{l,-m} = (-1)^m conj(xi_lm) so realizations are
     real valued with the same two-point function.  L_max may not exceed
-    specfun.HARMONIC_L_MAX = 32: the harmonics stay accurate beyond it, but
-    the radial table cannot yet vouch for its rows near l = 32.
+    specfun.HARMONIC_L_MAX = 128.
     """
 
     L_max: int

@@ -27,7 +27,8 @@ the closed model per sum_w (w+1)^2, i.e. divided by K^(3/2).
 
 Non-compact integrals carry a tail monitor: if the trailing nodes contribute
 more than tail_tol of the total absolute mass, the grid is declared
-unconverged.
+unconverged.  tail_tol is None (no monitor) or finite and > 0; anything else
+raises DomainError before any kernel block is built.
 
 Both transforms are matrix products against the (k, chi) table of zonal
 kernels.  The table is built in row blocks of at most specfun.ZONAL_BLOCK
@@ -233,6 +234,12 @@ def _forward_blocks(profile: RadialProfile, k: np.ndarray, out: np.ndarray,
         _check_tail(contrib, tail_tol, "forward transform chi")
 
 
+def _check_tail_tol(tail_tol: float | None):
+    # nan or inf would turn the monitor off (frac > nan is False), 0 or less blame the grid
+    if tail_tol is not None and not (math.isfinite(tail_tol) and tail_tol > 0):
+        raise DomainError(f"tail_tol must be None or finite and > 0, got {tail_tol}")
+
+
 def _check_inverse_tail(geom: Geometry, amp: np.ndarray, tail_tol: float | None):
     if geom.kind is not Kind.CLOSED:
         _check_tail(np.abs(amp), tail_tol, "inverse transform k")
@@ -240,6 +247,7 @@ def _check_inverse_tail(geom: Geometry, amp: np.ndarray, tail_tol: float | None)
 
 def forward_isotropic(profile: RadialProfile, k, tail_tol: float | None = 1e-3) -> Spectrum:
     """Transform a radial profile to monopole spectral amplitudes on grid k."""
+    _check_tail_tol(tail_tol)
     k = _as_grid("k", np.atleast_1d(np.asarray(k, dtype=float)))
     out = np.empty_like(k)
     for _blk, phi in _forward_blocks(profile, k, out, tail_tol):
@@ -250,6 +258,7 @@ def forward_isotropic(profile: RadialProfile, k, tail_tol: float | None = 1e-3) 
 def inverse_isotropic(spec: Spectrum, chi, normalization: str = "consistent",
                       tail_tol: float | None = 1e-3) -> RadialProfile:
     """Reconstruct the radial profile on grid chi from spectral amplitudes."""
+    _check_tail_tol(tail_tol)
     geom = spec.geometry
     chi = _as_grid("chi", np.atleast_1d(np.asarray(chi, dtype=float)))
     pref = _inverse_pref(geom, normalization)
@@ -269,6 +278,7 @@ def roundtrip_isotropic(profile: RadialProfile, k, weights=None,
 
     Returns (spectrum, profile back), bitwise equal to the two calls; the
     forward tail is checked before the inverse tail, as there."""
+    _check_tail_tol(tail_tol)
     geom = profile.geometry
     k = np.atleast_1d(np.asarray(k, dtype=float))
     grid = Spectrum(geom, k, np.zeros(k.shape), weights)    # checks k and weights first

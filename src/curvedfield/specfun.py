@@ -6,9 +6,8 @@ All harmonic values come from one three-term recurrence in l for the Wigner
 d^l_{mn}(theta), seeded at l = max(|m|, |n|) by its one-term closed form and
 vectorised over m: `spin_harmonic_table(s, L, theta)` takes every m at
 n = -s, and `spin_harmonic` and `wigner_d` take one m.  It has no alternating
-sum to cancel: d^l_{m0} stays within 5e-14 of scipy through l = 128.  The
-public ceiling l <= HARMONIC_L_MAX = 32 comes from synthesis and the radial
-table.
+sum to cancel: d^l_{m0} stays within 5e-14 of scipy through the public
+ceiling l <= HARMONIC_L_MAX = 128.
 
 Radial eigenfunctions R_kl solve
 
@@ -24,35 +23,56 @@ with the per-model normalizations
                   M_wl = prod_{n=0..l} ((w+1)^2 - n^2); identically 0 for l > w.
 
 All radial values come from one evaluator, `radial_table(geom, k, L, chi)`,
-which returns every l <= L for every k at once; `radial` and
-`conical_legendre` are slices of it.  Curved models: upward recursion in l
-from the l=0 closed form, written in the scaled variable W_l = R_l / f^l
-(f = sinh r or sin r), which obeys
+which returns every l <= L for every k at once; `radial`, `conical_legendre`
+and `spherical_bessel` are slices of it.  Every row comes from one
+three-term recurrence in l, the hyperspherical Bessel recurrence (Kosowsky
+1998, astro-ph/9805173; Tram 2017, arXiv:1311.0839):
 
-    W'' + 2(l+1) g(r) W' + lam_l W = 0,        g = coth r | cot r,
-    lam_l = w^2 + (l+1)^2  (open)  |  (w+1)^2 - (l+1)^2  (closed),
+    a_{l+1} R_{l+1} = (2l+1) g R_l - a_l R_{l-1},    a_l = sqrt(w^2 - kappa l^2),
 
-with the raising relation W_{l+1} = -W'_l / (f sqrt(lam_l)).  The recursion
-amplifies roundoff like r^{-2} per step when x_eff = (w resp. w+1) * r < l
-(same mechanism as upward Bessel recurrences), so below the documented
-switch point  x_eff < l+2 and r < 1.5  the code instead sums the regular
-power series of W_l about r = 0 (coefficients from the ODE; curvature series
-of g via Bernoulli numbers).  The series terms alternate and cancel by a
-factor ~exp(sqrt(lam) r), up to ~1e5 near the switch point, so the sum is
-accumulated in extended precision.  The table runs that coefficient
-recursion once for all (l, k), one ladder sweep storing every l, and one
-Horner pass; flat models apply spherical_bessel to the (k, chi) array.
-Worst measured error against 40-digit reference values is ~1e-13 for l <= 8
-over the full parameter map.  Toward r = 1.5 the cancellation (~1e11 at
-l = 19) and the error grow with l: 6.7e-13, 1.9e-11, 9.1e-10, 1.5e-8, 1.2e-6,
-6.8e-6 of the row max at l = 8, 14, 19, 24, 28, 32 (K = -1, r in [1.3, 1.5),
-k <= min(8, (l+2)/1.5)).  Outside the tested envelope accuracy is guarded by
-the ODE residual certification of every (l, k) row.
+with kappa = -1 and g = coth r (open), kappa = 1, g = cot r and w + 1 for w
+(closed), and kappa = 0, g = 1/r, w = 1 and r = k chi (flat), started from
+the closed forms R_0 = sin(w r)/(w f) and R_1 = (g sin(w r)/w - cos(w r))/(a_1 f),
+f = sinh r, sin r or r.  One estimate, shared by the models, picks each
+(k, chi) column's direction: past the turning point in l the regular row
+shrinks by e^-eta per rung while the other solution grows by e^eta, with
+cosh eta = (2l+1) g / (2 sqrt(a_l a_{l+1})).
+
+- Upward from R_0 and R_1 where that sweep amplifies roundoff by at most e^5
+  (2 sum eta over the rungs below L, plus the cancellation in the R_1 seed).
+- Otherwise Miller's downward sweep from R_{N+1} = 0, at the first rung N
+  from which the other solution decays by e^40 on the way down to row L,
+  normalised to the closed-form R_0, or to R_1 where |R_0| < |R_1|.  At
+  large l eta tends to arccosh(coth r), so the start converges by only
+  e^(2 eta) = 1.6 per rung at r = 2.1, and no fixed margin serves.  Where N
+  would lie more than 4 (L + 16) rungs out, the column sweeps upward, whose
+  roundoff grows as slowly.
+- Closed columns sweep down from l = omega, where a_{omega+1} = 0 makes the
+  start exact (or from N, if lower); rows l > omega are +0.0, and
+  R(pi - r) = (-1)^(omega - l) R(r) keeps r <= pi/2.
+
+Rows estimated to lie e^700 below R_0 read 0, and radii below the smallest
+normal double count as the origin.  check=True certifies the table from
+the recurrence: each column is swept again, downward from the rung where
+the other solution decays by e^80, upward from seeds kicked by 2^-46 of
+their size, and the two tables must agree within cert_tol of each row's max
+over chi (at least 2^-20 of the largest row at each sample).  A column
+whose start cannot move keeps its rows: a closed start on omega is exact,
+and the addition theorem test checks it.
+
+Max error against rows in 1700-digit arithmetic, relative to each row's max
+over 16 radii (rows whose max is above 1e-290): open K = -1 and flat at 12
+nodes of gauss_legendre_grid(0, 8, 24, 12) with chi in [0, 3]; closed K = 1
+at omega + 1 in {1, 3, 8, 20, 41, 80, 130} with chi in [0, 3.1].
+
+    L        32       64       128
+    open     1.3e-12  2.7e-12  9.4e-14
+    flat     2.6e-15  5.8e-15  1.2e-14
+    closed   4.7e-14  4.7e-14  4.8e-14
 """
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -67,27 +87,23 @@ __all__ = [
 ]
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-_SERIES_R_MAX = 1.5     # the radial series serves r < 1.5 (and x_eff < l+2), the ladder the rest
 
 
 # ---------------------------------------------------------------------------
 # Wigner matrix elements and spin-weighted harmonics
 # ---------------------------------------------------------------------------
 
-# Largest l any harmonic entry point accepts; beyond it they raise DomainError.
-# The recurrence itself stays accurate past it (d^l_{m0} within 5e-14 of scipy
-# at l = 128), but synthesis takes its l range from this constant, and the
-# radial table cannot yet vouch for its rows near l = 32 (module notes).
-HARMONIC_L_MAX = 32
+# Largest l any harmonic entry point accepts, and so the largest l synthesis
+# draws; beyond it they raise DomainError.
+HARMONIC_L_MAX = 128
 
 
 def _check_index(l: int, *ms: int):
     if l < 0:
         raise DomainError(f"l must be >= 0, got {l}")
     if l > HARMONIC_L_MAX:
-        raise DomainError(f"l={l} exceeds the harmonic ceiling l <= {HARMONIC_L_MAX}: "
-                          "synthesis takes its l range from it, and radial rows "
-                          "beyond it are not certified")
+        raise DomainError(f"l={l} exceeds the harmonic ceiling l <= {HARMONIC_L_MAX}, "
+                          "the l range of synthesis")
     for m in ms:
         if abs(m) > l:
             raise DomainError(f"index |{m}| > l={l}")
@@ -169,10 +185,10 @@ def wigner_d(l: int, m: int, n: int, theta):
     Max |error| of d^l_{m0} over all m and 181 theta in [0.01, pi - 0.01],
     against sqrt(4 pi/(2l+1)) Y_lm(theta, 0) from scipy.special.sph_harm_y:
 
-        l       8        16       24       32
-        error   2.4e-15  4.6e-15  7.8e-15  1.2e-14
+        l       8        16       24       32       64       128
+        error   2.4e-15  4.6e-15  7.8e-15  1.2e-14  3.3e-14  5.0e-14
 
-    l > HARMONIC_L_MAX = 32 raises DomainError.
+    l > HARMONIC_L_MAX = 128 raises DomainError.
     """
     _check_index(l, m, n)
     return _on_unique(lambda t: _d_rows(n, l, [m], t)[l, 0], theta)[()]
@@ -200,10 +216,10 @@ def spin_harmonic(s: int, l: int, m: int, theta, phi):
     Max |error| of spin_harmonic(0, l, m) over all m and 181 theta in
     [0.01, pi - 0.01], against scipy.special.sph_harm_y:
 
-        l       8        16       24       32
-        error   2.8e-15  7.3e-15  1.5e-14  2.7e-14
+        l       8        16       24       32       64       128
+        error   2.8e-15  7.3e-15  1.5e-14  2.7e-14  1.0e-13  2.2e-13
 
-    l > HARMONIC_L_MAX = 32 or |s| > l raises DomainError.
+    l > HARMONIC_L_MAX = 128 or |s| > l raises DomainError.
     """
     d = wigner_d(l, m, -s, theta)
     return d * ((-1.0) ** s * math.sqrt((2 * l + 1) / (4.0 * math.pi))) \
@@ -256,77 +272,14 @@ def eth_numeric(values: np.ndarray, s: int, theta: np.ndarray, phi: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def spherical_bessel(l: int, x):
-    """Spherical Bessel function j_l(x) for x >= 0.
-
-    Upward recurrence for x >= l (stable), Miller-style downward recurrence
-    with renormalization for x < l, series for very small x.
-    """
+    """Spherical Bessel function j_l(x) for x >= 0: row l of the flat model's
+    radial recurrence (module notes) at unit wavenumber, once per distinct x."""
     if l < 0:
         raise DomainError("l must be >= 0")
     x = np.asarray(x, dtype=float)
     if np.any(x < 0) or not np.all(np.isfinite(x)):
         raise DomainError("x must be finite and >= 0")
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-
-    # series region: term ratio x^2/(2(2l+3)) <= 0.01, so 8 terms reach
-    # machine precision; x^l/(2l+1)!! >= j_l keeps the leading factor from
-    # underflowing before the function itself does, unlike the downward
-    # recurrence whose renormalization products span a wider range
-    tiny = x * x <= 0.02 * (2 * l + 3)
-    if np.any(tiny):
-        xt = x[tiny]
-        dfact = 1.0
-        for n in range(3, 2 * l + 2, 2):
-            dfact *= n
-        term = np.ones_like(xt)
-        acc = np.ones_like(xt)
-        for j in range(1, 9):
-            term = term * (-0.5 * xt * xt) / (j * (2 * l + 2 * j + 1))
-            acc += term
-        out[tiny] = xt ** l / dfact * acc
-
-    up = (~tiny) & (x >= l)
-    if np.any(up):
-        xu = x[up]
-        jm1 = np.sin(xu) / xu
-        if l == 0:
-            out[up] = jm1
-        else:
-            j = jm1 / xu - np.cos(xu) / xu
-            for n in range(1, l):
-                jm1, j = j, (2 * n + 1) / xu * j - jm1
-            out[up] = j
-
-    down = (~tiny) & (x < l)
-    if np.any(down):
-        xd = x[down]
-        start = l + 40 + int(np.max(xd))
-        jp1 = np.zeros_like(xd)
-        j = np.full_like(xd, 1e-30)
-        stored = np.zeros_like(xd)
-        stored_scale = np.ones_like(xd)
-        for n in range(start, 0, -1):
-            jm1 = (2 * n + 1) / xd * j - jp1
-            jp1, j = j, jm1
-            if n - 1 == l:
-                stored = j.copy()
-            big = np.abs(j) > 1e250
-            if np.any(big):
-                fac = np.where(big, 1e-250, 1.0)
-                j = j * fac
-                jp1 = jp1 * fac
-                if n - 1 <= l:
-                    stored_scale = stored_scale * fac
-        j0 = np.sin(xd) / xd
-        j1 = j0 / xd - np.cos(xd) / xd
-        # normalize by whichever reference is better conditioned
-        use0 = np.abs(j0) >= np.abs(j1)
-        ref_true = np.where(use0, j0, j1)
-        ref_tilde = np.where(use0, j, jp1)
-        out[down] = stored * stored_scale * (ref_true / ref_tilde)
-    return out[0] if scalar else out
+    return _on_unique(lambda xu: _rows(Kind.FLAT, np.ones(xu.size), xu, l, 1)[0][l], x)[()]
 
 
 def gegenbauer(p: int, q: int, x):
@@ -350,166 +303,163 @@ def gegenbauer(p: int, q: int, x):
 
 
 # ---------------------------------------------------------------------------
-# Radial eigenfunctions: one all-l table (series + scaled upward ladder)
+# Radial eigenfunctions: one three-term recurrence in l
 # ---------------------------------------------------------------------------
 
-# coth r = 1/r + sum_n G_n r^{2n-1}; cot r has (-1)^n G_n.  G_n = 4^n B_2n/(2n)!, n <= 30, as
-# scipy.special.bernoulli(60) gives them (G_2 is 1.7e-12 off -1/45): exact ones move every table.
-_COTH_SERIES = np.array([
-    0.3333333333333333, -0.02222222222218394, 0.0021164021164019877,
-    -0.00021164021164020956, 2.1377799155576894e-05, -2.1644042808063964e-06,
-    2.1925947851873788e-07, -2.2214608789979695e-08, 2.2507846516809015e-09,
-    -2.2805151204592207e-10, 2.3106432599002653e-11, -2.3411706819824915e-12,
-    2.372101740023369e-13, -2.4034415333307743e-14, 2.4351954029183403e-15,
-    -2.467368804517211e-16, 2.4999672771220844e-17, -2.5329964357406384e-18,
-    2.5664619702826326e-19, -2.600369646013732e-20, 2.634725304415384e-21,
-    -2.6695348641573993e-22, 2.704804322109036e-23, -2.740539754369957e-24,
-    2.776747317316449e-25, -2.8134332486618855e-26, 2.850603868531298e-27,
-    -2.888265580550181e-28, 2.926424872947682e-29, -2.9650883196743716e-30])
+_GAIN = 40.0       # a Miller start lies e^40 of decay of the other solution past the top row
+_UP = 5.0          # a column sweeps upward while its roundoff can grow by at most e^5
+_REACH = 4         # ... or while its Miller start would lie over 4 (L + 16) rungs past the top
+_FLOOR = 700.0     # rows more than e^700 below R_0 are 0, under the normal range
+_KICK = 2.0 ** -46  # relative seed perturbation of an upward column's second sweep
+_BLOCK = 8         # rungs of the start-rung search before it extrapolates
+_KAPPA = {Kind.OPEN: -1.0, Kind.FLAT: 0.0, Kind.CLOSED: 1.0}
 
 
-def _lam(sign: int, omega, j):
-    # eigen-parameter of the scaled ODE at rung j
-    return omega * omega + (j + 1) ** 2 if sign < 0 else (omega + 1.0) ** 2 - (j + 1) ** 2
+def _eta(kappa: float, w2, g, l):
+    """Log growth per rung of the recurrence at rung l, broadcast over columns
+    (w2 = w^2, g) and rungs: cosh eta = (2l+1) g / (2 sqrt(a_l a_{l+1})), and
+    eta = 0 where the rung oscillates.  Past the turning point the regular row
+    shrinks by about e^-eta per rung while the other solution grows by e^eta.
+    A closed rung l = omega has a_{l+1} = 0 and eta = inf."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        c = (l + 0.5) * g / np.sqrt(np.sqrt((w2 - kappa * l * l) * (w2 - kappa * (l + 1.0) ** 2)))
+        c = np.maximum(c, 1.0)
+        return np.log(c + np.sqrt(c * c - 1.0))     # arccosh c, in half of np.arccosh's time
 
 
-def _series_table(sign: int, omega: np.ndarray, L: int):
-    """Power series of every row about r = 0: W_l(r) = w0[l, q] sum_j c[j, l, q] r^{2j}.
-
-    c is kept in extended precision: the alternating sum cancels by up to
-    ~exp(sqrt(lam) r) and would lose 4-5 digits in double.  Row l keeps
-    max(60, 3l+40) terms, and w0 = W_l(0) = sqrt(prod_{n<l} lam_n) / (2l+1)!!.
-    """
-    last = np.maximum(60, 3 * np.arange(L + 1) + 40)
-    jmax = int(last[-1])
-    g = _COTH_SERIES.astype(np.longdouble)
-    if sign > 0:
-        g = g * (-1.0) ** np.arange(1, g.size + 1)
-    ls = np.arange(L + 1)[:, None]
-    lam = _lam(sign, omega[None, :], ls)                      # (L+1, n_k)
-    two_l1 = 2.0 * (ls + 1)
-    # a[n-1, mm] = 2(l+1) g_n 2 mm, rounded in the order of the scalar recursion
-    a = two_l1 * g[:, None, None, None] * 2.0 * np.arange(jmax + 1)[:, None, None]
-    c = np.zeros((jmax + 1,) + lam.shape, dtype=np.longdouble)
-    c[0] = 1.0
-    neg_lam = -lam.astype(np.longdouble)
-    for j in range(jmax):
-        lo = int(np.searchsorted(last, j + 1))                # rows that keep term j+1
-        n = np.arange(1, min(j, g.size) + 1)                  # mm = j+1-n >= 1
-        terms = np.concatenate([(neg_lam[lo:] * c[j, lo:])[None],
-                                a[n - 1, j + 1 - n, lo:] * c[j + 1 - n, lo:]])
-        c[j + 1, lo:] = (np.subtract.reduce(terms, axis=0)  # sequential, as the scalar sum
-                         / ((2 * j + 2) * (2 * j + 1) + two_l1[lo:] * (2 * j + 2)))
-    w0 = np.sqrt(np.cumprod(np.vstack([np.ones_like(omega), lam[:-1]]), axis=0))
-    for l in range(1, L + 1):
-        for n in range(3, 2 * l + 2, 2):
-            w0[l] /= n
-    return c, w0
+def _start_rungs(kappa: float, w2, g, top, stop, gains):
+    """Miller start rungs N of each column, one per gain: the first rung from
+    which the other solution decays by e^gain on its way down to top, or stop
+    (closed: omega) where that comes first.  Past the first _BLOCK rungs eta
+    rises toward its limit, so the last of them bounds the rungs still to go.
+    Also returns the estimated log growth of the row from N down to top."""
+    e = _eta(kappa, w2, g, top + np.arange(_BLOCK)[:, None])
+    grown = np.cumsum(e, axis=0)
+    Ns, growth = [], []
+    for gain in gains:
+        hit = grown >= 0.5 * gain
+        j, got = np.argmax(hit, axis=0), hit.any(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            N = np.where(got, top + j, top + _BLOCK + np.ceil((0.5 * gain - grown[-1]) / e[-1]))
+        Ns.append(np.minimum(N, stop))
+        growth.append(np.where(got & (j > 0), grown[j - 1, np.arange(top.size)], 0.5 * gain * ~got))
+    return Ns, growth
 
 
-def _curved_table(sign: int, s: float, omega: np.ndarray, L: int, series, chi) -> np.ndarray:
-    """Rows R_0..R_L, shaped (L+1, n_k, n_chi), of the open (sign=-1) or
-    closed (+1) model at radii chi, which broadcast against omega[:, None]."""
-    c, w0 = series
-    r = np.broadcast_to(s * chi, np.broadcast_shapes(omega[:, None].shape, chi.shape))
-    om = np.broadcast_to(omega[:, None], r.shape)
-    fn, dfn = (np.sinh, np.cosh) if sign < 0 else (np.sin, np.cos)
-    if sign > 0:
-        # reflection R(pi - r) = (-1)^(omega - l) R(r); evaluate on [0, pi/2]
-        refl = r > math.pi / 2.0
-        r = np.where(refl, math.pi - r, r)
-    a = om if sign < 0 else om + 1.0
-    xeff, small = a * r, r < _SERIES_R_MAX
-    out = np.empty((L + 1,) + r.shape)
-
-    # series points (xeff < l+2, r < 1.5) only grow with l: one Horner pass
-    # over row L's points serves every row
-    S = (xeff < L + 2) & small
-    qs = np.nonzero(S)[0]
-    x = (r[S] * r[S]).astype(np.longdouble)
-    acc = c[-1][:, qs] + x * 0
-    for cj in c[-2::-1]:
-        acc = cj[:, qs] + acc * x
-    ws, fs = (w0[:, qs] * acc).astype(float), fn(r[S])
-
-    # ladder points: all that leave the series at l = 0, swept upward once
-    P = ~((xeff < 2) & small)
-    rl, al, oml = r[P], a[P], om[P]
-    f, df = fn(rl), dfn(rl)
-    # seed: W_0 = sin(a r)/(a f(r)) and its derivative, sinc-safe at a=0
-    sinc = rl * np.sinc(al * rl / math.pi)  # = sin(a r)/a
-    w = sinc / f
-    dw = (np.cos(al * rl) * f - sinc * df) / (f * f)
-    # closed rungs past omega divide by beta = 0; those rows are zeroed below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for l in range(L + 1):
-            if l > 0:
-                beta = np.sqrt(_lam(sign, oml, l - 1))
-                w_next = -dw / (f * beta)
-                dw = -(2 * l + 1) * (df / f) * w_next + beta * w / f
-                w = w_next
-            out[l][P] = w * f ** l
-            sl = (xeff < l + 2) & small
-            out[l][sl] = ws[l][sl[S]] * fs[sl[S]] ** l
-    if sign > 0:
-        ls = np.arange(L + 1)[:, None, None]
-        out = np.where(om < ls, 0.0, out * np.where(refl, (-1.0) ** (om - ls), 1.0))
-    return out
+def _upward(kappa: float, w2, g, R0, R1, L: int, kick: float) -> np.ndarray:
+    """Rows 0..L climbed from the closed-form seeds R_0, R_1, which are first
+    moved by kick (R_0, R_1) -> (R_0 - kick R_1, R_1 + kick R_0)."""
+    rows = np.empty((L + 1, g.size))
+    rows[0] = R0 - kick * R1
+    rows[1:2] = R1 + kick * R0
+    a = np.sqrt(w2 - kappa)
+    for l in range(1, L):
+        a_up = np.sqrt(w2 - kappa * (l + 1) ** 2)
+        rows[l + 1] = ((2 * l + 1) * g * rows[l] - a * rows[l - 1]) / a_up
+        a = a_up
+    return rows
 
 
-def _flat_table(k: np.ndarray, L: int, chi: np.ndarray) -> np.ndarray:
-    x = k[:, None] * chi
-    return np.stack([_SQRT_2_OVER_PI * spherical_bessel(l, x) for l in range(L + 1)])
+def _downward(kappa: float, w2, g, R0, R1, top, N, d_N, L: int):
+    """Miller's sweep: R_{N+1} = 0 and R_N = e^-D_N, with D_N the estimated log
+    size of R_0 / R_N (it keeps R_0 below e^300), down to row 0, normalised to
+    the closed-form R_0, or to R_1 where |R_0| < |R_1|; rows above top are 0.
+    Returns the rows with their columns in the order it swept them, and that order."""
+    order = np.argsort(-N, kind="stable")         # the columns still sweeping are a prefix
+    N, w2, g, top = N[order], w2[order], g[order], top[order]
+    seed = np.exp(-np.minimum(d_N[order], 600.0))
+    rows = np.zeros((L + 1, N.size))
+    cur, nxt, spare, a_up = (np.zeros(N.size) for _ in range(4))
+    on = 0
+    for l in range(int(N[0]) if N.size else 0, 0, -1):
+        new = np.searchsorted(-N, -l, side="right")
+        cur[on:new] = seed[on:new]
+        on = new
+        if l <= L:
+            rows[l, :on] = cur[:on]
+        step, a = spare[:on], np.sqrt(w2[:on] - kappa * l * l)
+        np.multiply(g[:on], cur[:on], out=step)
+        step *= 2 * l + 1
+        nxt[:on] *= a_up[:on]
+        step -= nxt[:on]
+        step /= a                                 # R_{l-1}
+        cur, nxt, spare = spare, cur, nxt
+        a_up[:on] = a
+    cur[on:] = seed[on:]                          # closed omega = 0 starts on row 0
+    rows[0] = cur
+    R0, R1 = R0[order], R1[order]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):   # in the unused branch
+        rows *= np.where(np.abs(R0) >= np.abs(R1), R0 / cur, R1 / nxt)
+    short = np.flatnonzero(top < L)
+    rows[:, short] *= np.arange(L + 1)[:, None] <= top[short]
+    return rows, order
 
 
-def _certify(geom: Geometry, k: np.ndarray, chi: np.ndarray, R: np.ndarray, table,
-             cert_tol: float):
-    """Helmholtz residual of every nonzero (l, k) row on 5-point stencils at
-    the 0.35 and 0.75 quantiles of chi lying 4h inside the domain; else at the
-    middle of that range, or its lower end when the grid is shorter; one within
-    3h of the series/ladder switch moves 3h past it onto the ladder.  The
-    residual is scaled by k^2 + |K| + l(l+1)/f_K^2 + 1 (|lambda| cancels near
-    the turning point) times the larger of max|R| over chi and the stencil."""
-    L = R.shape[0] - 1
-    h = np.minimum(0.02, 0.02 / np.sqrt(k * k + abs(geom.K) + 1.0))
-    if geom.kind is not Kind.FLAT:
-        h = np.minimum(h, 0.02 / geom.curvature_scale)
-    lo = 4.0 * h
-    hi = (geom.chi_max if math.isfinite(geom.chi_max) else float(np.max(chi)) + 4.0 * h) - 4.0 * h
-    q = np.quantile(chi, [0.35, 0.75])
-    ok = (lo[:, None] <= q) & (q <= hi[:, None])                      # (n_k, 2)
-    use = ok | (~ok.any(axis=1)[:, None] & (np.arange(2) == 0))
-    chi0 = np.where(ok, q, np.maximum(0.5 * (lo + hi), lo)[:, None])
-    switches = {Kind.OPEN: [(_SERIES_R_MAX, 1.0)], Kind.FLAT: [],      # (r, ladder side)
-                Kind.CLOSED: [(_SERIES_R_MAX, 1.0), (math.pi - _SERIES_R_MAX, -1.0)]}
-    for r_sw, side in switches[geom.kind]:
-        sw, h3 = r_sw / geom.curvature_scale, 3.0 * h[:, None]
-        chi0 = np.where(np.abs(chi0 - sw) < h3, sw + side * h3, chi0)
-    stencil = chi0[:, :, None] + h[:, None, None] * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    probe = table(stencil.reshape(k.size, 10)).reshape(L + 1, k.size, 2, 5)
-    R0, R1, R2, R3, R4 = np.moveaxis(probe, -1, 0)
-    hh = h[:, None]
-    d1 = (R0 - 8 * R1 + 8 * R3 - R4) / (12 * hh)
-    d2 = (-R0 + 16 * R1 - 30 * R2 + 16 * R3 - R4) / (12 * hh * hh)
-    fk = f_K(geom, chi0)
-    dlog = {Kind.OPEN: np.cosh, Kind.CLOSED: np.cos}.get(geom.kind, np.ones_like)(
-        geom.curvature_scale * chi0) / fk                                # f_K' / f_K
-    ls = np.arange(L + 1)[:, None, None]
-    k2, cf = (k * k)[:, None], ls * (ls + 1) / (fk * fk)          # cf: centrifugal term
-    lam, terms = k2 - geom.K - cf, k2 + abs(geom.K) + cf + 1.0
-    resid = np.abs(d2 + 2.0 * dlog * d1 + lam * R2)
-    rmax = np.max(np.abs(R), axis=2)[:, :, None]
-    # the larger of max|R| over the samples and over the stencil: a short grid
-    # can sample a row only near its zeros
-    scale = np.maximum(rmax, np.max(np.abs(probe), axis=3))
-    # rows whose samples are all 0 (closed l > omega, l > 0 at chi = 0 alone)
-    # have nothing to certify; a NaN anywhere in a row fails it
-    bad = use & (rmax != 0.0) & ~(resid <= cert_tol * terms * scale)
-    if np.any(bad):
-        l, iq, ip = np.argwhere(bad)[0]
-        raise AccuracyError(
-            f"radial ODE residual {resid[l, iq, ip]:.2e} exceeds {cert_tol:.0e}*scale "
-            f"at chi={chi0[iq, ip]:.4g} ({geom.kind.value}, k={k[iq]}, l={l})")
+def _rows(kind: Kind, w: np.ndarray, r: np.ndarray, L: int, sweeps: int) -> list:
+    """One or two tables R_0..R_L at the columns (w[i], r[i]), each shaped
+    (L+1, r.size); flat rows are j_l.  The second table is swept from a higher
+    start rung or from kicked seeds (module notes).
+
+    kind sets kappa = -1, 0, 1, f = sinh, identity, sin and g = f'/f; w is
+    omega (open), 1 (flat, with r = k chi) or omega + 1 (closed), and
+    a_j = sqrt(w^2 - kappa j^2)."""
+    kappa, closed = _KAPPA[kind], kind is Kind.CLOSED
+    w_all = w
+    if closed:                                    # R(pi - r) = (-1)^(omega - l) R(r)
+        flip = r > math.pi / 2.0
+        r = np.maximum(np.where(flip, math.pi - r, r), 0.0)
+    live = np.flatnonzero(r >= np.finfo(float).tiny)  # the origin has R_0 = 1, R_l = 0 above
+    w, r = w[live], r[live]
+    w2 = w * w
+    g = 1.0 / {Kind.OPEN: np.tanh, Kind.FLAT: np.positive, Kind.CLOSED: np.tan}[kind](r)
+    s, c = r * np.sinc(w * r / math.pi), np.cos(w * r)            # sin(w r) / w, cos(w r)
+    # sinh r = inf past r = 710 gives R_0 = R_1 = 0; closed omega = 0 has R_1 = 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        f = {Kind.OPEN: np.sinh, Kind.FLAT: np.positive, Kind.CLOSED: np.sin}[kind](r)
+        a1 = np.sqrt(w2 - kappa)
+        R0, R1 = s / f, np.where(a1 > 0, (g * s - c) / (a1 * f), 0.0)
+        cancel = np.log((np.abs(g * s) + np.abs(c)) / np.abs(g * s - c))  # in the R_1 seed
+    R1_ref = np.where(cancel < 1.0, R1, 0.0)      # R_1 normalises only where it is accurate
+
+    # D_l: log size of R_0 / R_l, rung 0 taken with a_0 = a_1; rows past D = _FLOOR are 0
+    D = np.zeros((L + 1, r.size))
+    D[1:] = _eta(kappa, a1 * a1, g, 0)
+    D[2:] += np.cumsum(_eta(kappa, w2, g, np.arange(1, L)[:, None]), axis=0)
+    top = np.count_nonzero(D <= _FLOOR, axis=0) - 1
+    amplify = 2.0 * (D[-1] - D[min(L, 1)]) + (cancel if L > 0 else 0.0)
+    down = np.arange(r.size) if closed else np.flatnonzero(amplify > _UP)
+    stop = w[down] - 1.0 if closed else np.inf
+    # the second sweep's start lies e^2_GAIN past top
+    (N, N2), (d_N, d_N2) = _start_rungs(kappa, w2[down], g[down], top[down], stop,
+                                        (_GAIN, 2.0 * _GAIN))
+    near = N - top[down] <= (np.inf if closed else _REACH * (L + 16))
+    down, d_top = down[near], D[top[down[near]], down[near]]
+    del D
+    starts = [(N[near].astype(int), d_top + d_N[near]), (N2[near].astype(int), d_top + d_N2[near])]
+    up = np.ones(r.size, dtype=bool)
+    up[down] = False
+
+    tables = []
+    for (N, d_N), kick in zip(starts[:sweeps], (0.0, _KICK)):
+        if tables:                                # a start that cannot move keeps its rows
+            out, moved = tables[0].copy(), N != starts[0][0]
+            redo, N, d_N = down[moved], N[moved], d_N[moved]
+        else:
+            out, redo = np.zeros((L + 1, w_all.size)), down
+            out[0] = 1.0
+        rows, order = _downward(kappa, w2[redo], g[redo], R0[redo], R1_ref[redo], top[redo], N, d_N, L)
+        redo = live[redo[order]]
+        if closed:                                # flipped columns take (-1)^omega (-1)^l
+            sign = (-1.0) ** (np.rint(w_all) - 1.0)
+            flipped = np.flatnonzero(flip[redo])
+            rows[:, flipped] *= np.outer((-1.0) ** np.arange(L + 1), sign[redo[flipped]])
+            if not tables:
+                out[0, flip] = sign[flip]         # and the origin columns: R_0(pi) = (-1)^omega
+        for row, u, d in zip(out, _upward(kappa, w2[up], g[up], R0[up], R1[up], L, kick), rows):
+            row[live[up]], row[redo] = u, d       # a row at a time: 2x faster
+        out += 0.0                                # -0.0 (a zero row times a sign) reads +0.0
+        tables.append(out)
+    return tables
 
 
 def radial_table(geom: Geometry, k, L_max: int, chi, check: bool = True,
@@ -517,10 +467,11 @@ def radial_table(geom: Geometry, k, L_max: int, chi, check: bool = True,
     """R_kl(chi) for every l <= L_max and every k, shaped (L_max+1, k.size) + chi.shape.
 
     The one radial evaluator (see the module notes); closed rows with
-    l > omega are exactly 0.  check=True certifies every nonzero (l, k) row:
-    the Helmholtz ODE residual on probe stencils must stay below cert_tol
-    times the term magnitudes k^2 + |K| + l(l+1)/f_K^2 + 1 times max|R_kl|
-    (over chi and the stencil), else AccuracyError.
+    l > omega are exactly 0.  check=True sweeps every column a second time,
+    from a higher start rung (downward) or from kicked seeds (upward), and
+    raises AccuracyError naming the worst (l, k, chi) unless the two tables
+    agree at every sample within cert_tol times the row's max |R_kl| over chi
+    (at least 2^-20 of the largest row at that sample); a NaN fails.
     """
     if L_max < 0:
         raise DomainError("l must be >= 0")
@@ -529,16 +480,39 @@ def radial_table(geom: Geometry, k, L_max: int, chi, check: bool = True,
         raise DomainError("k must be finite and >= 0")
     chi = geom.check_chi(chi)
     if geom.kind is Kind.FLAT:
-        table = partial(_flat_table, k, L_max)
+        w, r = np.ones(1), np.multiply.outer(k, chi.ravel())
     else:
-        sign = -1 if geom.kind is Kind.OPEN else 1
-        omega = geom.omega_of_k(k)
-        table = partial(_curved_table, sign, geom.curvature_scale, omega, L_max,
-                        _series_table(sign, omega, L_max))
-    R = table(chi.reshape(1, -1))
-    if check and chi.size > 0:
-        _certify(geom, k, chi.ravel(), R, table, cert_tol)
+        w = geom.omega_of_k(k) + (1.0 if geom.kind is Kind.CLOSED else 0.0)
+        r = geom.curvature_scale * chi.ravel()
+    w, r = (x.ravel() for x in np.broadcast_arrays(w[:, None], r))
+    check = check and chi.size > 0
+    R, *R2 = (T.reshape(L_max + 1, k.size, -1) for T in _rows(geom.kind, w, r, L_max, 1 + check))
+    if check:
+        _certify(geom, k, chi.ravel(), R, R2[0], cert_tol)
+    if geom.kind is Kind.FLAT:
+        R *= _SQRT_2_OVER_PI
     return R.reshape(R.shape[:2] + chi.shape)
+
+
+def _certify(geom: Geometry, k, chi, R, R2, cert_tol: float):
+    # a row's scale is its max over chi, but at least 2^-20 of the largest row
+    # at each sample: a row that vanishes at every sample (all on its zeros)
+    # is known to the rounding of its column, not to its own size.  A NaN
+    # fails its own row (fmax skips it in the column).
+    size = np.abs(R)
+    scale = np.maximum(np.max(size, axis=2, keepdims=True),
+                       2.0 ** -20 * np.fmax.reduce(size, axis=0, keepdims=True))
+    del size
+    gap = np.abs(np.subtract(R, R2, out=R2), out=R2)
+    bad = ~(gap <= cert_tol * scale)
+    if np.any(bad):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.where(bad, np.nan_to_num(gap / scale, nan=np.inf), -1.0)
+        l, q, p = np.unravel_index(np.argmax(rel), rel.shape)
+        raise AccuracyError(
+            f"radial rows swept from two starts differ by {rel[l, q, p]:.2e} of the row "
+            f"scale (tolerance {cert_tol:.0e}) at chi={chi[p]:.4g} "
+            f"({geom.kind.value}, k={k[q]}, l={l})")
 
 
 def radial(geom: Geometry, k: float, l: int, chi, check: bool = True,

@@ -26,7 +26,7 @@ from curvedfield.sft import (RadialProfile, Spectrum, bump_profile,
                              closed_k_lattice, forward_isotropic,
                              inverse_isotropic)
 from curvedfield.specfun import (eth_ladder, eth_numeric, f_K, radial,
-                                 spin_harmonic, wigner_D)
+                                 spin_harmonic, spin_harmonic_table, wigner_D)
 from curvedfield.spinfield import (beta_rule, ladder_radicand,
                                    lensing_multiplier, recover_kernels,
                                    separable_kernels, spin_correlation,
@@ -146,6 +146,23 @@ def test_harmonic_algebra():
         gram = (V.conj().T * w2d) @ V
         err = np.max(np.abs(gram - np.eye(len(modes))))
         assert err < 1e-10, (s, err)
+
+    # at the ceiling l = 128: D^128 = diag(e^{-im phi}) d^128 diag(e^{-in psi}) is
+    # unitary, and each m's spin harmonics are orthonormal over theta (the
+    # products are polynomials of degree <= 256 in cos(theta), exact on 136 nodes)
+    L = 128
+    ms = np.arange(-L, L + 1)
+    d = np.array([(-1.0) ** n * math.sqrt(4 * math.pi / (2 * L + 1))
+                  * spin_harmonic_table(-n, L, theta_e)[L] for n in ms]).T
+    D = np.exp(-1j * ms * phi_e)[:, None] * d * np.exp(-1j * ms * psi_e)[None, :]
+    assert np.max(np.abs(D @ D.conj().T - np.eye(2 * L + 1))) < 1e-10
+    assert abs(D[L + 5, L - 3] - wigner_D(L, 5, -3, phi_e, theta_e, psi_e)) < 1e-13
+    x, wx = np.polynomial.legendre.leggauss(136)
+    for s in (0, 2):
+        A = np.ascontiguousarray(spin_harmonic_table(s, L, np.arccos(x)).transpose(1, 0, 2))
+        gram = 2 * math.pi * (A * wx) @ A.transpose(0, 2, 1)          # [m, l, l']
+        keep = (np.arange(L + 1) >= np.maximum(np.abs(ms), abs(s))[:, None]).astype(float)
+        assert np.max(np.abs(gram - keep[:, :, None] * np.eye(L + 1))) < 1e-10, s
 
     # numeric raising operator converges at second order to the ladder
     for s, l, m in ((1, 4, -2), (2, 5, 3)):

@@ -297,7 +297,7 @@ grid.chi_max = 2.0
 def test_spin_l_max_past_harmonic_ceiling_exits_3(tmp_path, capsys):
     cfg = write(tmp_path, "spin.cfg", """
 spin.s = 0
-spin.l_max = 33
+spin.l_max = 129
 grid.chi_max = 2.0
 """)
     assert main(["spin", "--config", cfg, "--out", str(tmp_path / "x.cfd")]) == 3

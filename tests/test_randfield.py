@@ -298,9 +298,9 @@ def test_closed_printed_weight_rescales_isolated_mode():
 
 
 def test_config_rejects_l_max_past_harmonic_ceiling():
-    SynthesisConfig(L_max=32)
+    SynthesisConfig(L_max=128)
     with pytest.raises(DomainError, match="harmonic ceiling"):
-        SynthesisConfig(L_max=33)
+        SynthesisConfig(L_max=129)
 
 
 # ---------------------------------------------------------------------------

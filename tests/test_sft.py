@@ -119,6 +119,29 @@ def test_forward_tail_monitor():
     forward_isotropic(prof2, np.array([0.1, 1.0]))
 
 
+def test_tail_tol_is_none_or_finite_and_positive(monkeypatch):
+    # nan once switched both monitors off (frac > nan is False), so this
+    # unconverged grid passed; 0 and below raised a ConvergenceError that
+    # blamed the grid
+    chi, w = gauss_legendre_grid(0.0, 4.0, 32, 8)
+    prof = RadialProfile(G_FLAT, chi, bump_profile(chi, 3.0, 2.0, 1.0), w)
+    k, wk = sft.spectral_nodes(G_FLAT, 20.0, 16, 8, -1)
+    with pytest.raises(ConvergenceError):
+        forward_isotropic(prof, k, tail_tol=1e-9)
+    spec = forward_isotropic(prof, k, tail_tol=None)
+
+    def no_block(*args):
+        raise AssertionError("a zonal block was built")
+
+    monkeypatch.setattr(sft, "zonal_kernel", no_block)
+    for bad in (math.nan, math.inf, -math.inf, 0.0, -1e-3):
+        for call in (lambda: forward_isotropic(prof, k, tail_tol=bad),
+                     lambda: inverse_isotropic(spec, chi, tail_tol=bad),
+                     lambda: roundtrip_isotropic(prof, k, wk, tail_tol=bad)):
+            with pytest.raises(DomainError, match="tail_tol"):
+                call()
+
+
 def test_inverse_tail_monitor():
     k, wk = gauss_legendre_grid(1e-9, 30.0, 24, 8)
     spec = Spectrum(G_FLAT, k, np.ones_like(k), wk)

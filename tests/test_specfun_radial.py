@@ -1,6 +1,5 @@
 import functools
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from curvedfield.quadrature import gauss_legendre_grid
 from curvedfield.randfield import GaussianBump, SynthesisConfig, synthesize
 from curvedfield.sft import spectral_nodes
 from curvedfield.specfun import conical_legendre, radial, radial_table, zonal_spherical
-from oracles import CLOSED_RADIAL, FLAT_RADIAL, OPEN_RADIAL, OPEN_RADIAL_HIGH_L
+from oracles import CLOSED_RADIAL, FLAT_RADIAL, OPEN_RADIAL, OPEN_RADIAL_HIGH_L, OPEN_RADIAL_ROWS
 
 G_OPEN = Geometry.open(-1.0)
 G_FLAT = Geometry.flat()
@@ -185,6 +184,9 @@ def test_radial_table_on_the_origin_alone():
         T = radial_table(geom, k, 4, np.array([0.0]))
         np.testing.assert_allclose(T[0, :, 0], r0, rtol=1e-15)
         assert np.all(T[1:] == 0.0)
+    # the closed antipode: R_0(pi) = (-1)^omega
+    T = radial_table(G_CLOSED, np.arange(1.0, 9.0), 4, np.array([math.pi]))
+    assert np.array_equal(T[:, :, 0], np.vstack([(-1.0) ** np.arange(8), np.zeros((4, 8))]))
     cfg = SynthesisConfig(L_max=3, k_max=6.0, k_panels=2, k_order=4)
     f = synthesize(Geometry.open(-0.5), GaussianBump(1.0, 3.0, 0.8), cfg,
                    np.array([0.0]), np.array([1.0]), np.array([0.0]))
@@ -192,33 +194,44 @@ def test_radial_table_on_the_origin_alone():
 
 
 def test_radial_table_certifies_every_row(monkeypatch):
-    # a defect in one (l, k) row off any sampling pattern must be caught
-    good = specfun._curved_table
-
-    def broken(*args):
-        out, chi = good(*args), args[-1]
-        out[3, 5] *= 1.0 + 1e-3 * np.broadcast_to(chi, out.shape[1:])[5]
-        return out
-
-    def nan_sample(*args):
-        # one NaN sample, at a radius no probe stencil reaches
-        out, chi = good(*args), args[-1]
-        out[3, 5] = np.where(np.broadcast_to(chi, out.shape[1:])[5] == 3.0, np.nan, out[3, 5])
-        return out
-
     ks = np.linspace(0.3, 6.0, 12)
     chi = np.linspace(0.0, 3.0, 16)
     radial_table(G_OPEN, ks, 4, chi)
-    for defect in (broken, nan_sample):
-        monkeypatch.setattr(specfun, "_curved_table", defect)
-        with pytest.raises(AccuracyError, match=r"l=3\)"):
+    # a Miller start too close to the top row leaves it wrong by ~e^-gain, and
+    # the second sweep, started twice as far out, disagrees with it
+    with monkeypatch.context() as m:
+        m.setattr(specfun, "_GAIN", 4.0)
+        with pytest.raises(AccuracyError, match=r"differ by .* \(open, k=.*, l=4\)"):
             radial_table(G_OPEN, ks, 4, chi)
+    good = specfun._rows
+
+    def nan_sample(*args):
+        # one NaN sample, row 3 at k = ks[5] and chi = 3
+        tables = good(*args)
+        tables[0][3, 5 * chi.size + 15] = np.nan
+        return tables
+
+    monkeypatch.setattr(specfun, "_rows", nan_sample)
+    with pytest.raises(AccuracyError, match=r"l=3\)"):
+        radial_table(G_OPEN, ks, 4, chi)
+
+
+def _check_rows(name, k=None):
+    # every oracle row of the set, to 1e-10 of its max over the chi grid
+    K, L, chi, rows = OPEN_RADIAL_ROWS[name]
+    if k is None:
+        k, _ = gauss_legendre_grid(0.0, 8.0, 24, 12)
+    T = radial_table(Geometry.open(K), k, L, np.array(chi))
+    for (kk, l), ref in rows.items():
+        ref = np.array(ref)
+        got = T[l, np.flatnonzero(np.asarray(k) == kk)[0]]
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10 * np.max(np.abs(ref)),
+                                   err_msg=f"{name}: k={kk}, l={l}")
 
 
 def test_open_high_l_rows_certify_near_the_switch():
     # on this K = -1 grid lambda cancels near the turning point at l = 14,
-    # chi = 1.5 (a row accurate to 5e-13), and that probe sits on the
-    # series/ladder switch at r = 1.5
+    # chi = 1.5 (a row accurate to 5e-13), where a series once met a ladder
     k, _ = gauss_legendre_grid(0.0, 8.0, 24, 12)
     chi = np.linspace(0.0, 2.0, 8)
     T = radial_table(G_OPEN, k, 20, chi)
@@ -229,13 +242,39 @@ def test_open_high_l_rows_certify_near_the_switch():
         got = T[l, np.flatnonzero(k == kk)[0], 1:]
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-9 * np.max(np.abs(ref)),
                                    err_msg=f"k={kk}, l={l}")
-    # from l = 24 on, the ladder's roundoff at k -> 0, r >= 1.5 reaches the
-    # level of the K = -0.5 losses below, and the grid is rejected
-    with pytest.raises(AccuracyError, match=r"l=(2[4-9]|3[0-2])\)"):
-        radial_table(G_OPEN, k, 32, chi)
-    # real losses: open K = -0.5, chi in [0, 3], rows l = 24..32
-    with pytest.raises(AccuracyError, match=r"l=(2[4-9]|3[0-2])\)"):
-        radial_table(Geometry.open(-0.5), k, 32, np.linspace(0.0, 3.0, 8))
+    # rows l = 24..32 certify, at K = -1 on chi in [0, 2] and K = -0.5 on
+    # [0, 3], where the series and ladder lost up to 1e-4 of them
+    _check_rows("chi2")
+    _check_rows("chi3")
+
+
+@pytest.mark.parametrize("name", ["l64", "l128"])
+def test_high_l_rows_match_250_digit_rows(name):
+    # L = 64 on K = -0.5 and chi in [0, 3]: Miller sweeps; L = 128 at
+    # r = 5 and 8: upward sweeps, whose amplification stays small there
+    _check_rows(name)
+
+
+def test_rows_between_the_probes_are_accurate():
+    # certification once sampled two quantiles of chi and passed this grid
+    # with row 32 at k = 5.598 off by 4.1e-4 of its max
+    _check_rows("chi149")
+    _check_rows("chi149b")
+
+
+def test_steep_accurate_rows_certify():
+    # rows growing like chi^18 once failed a 5-point stencil's truncation error
+    _check_rows("probe", k=[0.5, 2.0, 4.0])
+
+
+def test_rows_on_the_zeros_of_r0():
+    # Miller's sweep normalises to R_1 where R_0 is near a zero; x = n pi
+    # puts j_0 on its zeros, and rows that vanish at every sample certify
+    x = np.array([math.pi, 2 * math.pi, 3 * math.pi])
+    np.testing.assert_allclose(specfun.spherical_bessel(20, x), sps.spherical_jn(20, x),
+                               rtol=1e-12)
+    T = radial_table(G_OPEN, [1.0, 2.0], 24, [math.pi / 2, math.pi])
+    assert np.max(np.abs(T[0, 1])) < 1e-16
 
 
 def test_flat_two_point_grid_is_certified():
@@ -259,60 +298,37 @@ def test_radial_table_certification_reaches_synthesis(monkeypatch):
                    pts, np.full(3, 1.0), np.zeros(3))
 
 
-def _exact_bernoulli(n_max):
-    # Akiyama-Tanigawa: B_0..B_n_max as exact rationals
-    a, out = [Fraction(0)] * (n_max + 1), []
-    for m in range(n_max + 1):
-        a[m] = Fraction(1, m + 1)
-        for j in range(m, 0, -1):
-            a[j - 1] = j * (a[j - 1] - a[j])
-        out.append(a[0])
-    return out
+# ---------------------------------------------------------------------------
+# Addition theorem
+# ---------------------------------------------------------------------------
+
+def _geodesic(geom, chi1, chi2, gamma):
+    # scaled geodesic distance between two points at polar separation gamma
+    if geom.kind.value == "open":
+        return math.acosh(math.cosh(chi1) * math.cosh(chi2)
+                          - math.sinh(chi1) * math.sinh(chi2) * math.cos(gamma))
+    if geom.kind.value == "closed":
+        return math.acos(math.cos(chi1) * math.cos(chi2)
+                         + math.sin(chi1) * math.sin(chi2) * math.cos(gamma))
+    return math.sqrt(chi1 * chi1 + chi2 * chi2 - 2.0 * chi1 * chi2 * math.cos(gamma))
 
 
-def test_coth_series_literal():
-    # the table holds G_n = 4^n B_2n / (2n)! from scipy.special.bernoulli(60),
-    # bitwise; those floats miss the exact values by up to 1.7e-12 (n = 2)
-    B = sps.bernoulli(60)
-    scipy_g = np.array([4.0 ** n * B[2 * n] / math.factorial(2 * n) for n in range(1, 31)])
-    assert np.array_equal(specfun._COTH_SERIES, scipy_g)
-    exact = _exact_bernoulli(60)
-    g = [float(4 ** n * exact[2 * n] / math.factorial(2 * n)) for n in range(1, 31)]
-    np.testing.assert_allclose(specfun._COTH_SERIES, g, rtol=2e-12, atol=0)
-
-
-def _scalar_series(sign, omega, l):
-    # the former per-(k, l) recursion: reference for the vectorised table
-    g = specfun._COTH_SERIES.astype(np.longdouble)
-    if sign > 0:
-        g = g * (-1.0) ** np.arange(1, g.size + 1)
-    lam = np.longdouble(specfun._lam(sign, omega, l))
-    jmax = max(60, 3 * l + 40)
-    c = np.zeros(jmax + 1, dtype=np.longdouble)
-    c[0] = 1.0
-    for j in range(jmax):
-        acc = -lam * c[j]
-        for n in range(1, min(j + 1, g.size) + 1):
-            mm = j + 1 - n
-            if mm >= 1:
-                acc -= 2.0 * (l + 1) * g[n - 1] * 2.0 * mm * c[mm]
-        c[j + 1] = acc / ((2 * j + 2) * (2 * j + 1) + 2.0 * (l + 1) * (2 * j + 2))
-    return c
-
-
-def test_series_table_matches_scalar_recursion():
-    for sign, L, omega in ((-1, 3, np.array([0.0, 0.7, 4.0, 9.0])),
-                           (1, 14, np.array([0.0, 1.0, 4.0, 9.0]))):
-        c, w0 = specfun._series_table(sign, omega, L)
-        for q, om in enumerate(omega):
-            for l in range(L + 1):
-                ref = _scalar_series(sign, float(om), l)
-                assert np.array_equal(c[:ref.size, l, q], ref)
-                assert not np.any(c[ref.size:, l, q])
-                w = math.sqrt(math.prod(specfun._lam(sign, float(om), n) for n in range(l)))
-                for n in range(3, 2 * l + 2, 2):
-                    w /= n
-                assert w0[l, q] == w
+@pytest.mark.parametrize("geom, ks", [(G_OPEN, [0.5, 2.0, 4.0]), (G_FLAT, [0.5, 2.0, 4.0]),
+                                      (G_CLOSED, [3.0, 6.0, 11.0])])
+def test_addition_theorem(geom, ks):
+    # sum_l (2l+1) R_kl(chi1) R_kl(chi2) P_l(cos gamma) = Phi_k(d), with d the
+    # geodesic distance and 2/pi on the flat side (R = sqrt(2/pi) j_l): every
+    # row enters, so it checks rows l >= 1 that vanish at the origin.  Closed
+    # sums end at l = omega and are exact; the others are converged at L = 40.
+    omega = np.asarray(geom.omega_of_k(np.array(ks)))
+    for chi1, chi2, gamma in ((0.7, 1.1, 0.9), (0.3, 2.0, 2.5), (1.5, 1.5, 0.2), (2.5, 0.4, 3.0)):
+        T = radial_table(geom, ks, 40, [chi1, chi2], check=False)   # the theorem is the check
+        coef = (2 * np.arange(41) + 1)[:, None] * T[:, :, 0] * T[:, :, 1]
+        lhs = np.polynomial.legendre.legval(math.cos(gamma), coef)
+        rhs = zonal_spherical(geom, omega, _geodesic(geom, chi1, chi2, gamma))
+        if geom.kind.value == "flat":
+            rhs = rhs * (2.0 / math.pi)
+        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-13, err_msg=str((chi1, chi2, gamma)))
 
 
 def test_open_synthesis_bytes_reproducible():

@@ -85,22 +85,23 @@ def test_index_validation():
         spin_harmonic(0, -1, 0, 0.3, 0.0)
 
 
-def test_harmonic_ceiling_l32_passes_l33_raises():
+def test_harmonic_ceiling_l128_passes_l129_raises():
     theta = np.linspace(0.01, math.pi - 0.01, 61)
-    for m in (-32, -7, 0, 15, 32):
-        np.testing.assert_allclose(spin_harmonic(0, 32, m, theta, 0.4),
-                                   _scipy_ylm(32, m, theta, 0.4), rtol=0, atol=1e-12)
+    for m in (-128, -77, -7, 0, 15, 128):
+        np.testing.assert_allclose(spin_harmonic(0, 128, m, theta, 0.4),
+                                   _scipy_ylm(128, m, theta, 0.4), rtol=0, atol=1e-12)
         # d^l_{m0}(theta) = sqrt(4 pi/(2l+1)) Y_lm(theta, 0)
-        np.testing.assert_allclose(wigner_d(32, m, 0, theta),
-                                   math.sqrt(4 * math.pi / 65)
-                                   * _scipy_ylm(32, m, theta, 0.0).real, rtol=0, atol=1e-12)
-    for call in (lambda: spin_harmonic(0, 33, 0, 0.3, 0.0),
-                 lambda: spin_harmonic(2, 33, 1, 0.3, 0.0),
-                 lambda: wigner_d(33, 0, 0, 0.3),
-                 lambda: wigner_D(33, 1, -1, 0.1, 0.3, 0.2)):
-        with pytest.raises(DomainError, match="l=33 exceeds the harmonic ceiling"):
+        np.testing.assert_allclose(wigner_d(128, m, 0, theta),
+                                   math.sqrt(4 * math.pi / 257)
+                                   * _scipy_ylm(128, m, theta, 0.0).real, rtol=0, atol=1e-12)
+    for call in (lambda: spin_harmonic(0, 129, 0, 0.3, 0.0),
+                 lambda: spin_harmonic(2, 129, 1, 0.3, 0.0),
+                 lambda: wigner_d(129, 0, 0, 0.3),
+                 lambda: wigner_D(129, 1, -1, 0.1, 0.3, 0.2),
+                 lambda: spin_harmonic_table(0, 129, theta)):
+        with pytest.raises(DomainError, match="l=129 exceeds the harmonic ceiling"):
             call()
-    assert HARMONIC_L_MAX == 32
+    assert HARMONIC_L_MAX == 128
 
 
 def test_spin_harmonic_table_matches_scipy_through_l32():
@@ -111,8 +112,6 @@ def test_spin_harmonic_table_matches_scipy_through_l32():
         ref = np.array([_scipy_ylm(l, m, theta, 0.0).real for m in range(-l, l + 1)])
         np.testing.assert_allclose(T[l, 32 - l:33 + l], ref, rtol=0, atol=1e-12)
         assert np.all(T[l, :32 - l] == 0.0) and np.all(T[l, 33 + l:] == 0.0)
-    with pytest.raises(DomainError, match="l=33 exceeds the harmonic ceiling"):
-        spin_harmonic_table(0, 33, theta)
 
 
 def test_spin_harmonic_table_orthonormal_through_l32():

@@ -231,13 +231,13 @@ def test_synthesize_spin_matches_per_mode_sum(s):
 
 def test_harmonic_ceiling_at_every_spin_entry_point():
     chi = np.array([0.5, 1.0])
-    kern = separable_kernels(2, [2, 33], chi)
-    beta, w = beta_rule(33)
+    kern = separable_kernels(2, [2, 129], chi)
+    beta, w = beta_rule(129)
     for call in (lambda: synthesize_spin(2, kern, [0.3], [0.0], seed=1),
                  lambda: spin_correlation(kern, 0.5, (0.3, 0.0), 1.0, (1.1, 0.4)),
                  lambda: spin_correlation(kern, 0.5, (0.3, 0.0), 1.0, (0.3, 0.0)),
-                 lambda: recover_kernels(np.zeros(beta.size), beta, w, 2, 33),
-                 lambda: SynthesisConfig(L_max=33)):
+                 lambda: recover_kernels(np.zeros(beta.size), beta, w, 2, 129),
+                 lambda: SynthesisConfig(L_max=129)):
         with pytest.raises(DomainError, match="exceeds the harmonic ceiling"):
             call()
 

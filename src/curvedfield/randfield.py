@@ -143,8 +143,8 @@ class Tabulated(PowerSpectrum):
         v = np.asarray(self.values, dtype=float)
         if k.ndim != 1 or k.size < 2 or v.shape != k.shape:
             raise DomainError("need matching 1-d arrays with >= 2 samples")
-        if np.any(np.diff(k) <= 0) or np.any(k < 0):
-            raise DomainError("k samples must be >= 0 and strictly increasing")
+        if not (np.all(np.isfinite(k) & (k >= 0)) and np.all(np.diff(k) > 0)):   # NaN fails
+            raise DomainError("k samples must be finite, >= 0 and strictly increasing")
         if np.any(v < 0) or np.any(~np.isfinite(v)):
             raise DomainError("P samples must be finite and >= 0")
         object.__setattr__(self, "k", k)

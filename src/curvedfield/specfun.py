@@ -52,13 +52,14 @@ cosh eta = (2l+1) g / (2 sqrt(a_l a_{l+1})).
   R(pi - r) = (-1)^(omega - l) R(r) keeps r <= pi/2.
 
 Rows estimated to lie e^700 below R_0 read 0, and radii below the smallest
-normal double count as the origin.  check=True certifies the table from
-the recurrence: each column is swept again, downward from the rung where
-the other solution decays by e^80, upward from seeds kicked by 2^-46 of
-their size, and the two tables must agree within cert_tol of each row's max
-over chi (at least 2^-20 of the largest row at each sample).  A column
-whose start cannot move keeps its rows: a closed start on omega is exact,
-and the addition theorem test checks it.
+normal double count as the origin.  check=True certifies the table from the
+recurrence: every column whose start can move is swept again, downward from
+the rung where the other solution decays by e^80, upward from seeds kicked by
+2^-46 of their size, and each row of that sweep must agree with the table's
+within cert_tol of the row's max over chi (at least 2^-20 of the largest row
+at each sample).  Both sweeps write in place, so the scratch is that one
+sweep's rows.  A closed start on omega cannot move and is exact; the addition
+theorem test checks it.
 
 Max error against rows in 1700-digit arithmetic, relative to each row's max
 over 16 radii (rows whose max is above 1e-290): open K = -1 and flat at 12
@@ -81,13 +82,9 @@ from .geometry import Geometry, Kind, f_K, surface_area  # noqa: F401 (re-export
 
 __all__ = [
     "wigner_d", "wigner_D", "spin_harmonic", "spin_harmonic_table", "eth_ladder",
-    "eth_numeric",
-    "spherical_bessel", "gegenbauer", "conical_legendre", "radial",
+    "eth_numeric", "spherical_bessel", "gegenbauer", "conical_legendre", "radial",
     "radial_table", "zonal_spherical", "f_K", "surface_area",
 ]
-
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-
 
 # ---------------------------------------------------------------------------
 # Wigner matrix elements and spin-weighted harmonics
@@ -279,7 +276,8 @@ def spherical_bessel(l: int, x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0) or not np.all(np.isfinite(x)):
         raise DomainError("x must be finite and >= 0")
-    return _on_unique(lambda xu: _rows(Kind.FLAT, np.ones(xu.size), xu, l, 1)[0][l], x)[()]
+    return _on_unique(lambda xu: _rows(Kind.FLAT, np.ones((1, xu.size)), xu[None], l)[0][l, 0],
+                      x)[()]
 
 
 def gegenbauer(p: int, q: int, x):
@@ -346,70 +344,50 @@ def _start_rungs(kappa: float, w2, g, top, stop, gains):
     return Ns, growth
 
 
-def _upward(kappa: float, w2, g, R0, R1, L: int, kick: float) -> np.ndarray:
-    """Rows 0..L climbed from the closed-form seeds R_0, R_1, which are first
-    moved by kick (R_0, R_1) -> (R_0 - kick R_1, R_1 + kick R_0)."""
-    rows = np.empty((L + 1, g.size))
+def _upward(kappa: float, w2, g, R0, R1, kick: float, rows: np.ndarray):
+    """Climbs rows 0..L into rows from the closed-form seeds R_0, R_1, which
+    are first moved by kick (R_0, R_1) -> (R_0 - kick R_1, R_1 + kick R_0)."""
     rows[0] = R0 - kick * R1
     rows[1:2] = R1 + kick * R0
     a = np.sqrt(w2 - kappa)
-    for l in range(1, L):
+    for l in range(1, rows.shape[0] - 1):
         a_up = np.sqrt(w2 - kappa * (l + 1) ** 2)
         rows[l + 1] = ((2 * l + 1) * g * rows[l] - a * rows[l - 1]) / a_up
         a = a_up
-    return rows
 
 
-def _downward(kappa: float, w2, g, R0, R1, top, N, d_N, L: int):
-    """Miller's sweep: R_{N+1} = 0 and R_N = e^-D_N, with D_N the estimated log
-    size of R_0 / R_N (it keeps R_0 below e^300), down to row 0, normalised to
-    the closed-form R_0, or to R_1 where |R_0| < |R_1|; rows above top are 0.
-    Returns the rows with their columns in the order it swept them, and that order."""
-    order = np.argsort(-N, kind="stable")         # the columns still sweeping are a prefix
-    N, w2, g, top = N[order], w2[order], g[order], top[order]
-    seed = np.exp(-np.minimum(d_N[order], 600.0))
-    rows = np.zeros((L + 1, N.size))
-    cur, nxt, spare, a_up = (np.zeros(N.size) for _ in range(4))
-    on = 0
-    for l in range(int(N[0]) if N.size else 0, 0, -1):
-        new = np.searchsorted(-N, -l, side="right")
-        cur[on:new] = seed[on:new]
-        on = new
-        if l <= L:
-            rows[l, :on] = cur[:on]
-        step, a = spare[:on], np.sqrt(w2[:on] - kappa * l * l)
-        np.multiply(g[:on], cur[:on], out=step)
+def _downward(kappa: float, w2, g, R0, R1, top, N, d_N, rows: np.ndarray):
+    """Miller's sweep into rows (zeros) over columns sorted by N descending:
+    R_{N+1} = 0 and R_N = e^-D_N, with D_N the estimated log size of R_0 / R_N
+    (it keeps R_0 below e^300), down to row 0, normalised to the closed-form
+    R_0, or to R_1 where |R_0| < |R_1|; rows above top stay 0."""
+    seed = np.exp(-np.minimum(d_N, 600.0))
+    cur, nxt, spare, a_up, a = (np.zeros(N.size) for _ in range(5))
+    ls = np.arange(N[0] if N.size else 0, 0, -1)
+    on = 0                                        # the columns still sweeping are a prefix
+    for l, new in zip(ls.tolist(), np.searchsorted(-N, -ls, side="right").tolist()):
+        if new > on:
+            cur[on:new], on = seed[on:new], new
+        if l < rows.shape[0]:
+            np.copyto(rows[l, :on], cur[:on], where=l <= top[:on])
+        np.sqrt(np.subtract(w2[:on], kappa * l * l, out=a[:on]), out=a[:on])
+        step = np.multiply(g[:on], cur[:on], out=spare[:on])
         step *= 2 * l + 1
         nxt[:on] *= a_up[:on]
         step -= nxt[:on]
-        step /= a                                 # R_{l-1}
-        cur, nxt, spare = spare, cur, nxt
-        a_up[:on] = a
+        step /= a[:on]                            # R_{l-1}
+        cur, nxt, spare, a_up, a = spare, cur, nxt, a, a_up
     cur[on:] = seed[on:]                          # closed omega = 0 starts on row 0
     rows[0] = cur
-    R0, R1 = R0[order], R1[order]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):   # in the unused branch
         rows *= np.where(np.abs(R0) >= np.abs(R1), R0 / cur, R1 / nxt)
-    short = np.flatnonzero(top < L)
-    rows[:, short] *= np.arange(L + 1)[:, None] <= top[short]
-    return rows, order
 
 
-def _rows(kind: Kind, w: np.ndarray, r: np.ndarray, L: int, sweeps: int) -> list:
-    """One or two tables R_0..R_L at the columns (w[i], r[i]), each shaped
-    (L+1, r.size); flat rows are j_l.  The second table is swept from a higher
-    start rung or from kicked seeds (module notes).
-
-    kind sets kappa = -1, 0, 1, f = sinh, identity, sin and g = f'/f; w is
-    omega (open), 1 (flat, with r = k chi) or omega + 1 (closed), and
-    a_j = sqrt(w^2 - kappa j^2)."""
+def _plan(kind: Kind, w, r, L: int):
+    """How each column (w[i], r[i]), r > 0, is swept: the sweep order (upward, then
+    Miller by start rung descending), the number upward, (w^2, g, R_0, R_1, top) in
+    that order (R_1 = 0 where too inexact to normalise a Miller sweep), two starts (N, D_N)."""
     kappa, closed = _KAPPA[kind], kind is Kind.CLOSED
-    w_all = w
-    if closed:                                    # R(pi - r) = (-1)^(omega - l) R(r)
-        flip = r > math.pi / 2.0
-        r = np.maximum(np.where(flip, math.pi - r, r), 0.0)
-    live = np.flatnonzero(r >= np.finfo(float).tiny)  # the origin has R_0 = 1, R_l = 0 above
-    w, r = w[live], r[live]
     w2 = w * w
     g = 1.0 / {Kind.OPEN: np.tanh, Kind.FLAT: np.positive, Kind.CLOSED: np.tan}[kind](r)
     s, c = r * np.sinc(w * r / math.pi), np.cos(w * r)            # sin(w r) / w, cos(w r)
@@ -419,59 +397,100 @@ def _rows(kind: Kind, w: np.ndarray, r: np.ndarray, L: int, sweeps: int) -> list
         a1 = np.sqrt(w2 - kappa)
         R0, R1 = s / f, np.where(a1 > 0, (g * s - c) / (a1 * f), 0.0)
         cancel = np.log((np.abs(g * s) + np.abs(c)) / np.abs(g * s - c))  # in the R_1 seed
-    R1_ref = np.where(cancel < 1.0, R1, 0.0)      # R_1 normalises only where it is accurate
 
-    # D_l: log size of R_0 / R_l, rung 0 taken with a_0 = a_1; rows past D = _FLOOR are 0
-    D = np.zeros((L + 1, r.size))
-    D[1:] = _eta(kappa, a1 * a1, g, 0)
-    D[2:] += np.cumsum(_eta(kappa, w2, g, np.arange(1, L)[:, None]), axis=0)
-    top = np.count_nonzero(D <= _FLOOR, axis=0) - 1
-    amplify = 2.0 * (D[-1] - D[min(L, 1)]) + (cancel if L > 0 else 0.0)
+    # D_l, the log size of R_0 / R_l, is 0 at l = 0 and eta_0 + S_l above, where rung
+    # 0 takes a_0 = a_1 and S_l sums the rungs 1..l-1 in order, over row blocks: top
+    # is the last row with D <= _FLOOR (the rows past it are 0), d_top is D_top.
+    eta0 = _eta(kappa, a1 * a1, g, 0)
+    top, d_top, S = np.zeros((3, r.size))
+    for b in zonal_blocks(L, r.size):             # rows l = j + 1 take rung j
+        j = np.arange(b.start, min(b.stop, L))[:, None]
+        S_l = np.cumsum(np.vstack([S, np.where(j > 0, _eta(kappa, w2, g, j), 0.0)]), axis=0)[1:]
+        S, D = S_l[-1], eta0 + S_l
+        ok = D <= _FLOOR
+        top += ok.sum(axis=0)
+        np.maximum(d_top, np.maximum.reduce(D, axis=0, where=ok, initial=0.0), out=d_top)
+    amplify = 2.0 * (D[-1] - eta0) + cancel if L > 0 else np.zeros(r.size)
     down = np.arange(r.size) if closed else np.flatnonzero(amplify > _UP)
-    stop = w[down] - 1.0 if closed else np.inf
-    # the second sweep's start lies e^2_GAIN past top
-    (N, N2), (d_N, d_N2) = _start_rungs(kappa, w2[down], g[down], top[down], stop,
-                                        (_GAIN, 2.0 * _GAIN))
-    near = N - top[down] <= (np.inf if closed else _REACH * (L + 16))
-    down, d_top = down[near], D[top[down[near]], down[near]]
-    del D
-    starts = [(N[near].astype(int), d_top + d_N[near]), (N2[near].astype(int), d_top + d_N2[near])]
-    up = np.ones(r.size, dtype=bool)
-    up[down] = False
+    (N, N2), (d_N, d_N2) = _start_rungs(kappa, w2[down], g[down], top[down], w[down] - 1.0
+                                        if closed else np.inf, (_GAIN, 2.0 * _GAIN))
+    near = np.flatnonzero(N - top[down] <= (np.inf if closed else _REACH * (L + 16)))
+    near = near[np.argsort(-N[near], kind="stable")]
+    down = down[near]
+    R1[down] = np.where(cancel[down] < 1.0, R1[down], 0.0)
+    order = np.concatenate([np.flatnonzero(np.bincount(down, minlength=r.size) == 0), down])
+    return (order, r.size - down.size, np.array([w2, g, R0, R1, top])[:, order],
+            *((M[near].astype(int), d_top[down] + d_M[near]) for M, d_M in ((N, d_N), (N2, d_N2))))
 
-    tables = []
-    for (N, d_N), kick in zip(starts[:sweeps], (0.0, _KICK)):
-        if tables:                                # a start that cannot move keeps its rows
-            out, moved = tables[0].copy(), N != starts[0][0]
-            redo, N, d_N = down[moved], N[moved], d_N[moved]
-        else:
-            out, redo = np.zeros((L + 1, w_all.size)), down
-            out[0] = 1.0
-        rows, order = _downward(kappa, w2[redo], g[redo], R0[redo], R1_ref[redo], top[redo], N, d_N, L)
-        redo = live[redo[order]]
-        if closed:                                # flipped columns take (-1)^omega (-1)^l
-            sign = (-1.0) ** (np.rint(w_all) - 1.0)
-            flipped = np.flatnonzero(flip[redo])
-            rows[:, flipped] *= np.outer((-1.0) ** np.arange(L + 1), sign[redo[flipped]])
-            if not tables:
-                out[0, flip] = sign[flip]         # and the origin columns: R_0(pi) = (-1)^omega
-        for row, u, d in zip(out, _upward(kappa, w2[up], g[up], R0[up], R1[up], L, kick), rows):
-            row[live[up]], row[redo] = u, d       # a row at a time: 2x faster
-        out += 0.0                                # -0.0 (a zero row times a sign) reads +0.0
-        tables.append(out)
-    return tables
+
+def _rows(kind: Kind, w: np.ndarray, r: np.ndarray, L: int, cert_tol: float | None = None):
+    """The table R_0..R_L at the columns (w[q, p], r[q, p]) of the model kind
+    (module notes), shaped (L+1,) + r.shape, and the certificate's worst
+    disagreement (gap / scale, l, q, p), or None if it passes or cert_tol is None."""
+    kappa, closed = _KAPPA[kind], kind is Kind.CLOSED
+    shape, w, r = r.shape, w.ravel(), r.ravel()
+    sign = np.ones(r.size)
+    if closed:                                    # R(pi - r) = (-1)^(omega - l) R(r)
+        flip = r > math.pi / 2.0
+        sign[flip] = (-1.0) ** (np.rint(w[flip]) - 1.0)
+        r = np.maximum(np.where(flip, math.pi - r, r), 0.0)
+    live = r >= np.finfo(float).tiny              # the origin has R_0 = 1, R_l = 0 above
+    order, nu, P, (N, d_N), (N2, d_N2) = _plan(kind, w[live], r[live], L)
+    cols = np.flatnonzero(live)[order]
+    if closed:   # a flipped column sweeps with -g from the seeds (-1)^omega (R_0, -R_1)
+        neg = np.where(flip[cols], -1.0, 1.0)
+        P[1:4] *= (neg, sign[cols], sign[cols] * neg)
+
+    # the table is swept in place, the origin columns last, then put in order
+    out = np.zeros((L + 1, r.size))
+    _upward(kappa, *P[:4, :nu], 0.0, out[:, :nu])
+    _downward(kappa, *P[:, nu:], N, d_N, out[:, nu:cols.size])
+    out[0, cols.size:] = sign[~live]              # R_0 = 1, or (-1)^omega at pi
+    order = np.argsort(np.concatenate([cols, np.flatnonzero(~live)]))
+    blocks = zonal_blocks(L + 1, 16 * r.size)     # a row, or all of a small table: the
+    for b in blocks:                              # scratch is 1/16 of a zonal block at most
+        out[b] = out[b][:, order]
+    out += 0.0                                    # -0.0 (a zero row times a sign) reads +0.0
+    T = out.reshape((L + 1,) + shape)
+    if cert_tol is None:
+        return T, None
+
+    # The second sweep moves every start that can move, and its rows are compared
+    # with the table's.  A row's scale is its max over chi, at least 2^-20 of the
+    # largest row at each sample (a row on its zeros is known to its column's
+    # rounding); a NaN fails its row.  Of equal gaps, the first in C order is named.
+    moved = np.flatnonzero(N2 != N)[np.argsort(-N2[N2 != N], kind="stable")]
+    keep = np.concatenate([np.arange(nu), nu + moved])
+    P, cols, rows = P[:, keep], cols[keep], np.zeros((L + 1, keep.size))
+    _upward(kappa, *P[:4, :nu], _KICK, rows[:, :nu])
+    _downward(kappa, *P[:, nu:], N2[moved], d_N2[moved], rows[:, nu:])
+    row_max = np.maximum(np.maximum.reduce(T, axis=2), -np.minimum.reduce(T, axis=2))[..., None]
+    col_max = 2.0 ** -20 * np.fmax(np.fmax.reduce(T, axis=0), -np.fmin.reduce(T, axis=0))
+    worst = (-1.0,)
+    for b in blocks:
+        gap = out[b] - out[b]                     # 0 where the rows did not move, if finite
+        gap[:, cols] = np.subtract(out[b, cols], rows[b], out=rows[b])
+        gap = np.abs(gap, out=gap).reshape((-1,) + shape)
+        scale = np.maximum(row_max[b], col_max)
+        if not (gap <= cert_tol * scale).all():
+            bad = ~(gap <= cert_tol * scale)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rel = np.where(bad, np.nan_to_num(gap / scale, nan=np.inf), -1.0)
+            i = np.unravel_index(np.argmax(rel), rel.shape)
+            worst = max(worst, (rel[i], b.start + i[0]) + i[1:], key=lambda x: x[0])
+    return T, worst if worst[0] >= 0.0 else None
 
 
 def radial_table(geom: Geometry, k, L_max: int, chi, check: bool = True,
                  cert_tol: float = 1e-6) -> np.ndarray:
     """R_kl(chi) for every l <= L_max and every k, shaped (L_max+1, k.size) + chi.shape.
 
-    The one radial evaluator (see the module notes); closed rows with
-    l > omega are exactly 0.  check=True sweeps every column a second time,
-    from a higher start rung (downward) or from kicked seeds (upward), and
-    raises AccuracyError naming the worst (l, k, chi) unless the two tables
-    agree at every sample within cert_tol times the row's max |R_kl| over chi
-    (at least 2^-20 of the largest row at that sample); a NaN fails.
+    The one radial evaluator (see the module notes); closed rows with l > omega
+    are exactly 0.  check=True sweeps the columns again, from a higher start
+    rung (downward) or from kicked seeds (upward), compares each row of that
+    sweep with the table's, and raises AccuracyError naming the worst (l, k,
+    chi) unless they agree at every sample within cert_tol times the row's max
+    |R_kl| over chi (at least 2^-20 of the largest row there); a NaN fails.
     """
     if L_max < 0:
         raise DomainError("l must be >= 0")
@@ -479,40 +498,20 @@ def radial_table(geom: Geometry, k, L_max: int, chi, check: bool = True,
     if k.ndim != 1 or not np.all(np.isfinite(k) & (k >= 0)):
         raise DomainError("k must be finite and >= 0")
     chi = geom.check_chi(chi)
-    if geom.kind is Kind.FLAT:
-        w, r = np.ones(1), np.multiply.outer(k, chi.ravel())
-    else:
-        w = geom.omega_of_k(k) + (1.0 if geom.kind is Kind.CLOSED else 0.0)
-        r = geom.curvature_scale * chi.ravel()
-    w, r = (x.ravel() for x in np.broadcast_arrays(w[:, None], r))
-    check = check and chi.size > 0
-    R, *R2 = (T.reshape(L_max + 1, k.size, -1) for T in _rows(geom.kind, w, r, L_max, 1 + check))
-    if check:
-        _certify(geom, k, chi.ravel(), R, R2[0], cert_tol)
-    if geom.kind is Kind.FLAT:
-        R *= _SQRT_2_OVER_PI
-    return R.reshape(R.shape[:2] + chi.shape)
-
-
-def _certify(geom: Geometry, k, chi, R, R2, cert_tol: float):
-    # a row's scale is its max over chi, but at least 2^-20 of the largest row
-    # at each sample: a row that vanishes at every sample (all on its zeros)
-    # is known to the rounding of its column, not to its own size.  A NaN
-    # fails its own row (fmax skips it in the column).
-    size = np.abs(R)
-    scale = np.maximum(np.max(size, axis=2, keepdims=True),
-                       2.0 ** -20 * np.fmax.reduce(size, axis=0, keepdims=True))
-    del size
-    gap = np.abs(np.subtract(R, R2, out=R2), out=R2)
-    bad = ~(gap <= cert_tol * scale)
-    if np.any(bad):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.where(bad, np.nan_to_num(gap / scale, nan=np.inf), -1.0)
-        l, q, p = np.unravel_index(np.argmax(rel), rel.shape)
+    flat = geom.kind is Kind.FLAT
+    w = np.ones(1) if flat else geom.omega_of_k(k) + (1.0 if geom.kind is Kind.CLOSED else 0.0)
+    r = np.multiply.outer(k, chi.ravel()) if flat else geom.curvature_scale * chi.ravel()
+    R, worst = _rows(geom.kind, *np.broadcast_arrays(w[:, None], r), L_max,
+                     cert_tol if check and k.size * chi.size else None)
+    if worst is not None:
+        rel, l, q, p = worst
         raise AccuracyError(
-            f"radial rows swept from two starts differ by {rel[l, q, p]:.2e} of the row "
-            f"scale (tolerance {cert_tol:.0e}) at chi={chi[p]:.4g} "
+            f"radial rows swept from two starts differ by {rel:.2e} of the row "
+            f"scale (tolerance {cert_tol:.0e}) at chi={chi.ravel()[p]:.4g} "
             f"({geom.kind.value}, k={k[q]}, l={l})")
+    if flat:
+        R *= math.sqrt(2.0 / math.pi)
+    return R.reshape(R.shape[:2] + chi.shape)
 
 
 def radial(geom: Geometry, k: float, l: int, chi, check: bool = True,
@@ -536,8 +535,8 @@ def conical_legendre(omega: float, l: int, r) -> np.ndarray:
     if np.any(r <= 0):
         raise DomainError("r must be > 0")
     u = radial_table(Geometry.open(-1.0), omega, l, r, check=False)[l, 0]
-    norm = math.prod(omega * omega + n * n for n in range(1, l + 1))
-    return u * np.sqrt(2.0 * np.sinh(r) / (math.pi * norm))
+    log_norm = math.fsum(math.log(omega * omega + n * n) for n in range(1, l + 1))
+    return u * np.sqrt(2.0 * np.sinh(r) / math.pi) * math.exp(-0.5 * log_norm)  # no overflow
 
 
 # ---------------------------------------------------------------------------

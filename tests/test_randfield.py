@@ -90,6 +90,11 @@ def test_tabulated_interp_and_validation():
         Tabulated(np.array([1.0, 2.0]), np.array([1.0, -1.0]))
     with pytest.raises(DomainError):
         Tabulated(np.array([1.0]), np.array([1.0]))
+    for bad in (np.nan, np.inf):      # NaN compares False both ways, so k must be checked finite
+        with pytest.raises(DomainError, match="k samples"):
+            Tabulated(np.array([0.0, bad, 2.0, 4.0]), np.array([1.0, 5.0, 1.0, 0.0]))
+    with pytest.raises(DomainError, match="k samples"):
+        Tabulated(np.array([0.0, 2.0, np.inf]), np.array([1.0, 5.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -429,3 +434,70 @@ def test_synthesized_variance_positive_scaling(seed):
     b = synthesize(G_FLAT, P2, small_cfg(seed=seed), *POINTS)
     np.testing.assert_allclose(b.values, math.sqrt(2.0) * a.values,
                                rtol=1e-12, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# The law off the origin: the exact covariance of the synthesis map
+# ---------------------------------------------------------------------------
+
+class _UnitDraws:
+    """mode_streams stand-in: the d-th standard normal the synthesis draws is 1
+    in realization d and 0 in every other, so realization d is the field's
+    response to draw d, and sum_d f_d(x1) conj(f_d(x2)) is its covariance."""
+
+    def __init__(self):
+        self.drawn = 0
+
+    def __call__(self, l, m):
+        return self
+
+    def standard_normal(self, shape=None, out=None):
+        a = np.zeros(shape) if out is None else out
+        a[...] = 0.0
+        unit = a.reshape(a.shape[0], -1)          # the realization axis leads
+        n = unit.shape[1]
+        unit[self.drawn + np.arange(n), np.arange(n)] = 1.0
+        self.drawn += n
+        return a
+
+
+def _geodesic_chi(geom, p1, p2):
+    # distance between (chi, theta, phi) points, in chi units
+    (chi1, th1, ph1), (chi2, th2, ph2) = p1, p2
+    cg = math.cos(th1) * math.cos(th2) + math.sin(th1) * math.sin(th2) * math.cos(ph1 - ph2)
+    s = geom.curvature_scale
+    r1, r2 = s * chi1, s * chi2
+    if geom.kind.value == "open":
+        return math.acosh(max(1.0, math.cosh(r1) * math.cosh(r2)
+                              - math.sinh(r1) * math.sinh(r2) * cg)) / s
+    return math.acos(min(1.0, math.cos(r1) * math.cos(r2) + math.sin(r1) * math.sin(r2) * cg)) / s
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("geom, P, spec, L, tol", [
+    # open: truncated in l at L = 18 to 2e-11; closed: rows l > omega_max vanish
+    (Geometry.open(-0.5), GaussianBump(1.0, 3.0, 0.8), dict(k_max=6.0, k_panels=4, k_order=8),
+     18, 1e-9),
+    (G_CLOSED, Tabulated(np.arange(1.0, 10.0), 1.0 / np.arange(1.0, 10.0) ** 2),
+     dict(omega_max=8), 8, 1e-12),
+])
+def test_exact_covariance_off_origin(monkeypatch, geom, P, spec, L, tol, real):
+    # Every point is off the origin, at several polar and azimuthal
+    # separations, so every radial row l <= L, the QR factor, the harmonic
+    # table, the per-m phase and the real field's doubling enter.  This fails
+    # with rows 1 and 2 swapped, with the factor 2 of a real field dropped,
+    # and with the phase e^{i |m| phi}.  Negating every phase reflects the
+    # field, and no law can see a reflection.
+    pts = [(0.5, 0.7, 0.3), (1.1, 2.0, 2.6), (0.5, 1.4, -1.9), (1.1, 0.4, 5.0)]
+    chi, theta, phi = (np.array(x) for x in zip(*pts))
+    n = 2 * (L + 1) ** 2 * (1 if real else 2)     # 2 radii < k-nodes: 2 draws per (l, m)
+    draws = _UnitDraws()
+    monkeypatch.setattr(randfield, "mode_streams", lambda seed: draws)
+    cfg = SynthesisConfig(L_max=L, real=real, n_realizations=n, **spec)
+    f = synthesize(geom, P, cfg, chi, theta, phi).values
+    assert draws.drawn == n
+    cov = f.T @ f.conj()
+    d = [_geodesic_chi(geom, p1, p2) for p1 in pts for p2 in pts]
+    ref = analytic_correlation(geom, P, d, k_max=spec.get("k_max"), panels=spec.get("k_panels", 200),
+                               order=spec.get("k_order", 12), omega_max=spec.get("omega_max"))
+    np.testing.assert_allclose(cov, ref.reshape(cov.shape), rtol=0, atol=tol * np.max(np.abs(ref)))

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from curvedfield.quadrature import gauss_legendre_grid
 from curvedfield.randfield import GaussianBump, SynthesisConfig, synthesize
 from curvedfield.sft import spectral_nodes
 from curvedfield.specfun import conical_legendre, radial, radial_table, zonal_spherical
-from oracles import CLOSED_RADIAL, FLAT_RADIAL, OPEN_RADIAL, OPEN_RADIAL_HIGH_L, OPEN_RADIAL_ROWS
+from oracles import (CLOSED_RADIAL, CONICAL_LEGENDRE, FLAT_RADIAL, OPEN_RADIAL, OPEN_RADIAL_HIGH_L,
+                     OPEN_RADIAL_ROWS)
 
 G_OPEN = Geometry.open(-1.0)
 G_FLAT = Geometry.flat()
@@ -86,6 +88,14 @@ def test_conical_legendre_l0_identity():
         got = conical_legendre(omega, 0, r)
         ref = np.sqrt(2.0 / (math.pi * np.sinh(r))) * np.sin(omega * r) / omega
         np.testing.assert_allclose(got, ref, rtol=1e-11)
+
+
+def test_conical_legendre_against_mpmath():
+    # prod_{n<=l} (omega^2 + n^2) overflows at omega = 100, l = 128 (and at
+    # omega = 30), where the values are still normal doubles, not zeros
+    for omega, l, r, ref in CONICAL_LEGENDRE:
+        got = float(conical_legendre(omega, l, r))
+        assert abs(got - ref) <= 1e-11 * abs(ref), (omega, l, r, got)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +203,13 @@ def test_radial_table_on_the_origin_alone():
     assert np.all(np.isfinite(f.values))
 
 
+def test_radial_table_without_columns():
+    # no k or no chi: an empty table, certified or not
+    for k, chi in (([], np.linspace(0.0, 2.0, 5)), ([1.0, 2.0], np.array([]))):
+        for check in (True, False):
+            assert radial_table(G_OPEN, k, 4, chi, check=check).shape == (5, len(k), chi.size)
+
+
 def test_radial_table_certifies_every_row(monkeypatch):
     ks = np.linspace(0.3, 6.0, 12)
     chi = np.linspace(0.0, 3.0, 16)
@@ -203,17 +220,35 @@ def test_radial_table_certifies_every_row(monkeypatch):
         m.setattr(specfun, "_GAIN", 4.0)
         with pytest.raises(AccuracyError, match=r"differ by .* \(open, k=.*, l=4\)"):
             radial_table(G_OPEN, ks, 4, chi)
-    good = specfun._rows
+    good = specfun._downward
 
     def nan_sample(*args):
-        # one NaN sample, row 3 at k = ks[5] and chi = 3
-        tables = good(*args)
-        tables[0][3, 5 * chi.size + 15] = np.nan
-        return tables
+        # one NaN sample in the table, row 3 of the first Miller column; the
+        # second sweep, which certifies it, runs clean
+        good(*args)
+        args[-1][3, 0] = np.nan
+        monkeypatch.setattr(specfun, "_downward", good)
 
-    monkeypatch.setattr(specfun, "_rows", nan_sample)
+    monkeypatch.setattr(specfun, "_downward", nan_sample)
     with pytest.raises(AccuracyError, match=r"l=3\)"):
         radial_table(G_OPEN, ks, 4, chi)
+
+
+@pytest.mark.parametrize("geom, k, chi", [
+    (G_CLOSED, np.arange(1.0, 62.0), np.linspace(0.0, 3.1, 200)),
+    (Geometry.open(-0.5), spectral_nodes(Geometry.open(-0.5), 8.0, 8, 12, None)[0],
+     np.linspace(0.0, 3.0, 100)),
+])
+def test_radial_table_scratch_is_bounded(geom, k, chi):
+    # both sweeps write in place, so a certified table's peak is the table, one
+    # second sweep's rows and per-column scratch
+    tracemalloc.start()
+    try:
+        T = radial_table(geom, k, 64, chi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * T.nbytes, peak / T.nbytes
 
 
 def _check_rows(name, k=None):

@@ -32,12 +32,17 @@ raises DomainError before any kernel block is built.
 
 Both transforms are matrix products against the (k, chi) table of zonal
 kernels.  The table is built in row blocks of at most specfun.ZONAL_BLOCK
-elements (zonal_kernel with an array of k), each reduced at once: forward
-takes Phi_blk @ (w f S), inverse accumulates (w k^2 f00)_blk @ Phi_blk.  The
-sums therefore run in BLAS order, not node by node, which moves results by
-about one unit in the last place.  roundtrip_isotropic builds each block once
-and does both products with it, in the same order and with the same bits as
-forward_isotropic followed by inverse_isotropic on the same chi.
+elements, each reduced at once: forward takes Phi_blk @ (w f S), inverse
+accumulates (w k^2 f00)_blk @ Phi_blk.  The sums therefore run in BLAS order,
+not node by node, which moves results by about one unit in the last place.
+Every spectral_nodes grid repeats per panel, k = m_p + d_g (Gauss-Legendre
+panels, the closed lattice), so the blocks (specfun._zonal_rows) take each
+sin(k chi) by angle addition from the sines and cosines of about 2 sqrt(n)
+anchors m_p and offsets d_g per chi, not one sine per entry; an entry then
+differs from zonal_kernel's by the rounding of k chi, a few ulps.  A k grid
+without such a period takes zonal_kernel's blocks.  roundtrip_isotropic builds
+each block once and does both products with it, in the same order and with
+the same bits as forward_isotropic followed by inverse_isotropic on the same chi.
 """
 from __future__ import annotations
 
@@ -49,7 +54,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .geometry import Geometry, Kind, surface_area
 from .quadrature import gauss_legendre_grid, tail_fraction
-from .specfun import zonal_blocks, zonal_spherical
+from .specfun import _zonal_rows, zonal_spherical
 
 __all__ = [
     "RadialProfile", "Spectrum", "surface_area", "forward_isotropic",
@@ -135,10 +140,14 @@ def zonal_kernel(geom: Geometry, k, chi) -> np.ndarray:
     """Phi_k(chi) on physical arguments (k in 1/Mpc, chi in Mpc).
 
     A 1-d array of k gives the table shaped (k.size,) + chi.shape."""
+    return zonal_spherical(geom, *_scaled(geom, k, chi))
+
+
+def _scaled(geom: Geometry, k, chi):
+    """(omega, r) of physical (k, chi): both unchanged in the flat model."""
     if geom.kind is Kind.FLAT:
-        return zonal_spherical(geom, k, chi)
-    s = geom.curvature_scale
-    return zonal_spherical(geom, geom.omega_of_k(k), s * np.asarray(chi, dtype=float))
+        return k, chi
+    return geom.omega_of_k(k), geom.curvature_scale * np.asarray(chi, dtype=float)
 
 
 def spectral_nodes(geom: Geometry, k_max: float | None, panels: int, order: int,
@@ -214,8 +223,7 @@ def _forward_blocks(profile: RadialProfile, k: np.ndarray, out: np.ndarray,
     monitor = geom.kind is not Kind.CLOSED and tail_tol is not None
     abs_base = np.abs(base)
     worst = (-1.0, 0)                  # (sum |contrib|, k index) of the heaviest node
-    for blk in zonal_blocks(k.size, base.size):
-        phi = zonal_kernel(geom, k[blk], profile.chi)
+    for blk, phi in _zonal_rows(geom, *_scaled(geom, k, profile.chi)):
         out[blk] = pref * (phi @ base)
         yield blk, phi
         if monitor:
@@ -265,8 +273,8 @@ def inverse_isotropic(spec: Spectrum, chi, normalization: str = "consistent",
     amp = _spectral_weights(spec) * spec.k ** 2 * spec.values
     _check_inverse_tail(geom, amp, tail_tol)
     vals = np.zeros_like(chi)
-    for blk in zonal_blocks(spec.k.size, chi.size):
-        vals += amp[blk] @ zonal_kernel(geom, spec.k[blk], chi)
+    for blk, phi in _zonal_rows(geom, *_scaled(geom, spec.k, chi)):
+        vals += amp[blk] @ phi
     return RadialProfile(geom, chi, pref * vals)
 
 
@@ -296,8 +304,8 @@ def roundtrip_isotropic(profile: RadialProfile, k, weights=None,
 
 def bump_profile(chi, center: float, halfwidth: float, amplitude: float = 1.0) -> np.ndarray:
     """Smooth compactly supported test profile A exp(-1/(1-t^2)), t=(chi-center)/halfwidth."""
-    if halfwidth <= 0:
-        raise DomainError("halfwidth must be > 0")
+    if not (math.isfinite(center) and math.isfinite(halfwidth) and halfwidth > 0):  # NaN: zeros
+        raise DomainError(f"bump needs a finite center and halfwidth > 0: {center}, {halfwidth}")
     chi = np.asarray(chi, dtype=float)
     t = (chi - center) / halfwidth
     out = np.zeros_like(t)

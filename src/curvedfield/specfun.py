@@ -644,3 +644,53 @@ def zonal_spherical(geom: Geometry, omega, r):
         if geom.kind is Kind.OPEN:
             vals *= _x_over(np.sinh, -1.0, r)
     return vals.reshape(shape_w + shape_r)[()]
+
+
+def _zonal_rows(geom: Geometry, omega: np.ndarray, r: np.ndarray):
+    """Yield (blk, Phi_omega[blk](r)) for blk in zonal_blocks(omega.size, r.size).
+
+    omega (increasing) and r are 1-d.  Let a = omega (omega+1 closed), G <= n/4 the
+    smallest period with every a[i+G] - a[i] = a[G] - a[0] within 4 eps max(a).
+    Row a[ps+g] = a[ps] + d_g, d_g = a[g] - a[0] >= 0, takes the angle addition
+    sin(a r) = sin(a[ps] r) cos(d_g r) + cos(a[ps] r) sin(d_g r) from anchors
+    every s rows (s the multiple of G nearest sqrt(n)) and s offsets: 2 (n/s+s)
+    sines and cosines per r, not n.  It is then sin(a' r) with |a' - a| within
+    that tolerance, the size of the rounding of a r; 1/(a f(r)) and the closed
+    model's reflection at pi/2 are zonal_spherical's.  Without such a period
+    the blocks are zonal_spherical's.  Errors are its DomainErrors.
+    """
+    zonal_spherical(geom, omega[:1], r)           # checks r and omega as the table does
+    closed = geom.kind is Kind.CLOSED
+    a, n = omega + 1.0 if closed else omega, omega.size
+    tol = 4.0 * np.finfo(float).eps * a[-1]
+    G = next((g for g in range(1, n // 4 + 1)     # i = g first: one scalar test
+              if abs(a[2 * g] - a[g] - (a[g] - a[0])) <= tol
+              and np.all(np.abs(a[g:] - a[:-g] - (a[g] - a[0])) <= tol)), None)
+    if G is None:
+        for blk in zonal_blocks(n, r.size):
+            yield blk, zonal_spherical(geom, omega[blk], r)
+        return
+    s = G * max(1, round(math.sqrt(n) / G))
+    refl = r > math.pi / 2.0 if closed else np.zeros(r.shape, bool)
+    r = np.where(refl, math.pi - r, r)
+    origin = r == 0.0
+    scale = (_x_over(np.sin, 1.0, r) if closed else
+             _x_over(np.sinh, -1.0, r) if geom.kind is Kind.OPEN else np.ones_like(r))
+    inv_f = np.divide(scale, r, out=np.zeros_like(r), where=~origin)   # 1/f(r), 0 at r = 0
+    sa, ca = (np.sin(x := np.multiply.outer(a[::s], r)) * inv_f, np.cos(x) * inv_f)
+    sd, cd = (np.sin(x := np.multiply.outer(a[:s] - a[0], r)), np.cos(x))
+    inv_a = np.divide(1.0, a, out=np.zeros_like(a), where=a > 0.0)[:, None]
+    for blk in zonal_blocks(n, r.size):
+        lo, hi = blk.start, min(blk.stop, n)
+        phi = np.empty((hi - lo, r.size))
+        for p in range(lo // s, (hi - 1) // s + 1):  # the anchors' row groups in blk
+            i, j = max(lo, p * s), min(hi, (p + 1) * s)
+            out = phi[i - lo:j - lo]
+            np.multiply(cd[i - p * s:j - p * s], sa[p], out=out)
+            out += sd[i - p * s:j - p * s] * ca[p]
+            out *= inv_a[i:j]
+        phi[a[lo:hi] == 0.0] = scale              # Phi_0(r) = r/f(r)
+        phi[:, origin] = 1.0                      # Phi(0) = 1
+        flip = np.ix_(omega[lo:hi] % 2 == 1, refl)    # Phi(pi - r) = (-1)^omega Phi(r)
+        phi[flip] = -phi[flip]
+        yield blk, phi

@@ -368,6 +368,17 @@ def test_transform_tolerance_is_checked(tmp_path, capsys):
     assert "tail" in capsys.readouterr().err
 
 
+def test_transform_non_finite_profile_exits_3(tmp_path, capsys):
+    # a NaN center once wrote an all-zero table with roundtrip error 0
+    for key in ("profile.center", "profile.halfwidth"):
+        cfg = write(tmp_path, "tr.cfg", "\n".join(
+            f"{key} = nan" if line.startswith(key) else line for line in TR_CFG.splitlines()))
+        out = tmp_path / "tr.csv"
+        assert main(["transform", "--config", cfg, "--out", str(out)]) == 3
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_transform_normalization_is_checked_in_every_mode(tmp_path, capsys):
     for mode in ("forward", "inverse", "roundtrip"):
         cfg = write(tmp_path, "tr.cfg", TR_CFG + f"transform.mode = {mode}\n"

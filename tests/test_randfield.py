@@ -501,3 +501,29 @@ def test_exact_covariance_off_origin(monkeypatch, geom, P, spec, L, tol, real):
     ref = analytic_correlation(geom, P, d, k_max=spec.get("k_max"), panels=spec.get("k_panels", 200),
                                order=spec.get("k_order", 12), omega_max=spec.get("omega_max"))
     np.testing.assert_allclose(cov, ref.reshape(cov.shape), rtol=0, atol=tol * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("geom, P, spec, L", [
+    (Geometry.open(-0.5), GaussianBump(1.0, 3.0, 0.8), dict(k_max=6.0, k_panels=4, k_order=8), 18),
+    (G_CLOSED, Tabulated(np.arange(1.0, 10.0), 1.0 / np.arange(1.0, 10.0) ** 2),
+     dict(omega_max=8), 8),
+])
+def test_monte_carlo_off_origin(geom, P, spec, L, real):
+    # The law of the drawn field, not only of the synthesis map: z-scores of
+    # the Monte Carlo covariance against analytic_correlation at the geodesic
+    # distance, with the reference and every lagged point off the origin (the
+    # reference itself, polar and azimuthal separations, other radii).  This
+    # fails with radial rows 1 and 2 swapped (max z 11-14) and, for a real
+    # field, with its factor 2 dropped (max z 18-29).
+    pts = [(0.4, 1.1, 0.4), (0.4, 1.1, 0.4), (0.4, 2.1, 0.4), (0.4, 1.1, 2.4),
+           (0.25, 1.1, -1.5), (1.0, 2.0, 2.5), (0.25, 0.3, 4.0)]
+    chi, theta, phi = (np.array(x) for x in zip(*pts))
+    cfg = SynthesisConfig(L_max=L, real=real, seed=11, n_realizations=4000, **spec)
+    f = synthesize(geom, P, cfg, chi, theta, phi).values
+    est = estimate_correlation(f[:, 0], f[:, 1:])
+    d = [_geodesic_chi(geom, pts[0], p) for p in pts[1:]]
+    ref = analytic_correlation(geom, P, d, k_max=spec.get("k_max"), panels=spec.get("k_panels", 200),
+                               order=spec.get("k_order", 12), omega_max=spec.get("omega_max"))
+    z = np.abs(est.mean - ref) / est.stderr
+    assert np.max(z) < 5.0, z

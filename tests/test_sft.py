@@ -134,6 +134,7 @@ def test_tail_tol_is_none_or_finite_and_positive(monkeypatch):
         raise AssertionError("a zonal block was built")
 
     monkeypatch.setattr(sft, "zonal_kernel", no_block)
+    monkeypatch.setattr(sft, "_zonal_rows", no_block)
     for bad in (math.nan, math.inf, -math.inf, 0.0, -1e-3):
         for call in (lambda: forward_isotropic(prof, k, tail_tol=bad),
                      lambda: inverse_isotropic(spec, chi, tail_tol=bad),
@@ -223,6 +224,11 @@ def test_bump_profile_support():
     assert abs(np.max(f) - 3.0 * math.exp(-1.0)) < 1e-12
     with pytest.raises(DomainError):
         bump_profile(chi, 2.0, 0.0)
+    # NaN compares False everywhere, so it once gave an all-zero profile
+    for center, halfwidth in ((math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan),
+                              (2.0, math.inf), (-math.inf, math.nan)):
+        with pytest.raises(DomainError, match="finite"):
+            bump_profile(chi, center, halfwidth)
 
 
 @settings(max_examples=25)
@@ -256,41 +262,55 @@ ROWS = specfun.ZONAL_BLOCK // N_CHI              # rows per block at N_CHI colum
 
 
 def blocked_setup(name, n_k):
-    """chi from 0 (past pi/2 for closed), k from 0 (closed: omega from 0)."""
-    geom = {"open": G_OPEN, "flat": G_FLAT, "closed": G_CLOSED}[name]
-    if name == "closed":
+    """chi from 0 (past pi/2 for closed), k from 0 (closed: omega from 0).
+
+    "open-gl" and "flat-gl" take composite Gauss-Legendre k nodes, the kind
+    spectral_nodes makes, shifted so that the first is k = 0."""
+    kind, _, grid = name.partition("-")
+    geom = {"open": G_OPEN, "flat": G_FLAT, "closed": G_CLOSED}[kind]
+    if kind == "closed":
         chi = np.linspace(0.0, math.pi, N_CHI)
         k = closed_k_lattice(geom, n_k - 1)
     else:
         chi = np.linspace(0.0, 4.0, N_CHI)
         k = np.linspace(0.0, 30.0, n_k)
+    if grid:
+        k = gauss_legendre_grid(0.0, 30.0, -(-n_k // 12), 12)[0][:n_k]
+        k -= k[0]
     f = bump_profile(chi, 1.6, 1.4) + 0.1 * np.cos(3.0 * chi)
     return geom, chi, RadialProfile(geom, chi, f), k
 
 
-def loop_forward(prof, k):
+def trapezoid_base(prof):
     w = np.empty_like(prof.chi)
     w[1:-1] = 0.5 * (prof.chi[2:] - prof.chi[:-2])
     w[0], w[-1] = 0.5 * (prof.chi[1] - prof.chi[0]), 0.5 * (prof.chi[-1] - prof.chi[-2])
-    base = w * prof.values * surface_area(prof.geometry, prof.chi)
+    return w * prof.values * surface_area(prof.geometry, prof.chi)
+
+
+def loop_forward(prof, k):
+    base = trapezoid_base(prof)
     terms = np.array([base * zonal_kernel(prof.geometry, float(kk), prof.chi)
                       for kk in k])
     return terms.sum(axis=1), np.abs(terms).sum(axis=1)
 
 
+BLOCKED = ["open", "flat", "closed", "open-gl", "flat-gl"]
+
+
 @pytest.mark.parametrize("n_k", [1, ROWS, ROWS + 1, 2 * ROWS + 1])
-@pytest.mark.parametrize("name", ["open", "flat", "closed"])
+@pytest.mark.parametrize("name", BLOCKED)
 def test_forward_matches_per_k_loop(name, n_k):
     geom, chi, prof, k = blocked_setup(name, n_k)
     got = forward_isotropic(prof, k, tail_tol=None).values
     ref, mass = loop_forward(prof, k)
+    A = FORWARD_A[geom.kind.value]
     # a reordered sum moves by a few ulps of the summed absolute mass
-    np.testing.assert_array_less(np.abs(got - FORWARD_A[name] * ref),
-                                 1e-13 * FORWARD_A[name] * mass + 1e-300)
+    np.testing.assert_array_less(np.abs(got - A * ref), 1e-13 * A * mass + 1e-300)
 
 
 @pytest.mark.parametrize("n_k", [1, ROWS, ROWS + 1, 2 * ROWS + 1])
-@pytest.mark.parametrize("name", ["open", "flat", "closed"])
+@pytest.mark.parametrize("name", BLOCKED)
 def test_inverse_matches_per_k_loop(name, n_k):
     geom, chi, prof, k = blocked_setup(name, n_k)
     f00 = np.random.default_rng(n_k).standard_normal(k.size)
@@ -303,7 +323,7 @@ def test_inverse_matches_per_k_loop(name, n_k):
         amp = wk * k ** 2 * f00
     got = inverse_isotropic(spec, chi, tail_tol=None).values
     terms = np.array([a * zonal_kernel(geom, float(kk), chi) for a, kk in zip(amp, k)])
-    B = INVERSE_B[name]
+    B = INVERSE_B[geom.kind.value]
     np.testing.assert_array_less(np.abs(got - B * terms.sum(axis=0)),
                                  1e-13 * B * np.abs(terms).sum(axis=0) + 1e-300)
 
@@ -317,6 +337,52 @@ def test_single_row_blocks_match_per_k_loop(monkeypatch):
         got = forward_isotropic(prof, k, tail_tol=None).values
         np.testing.assert_array_less(np.abs(got - FORWARD_A[name] * ref),
                                      1e-13 * FORWARD_A[name] * mass)
+
+
+@pytest.mark.parametrize("name", BLOCKED)
+def test_periodic_k_grids_build_blocks_by_angle_addition(monkeypatch, name):
+    # zonal_spherical sees one row, the argument check, and no block
+    rows, table = [], specfun.zonal_spherical
+    monkeypatch.setattr(specfun, "zonal_spherical",
+                        lambda g, w, r: (rows.append(np.size(w)), table(g, w, r))[1])
+    geom, chi, prof, k = blocked_setup(name, 2 * ROWS + 1)
+    forward_isotropic(prof, k, tail_tol=None)
+    assert rows == [1]
+
+
+@pytest.mark.parametrize("name", ["open", "flat"])
+def test_aperiodic_k_grid_gives_the_zonal_table_products(name):
+    geom, chi, prof, _ = blocked_setup(name, 1)
+    k = np.sort(np.random.default_rng(3).uniform(0.0, 30.0, 2 * ROWS + 1))
+    blocks = specfun.zonal_blocks(k.size, chi.size)
+    base = trapezoid_base(prof)
+    ref = np.concatenate([FORWARD_A[name] * (zonal_kernel(geom, k[b], chi) @ base)
+                          for b in blocks])
+    np.testing.assert_array_equal(forward_isotropic(prof, k, tail_tol=None).values, ref)
+    spec = Spectrum(geom, k, ref, np.full(k.size, 0.1))
+    vals = np.zeros_like(chi)
+    for b in blocks:
+        vals += (0.1 * k[b] ** 2 * ref[b]) @ zonal_kernel(geom, k[b], chi)
+    np.testing.assert_array_equal(inverse_isotropic(spec, chi, tail_tol=None).values,
+                                  sft._inverse_pref(geom, "consistent") * vals)
+
+
+def test_split_table_matches_long_double_sums():
+    # the open acceptance-4 grid, f00 against the same sums in long double
+    geom, chi_max, k_top, center, hw = ROUNDTRIP["open"]
+    prof, k, _ = transform_setup(geom, chi_max, k_top, center, hw)
+    got = forward_isotropic(prof, k, tail_tol=None).values
+    ld = np.longdouble
+    chi = prof.chi.astype(ld)
+    base = (prof.weights * prof.values * surface_area(geom, prof.chi)).astype(ld)
+    base *= chi / np.sinh(chi)
+    ref = np.empty(k.size, dtype=ld)
+    for i in range(0, k.size, 200):
+        x = np.multiply.outer(k[i:i + 200].astype(ld), chi)
+        ref[i:i + 200] = (np.sin(x) / x) @ base
+    ref /= 2 * np.sqrt(ld(math.pi))
+    err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+    assert err < 1e-15, err
 
 
 def two_call_roundtrip(prof, k, wk, normalization, tail_tol):
@@ -348,7 +414,14 @@ def test_roundtrip_equals_two_calls(monkeypatch, name, normalization):
 @pytest.mark.parametrize("name", ["open", "flat", "closed"])
 def test_roundtrip_builds_each_block_once(monkeypatch, name):
     calls = []
-    kernel = sft.zonal_kernel
+    rows, kernel = sft._zonal_rows, sft.zonal_kernel
+
+    def counted_rows(*a):              # one call per block built
+        for blk, phi in rows(*a):
+            calls.append(blk)
+            yield blk, phi
+
+    monkeypatch.setattr(sft, "_zonal_rows", counted_rows)
     monkeypatch.setattr(sft, "zonal_kernel",
                         lambda *a: (calls.append(a), kernel(*a))[1])
     geom, chi, prof, k = blocked_setup(name, 2 * ROWS + 1)

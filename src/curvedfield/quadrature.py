@@ -26,8 +26,8 @@ def gauss_legendre_grid(a: float, b: float, panels: int, order: int = 8):
 
     Returns (x, w), both shape (panels*order,), x strictly increasing.
     """
-    if not (b > a):
-        raise DomainError(f"empty integration interval [{a}, {b}]")
+    if not (np.isfinite(a) and np.isfinite(b) and b > a):
+        raise DomainError(f"need a finite integration interval a < b, got [{a}, {b}]")
     if panels < 1 or order < 1:
         raise DomainError("panels and order must be >= 1")
     xg, wg = _legendre_rule(order)

@@ -46,9 +46,8 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import Geometry, Kind
-from .sft import _norm_const, spectral_nodes
-from .specfun import (HARMONIC_L_MAX, radial_table, spin_harmonic_table, zonal_blocks,
-                      zonal_spherical)
+from .sft import _norm_const, _zonal_pass, spectral_nodes
+from .specfun import HARMONIC_L_MAX, radial_table, spin_harmonic_table, zonal_spherical
 from .specfun import radial, spin_harmonic  # noqa: F401  (perfbench/spans.py wraps them)
 
 __all__ = [
@@ -188,8 +187,8 @@ class SynthesisConfig:
                               f"{HARMONIC_L_MAX} (see specfun.HARMONIC_L_MAX)")
         if self.seed < 0 or self.seed > 2 ** 63 - 1:
             raise DomainError("seed must fit in a non-negative 63-bit integer")
-        if self.k_max is not None and self.k_max <= 0:
-            raise DomainError("k_max must be > 0")
+        if self.k_max is not None and not 0 < self.k_max < math.inf:    # NaN fails
+            raise DomainError(f"k_max must be finite and > 0, got {self.k_max}")
         if self.k_panels < 1 or self.k_order < 2:
             raise DomainError("k_panels >= 1 and k_order >= 2 required")
         if self.omega_max is not None and self.omega_max < 0:
@@ -368,19 +367,15 @@ def analytic_correlation(geom: Geometry, P: PowerSpectrum, r,
     lattice sum to omega_max for the closed model.  atoms adds discrete
     spectral lines sum_j c_j Phi_{omega_j}(r) on every model; an open-model
     atom may sit on the supplementary series omega = i tau, tau in (0, 1].
-    Nodes with nonzero weight are summed as matrix products over zonal table
-    row blocks.
+    The node sum is the inverse transform's pass (sft._zonal_pass) with w k^2 P
+    in place of w k^2 f00, over the transforms' zonal blocks: the direct table
+    for fewer lags than an anchor group has rows (48 at 2,400 nodes).
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     geom.check_chi(r)
     k, w = spectral_nodes(geom, k_max, panels, order, omega_max)
-    amp = w * k * k * _power(P, k)
-    live = amp != 0.0
-    amp, omegas = amp[live], geom.omega_of_k(k[live])
+    out = _zonal_pass(geom, k, r, amp=w * k * k * _power(P, k))[2]
     rz = r if geom.kind is Kind.FLAT else geom.curvature_scale * r
-    out = np.zeros_like(r)
-    for blk in zonal_blocks(amp.size, rz.size):
-        out += amp[blk] @ zonal_spherical(geom, omegas[blk], rz)
     for om, c in atoms:
         out = out + c * np.real(zonal_spherical(geom, om, rz))
     return out

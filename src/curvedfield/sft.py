@@ -30,19 +30,22 @@ more than tail_tol of the total absolute mass, the grid is declared
 unconverged.  tail_tol is None (no monitor) or finite and > 0; anything else
 raises DomainError before any kernel block is built.
 
-Both transforms are matrix products against the (k, chi) table of zonal
-kernels.  The table is built in row blocks of at most specfun.ZONAL_BLOCK
-elements, each reduced at once: forward takes Phi_blk @ (w f S), inverse
-accumulates (w k^2 f00)_blk @ Phi_blk.  The sums therefore run in BLAS order,
-not node by node, which moves results by about one unit in the last place.
-Every spectral_nodes grid repeats per panel, k = m_p + d_g (Gauss-Legendre
-panels, the closed lattice), so the blocks (specfun._zonal_rows) take each
-sin(k chi) by angle addition from the sines and cosines of about 2 sqrt(n)
-anchors m_p and offsets d_g per chi, not one sine per entry; an entry then
-differs from zonal_kernel's by the rounding of k chi, a few ulps.  A k grid
-without such a period takes zonal_kernel's blocks.  roundtrip_isotropic builds
-each block once and does both products with it, in the same order and with
-the same bits as forward_isotropic followed by inverse_isotropic on the same chi.
+The transforms and randfield.analytic_correlation make one pass (_zonal_pass)
+over the (k, chi) table of zonal kernels, in row blocks of at most
+specfun.ZONAL_BLOCK elements, each reduced as it is built: forward takes
+Phi_blk @ (w f S), inverse accumulates (w k^2 f00)_blk @ Phi_blk.  The sums
+run in BLAS order, not node by node, which moves results by about one ulp.
+The forward monitor weighs every node at once, |Phi_blk| @ |w f S|, and checks
+the heaviest (the first of a tie) on its own kernel row.  Every
+spectral_nodes grid repeats per panel, k = m_p + d_g (Gauss-Legendre panels,
+the closed lattice), so the blocks (specfun._zonal_rows) take each sin(k chi)
+by angle addition from the sines and cosines of about 2 sqrt(n) anchors m_p
+and offsets d_g per chi, not one sine per entry; an entry then differs from
+zonal_kernel's by the rounding of k chi, a few ulps.  A k grid without such a
+period, or fewer radii than the about sqrt(n) rows of an anchor group (a
+covariance's few lags), takes zonal_kernel's blocks.  roundtrip_isotropic
+does both products on each block, with the same bits as forward_isotropic
+followed by inverse_isotropic on the same chi.
 """
 from __future__ import annotations
 
@@ -164,8 +167,8 @@ def spectral_nodes(geom: Geometry, k_max: float | None, panels: int, order: int,
             raise DomainError("the closed spectral measure needs omega_max")
         k = closed_k_lattice(geom, omega_max)
         return k, np.full_like(k, geom.curvature_scale)
-    if k_max is None or k_max <= 0:
-        raise DomainError("the open/flat spectral measure needs k_max > 0")
+    if k_max is None or not 0 < k_max < math.inf:      # NaN fails
+        raise DomainError(f"the open/flat spectral measure needs a finite k_max > 0, got {k_max}")
     return gauss_legendre_grid(0.0, k_max, panels, order)
 
 
@@ -209,37 +212,38 @@ def _check_tail(contrib: np.ndarray, tol: float | None, what: str):
             f"(tolerance {tol:.0e}); extend or refine the grid")
 
 
-def _forward_blocks(profile: RadialProfile, k: np.ndarray, out: np.ndarray,
-                    tail_tol: float | None):
-    """Fill out with the forward amplitudes on k, one zonal block at a time.
+def _zonal_pass(geom: Geometry, k: np.ndarray, chi: np.ndarray, base=None,
+                pref: float = 1.0, amp=None, monitor: bool = False):
+    """(fwd, mass, inv) from one pass over the blocks Phi(k[blk], chi) of
+    specfun._zonal_rows: fwd = pref (Phi @ base) if base is given, mass =
+    |Phi| @ |base| (each node's sum |contrib|) if monitor, inv = a @ Phi if amp
+    is given, a = amp, or amp fwd with base (a roundtrip); None if not asked."""
+    fwd = None if base is None else np.empty_like(k)
+    mass = np.empty_like(k) if monitor else None
+    inv = None if amp is None else np.zeros_like(chi)
+    for blk, phi in _zonal_rows(geom, *_scaled(geom, k, chi)):
+        if base is not None:
+            fwd[blk] = pref * (phi @ base)
+        if monitor:
+            mass[blk] = np.abs(phi) @ np.abs(base)
+        if amp is not None:
+            inv += (amp[blk] if base is None else amp[blk] * fwd[blk]) @ phi
+    return fwd, mass, inv
 
-    Yields (blk, phi) once out[blk] is set; phi = Phi(k[blk], chi) is intact
-    until the generator resumes, when the tail monitor overwrites it.  The
-    forward tail check runs after the last block."""
+
+def _forward(profile: RadialProfile, k: np.ndarray, tail_tol: float | None, amp=None):
+    """The forward amplitudes on k and _zonal_pass's inv (None without amp);
+    the forward tail is checked after the pass."""
     geom = profile.geometry
     w = _weights_or_trapezoid(profile.chi, profile.weights)
     base = w * profile.values * surface_area(geom, profile.chi)
-    pref = 1.0 / _norm_const(geom)
     monitor = geom.kind is not Kind.CLOSED and tail_tol is not None
-    abs_base = np.abs(base)
-    worst = (-1.0, 0)                  # (sum |contrib|, k index) of the heaviest node
-    for blk, phi in _zonal_rows(geom, *_scaled(geom, k, profile.chi)):
-        out[blk] = pref * (phi @ base)
-        yield blk, phi
-        if monitor:
-            # sum |contrib| per node: |phi| |base| is bitwise |phi base|, and
-            # a row sum rounds as the 1-d np.sum of a per-node loop; the first
-            # node wins ties
-            np.abs(phi, out=phi)
-            phi *= abs_base
-            tot = np.sum(phi, axis=1)
-            i = int(np.argmax(tot))
-            if tot[i] > worst[0]:
-                worst = (tot[i], blk.start + i)
-        del phi                        # free the block before the next one is built
-    if monitor:
-        contrib = base * zonal_kernel(geom, k[worst[1]], profile.chi)
+    fwd, mass, inv = _zonal_pass(geom, k, profile.chi, base, 1.0 / _norm_const(geom),
+                                 amp, monitor)
+    if monitor:                        # argmax: the first node wins ties, as in a per-k loop
+        contrib = base * zonal_kernel(geom, k[np.argmax(mass)], profile.chi)
         _check_tail(contrib, tail_tol, "forward transform chi")
+    return fwd, inv
 
 
 def _check_tail_tol(tail_tol: float | None):
@@ -257,10 +261,7 @@ def forward_isotropic(profile: RadialProfile, k, tail_tol: float | None = 1e-3) 
     """Transform a radial profile to monopole spectral amplitudes on grid k."""
     _check_tail_tol(tail_tol)
     k = _as_grid("k", np.atleast_1d(np.asarray(k, dtype=float)))
-    out = np.empty_like(k)
-    for _blk, phi in _forward_blocks(profile, k, out, tail_tol):
-        del phi                        # hold no block while the next one is built
-    return Spectrum(profile.geometry, k, out)
+    return Spectrum(profile.geometry, k, _forward(profile, k, tail_tol)[0])
 
 
 def inverse_isotropic(spec: Spectrum, chi, normalization: str = "consistent",
@@ -272,10 +273,7 @@ def inverse_isotropic(spec: Spectrum, chi, normalization: str = "consistent",
     pref = _inverse_pref(geom, normalization)
     amp = _spectral_weights(spec) * spec.k ** 2 * spec.values
     _check_inverse_tail(geom, amp, tail_tol)
-    vals = np.zeros_like(chi)
-    for blk, phi in _zonal_rows(geom, *_scaled(geom, spec.k, chi)):
-        vals += amp[blk] @ phi
-    return RadialProfile(geom, chi, pref * vals)
+    return RadialProfile(geom, chi, pref * _zonal_pass(geom, spec.k, chi, amp=amp)[2])
 
 
 def roundtrip_isotropic(profile: RadialProfile, k, weights=None,
@@ -292,11 +290,7 @@ def roundtrip_isotropic(profile: RadialProfile, k, weights=None,
     grid = Spectrum(geom, k, np.zeros(k.shape), weights)    # checks k and weights first
     pref = _inverse_pref(geom, normalization)
     wk2 = _spectral_weights(grid) * grid.k ** 2
-    out = np.empty_like(grid.k)
-    vals = np.zeros_like(profile.chi)
-    for blk, phi in _forward_blocks(profile, grid.k, out, tail_tol):
-        vals += (wk2[blk] * out[blk]) @ phi
-        del phi
+    out, vals = _forward(profile, grid.k, tail_tol, wk2)
     _check_inverse_tail(geom, wk2 * out, tail_tol)
     return (Spectrum(geom, grid.k, out, grid.weights),
             RadialProfile(geom, profile.chi, pref * vals))

@@ -146,6 +146,8 @@ def _on_unique(fn, x) -> np.ndarray:
     """fn evaluated once per distinct value of x (fn maps a sorted 1-d array
     to an array of that size), gathered back to the shape of x."""
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise DomainError("angles must be finite")
     xu = np.unique(x)
     return fn(xu)[np.searchsorted(xu, x)]   # cheaper than unique's argsort inverse
 
@@ -165,6 +167,8 @@ def spin_harmonic_table(s: int, L_max: int, theta) -> np.ndarray:
     """
     _check_index(L_max)
     theta = np.asarray(theta, dtype=float)
+    if not np.all(np.isfinite(theta)):
+        raise DomainError("theta must be finite")
     out = _d_rows(-s, L_max, np.arange(-L_max, L_max + 1), theta.ravel())
     out *= ((-1.0) ** s * np.sqrt((2 * np.arange(L_max + 1) + 1) / (4.0 * math.pi)))[:, None, None]
     return out.reshape(out.shape[:2] + theta.shape)
@@ -253,6 +257,8 @@ def eth_numeric(values: np.ndarray, s: int, theta: np.ndarray, phi: np.ndarray,
     phi = np.asarray(phi, dtype=float)
     if values.shape != (theta.size, phi.size):
         raise DomainError("values must be shaped (len(theta), len(phi))")
+    if min(theta.size, phi.size) < 3:
+        raise DomainError("the second-order stencils need >= 3 points per axis")
     if lmax is not None and (theta.size < 4 * lmax or phi.size < 4 * lmax):
         raise DomainError(
             f"grid {theta.size}x{phi.size} too coarse to resolve lmax={lmax} "
@@ -288,7 +294,7 @@ def gegenbauer(p: int, q: int, x):
     if p < 1 or q < 0:
         raise DomainError("need p >= 1 and q >= 0")
     x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0 + 1e-12):
+    if not np.all(np.abs(x) <= 1.0 + 1e-12):      # NaN fails
         raise DomainError("x outside [-1, 1]")
     x = np.clip(x, -1.0, 1.0)
     c_prev = np.ones_like(x)
@@ -593,6 +599,7 @@ def zonal_spherical(geom: Geometry, omega, r):
         closed : sin((omega+1) r)/((omega+1) sin r), omega = 0, 1, 2, ...
 
     Normalized so Phi_omega(0) = 1; |Phi| <= 1 on the principal series.
+    r must be finite and >= 0, else DomainError.
 
     A scalar omega gives values shaped like r.  A 1-d array of real omega
     (principal or closed series) gives the table shaped (omega.size,) +
@@ -602,14 +609,14 @@ def zonal_spherical(geom: Geometry, omega, r):
     r/f(r) is evaluated once per call and each table entry costs one sine.
     The closed model is evaluated at min(r, pi - r) and takes the factor
     (-1)^omega past pi/2, which keeps its accuracy near the antipode.  Bulk
-    callers (the sft transforms, randfield.analytic_correlation) request
-    the table in zonal_blocks row blocks of at most ZONAL_BLOCK elements and
-    reduce each block with a matrix product.
+    callers (the sft transforms, randfield.analytic_correlation) take the
+    table from _zonal_rows in zonal_blocks row blocks of at most ZONAL_BLOCK
+    elements and reduce each block with a matrix product.
     """
     r = np.asarray(r, dtype=float)
     shape_r, r = r.shape, r.ravel()
-    if np.any(r < 0):
-        raise DomainError("r must be >= 0")
+    if not np.all(np.isfinite(r) & (r >= 0)):     # NaN fails both
+        raise DomainError("r must be finite and >= 0")
     w = np.asarray(omega)
     if w.ndim > 1:
         raise DomainError("omega must be a scalar or a 1-d array")
@@ -656,21 +663,22 @@ def _zonal_rows(geom: Geometry, omega: np.ndarray, r: np.ndarray):
     every s rows (s the multiple of G nearest sqrt(n)) and s offsets: 2 (n/s+s)
     sines and cosines per r, not n.  It is then sin(a' r) with |a' - a| within
     that tolerance, the size of the rounding of a r; 1/(a f(r)) and the closed
-    model's reflection at pi/2 are zonal_spherical's.  Without such a period
-    the blocks are zonal_spherical's.  Errors are its DomainErrors.
+    model's reflection at pi/2 are zonal_spherical's.  Without such a period, or
+    with fewer radii than s (a few lags, where the anchors would cost more than
+    they save), the blocks are zonal_spherical's.  Errors are its DomainErrors.
     """
-    zonal_spherical(geom, omega[:1], r)           # checks r and omega as the table does
     closed = geom.kind is Kind.CLOSED
     a, n = omega + 1.0 if closed else omega, omega.size
     tol = 4.0 * np.finfo(float).eps * a[-1]
     G = next((g for g in range(1, n // 4 + 1)     # i = g first: one scalar test
               if abs(a[2 * g] - a[g] - (a[g] - a[0])) <= tol
               and np.all(np.abs(a[g:] - a[:-g] - (a[g] - a[0])) <= tol)), None)
-    if G is None:
+    s = G * max(1, round(math.sqrt(n) / G)) if G else math.inf
+    if r.size < s:                                # no period, or too few radii for anchors
         for blk in zonal_blocks(n, r.size):
             yield blk, zonal_spherical(geom, omega[blk], r)
         return
-    s = G * max(1, round(math.sqrt(n) / G))
+    zonal_spherical(geom, omega[:1], r)           # checks r and omega as the table does
     refl = r > math.pi / 2.0 if closed else np.zeros(r.shape, bool)
     r = np.where(refl, math.pi - r, r)
     origin = r == 0.0

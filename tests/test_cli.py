@@ -204,6 +204,24 @@ grid.chi_max = 2.0
     assert not (tmp_path / "f.out").exists() and not (tmp_path / "g.cfd").exists()
 
 
+def test_non_finite_k_max_exits_3(tmp_path, capsys):
+    # inf once became NaN nodes, two RuntimeWarnings (errors in this suite) and
+    # "P(k) must be finite"
+    est = "".join(line + "\n" for line in SYN_CFG.splitlines() if not line.startswith("grid."))
+    est += "estimate.n_realizations = 50\nestimate.lags = 0.3\n"
+    cases = [("synthesize", SYN_CFG, "synthesis.k_max = 8.0", "synthesis.k_max = inf"),
+             ("synthesize", SYN_CFG, "synthesis.k_max = 8.0", "synthesis.k_max = nan"),
+             ("estimate", est, "synthesis.k_max = 8.0",
+              "synthesis.k_max = 8.0\nanalytic.k_max = inf"),
+             ("transform", TR_CFG, "spectral.k_max = 40.0", "spectral.k_max = inf")]
+    for command, text, old, new in cases:
+        cfg = write(tmp_path, "k.cfg", text.replace(old, new))
+        out = tmp_path / "k.out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 3
+        assert "k_max" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_synthesize_container_and_thread_invariance(tmp_path, capsys):
     cfg = write(tmp_path, "syn.cfg", SYN_CFG)
     paths = [str(tmp_path / f"f{i}.cfd") for i in range(3)]

@@ -59,3 +59,6 @@ def test_shape_and_resolution_guards():
         eth_numeric(f, 0, theta, phi)
     with pytest.raises(DomainError):
         eth_numeric(np.zeros((theta.size, phi.size)), 0, theta, phi, lmax=8)
+    for nt, nphi in ((2, 16), (16, 2), (1, 1)):     # second-order stencils need 3 points
+        with pytest.raises(DomainError, match="3 points"):
+            eth_numeric(np.zeros((nt, nphi)), 0, theta[:nt], phi[:nphi])

@@ -6,7 +6,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvedfield import randfield, specfun
+from curvedfield import randfield, sft, specfun
 from curvedfield.errors import DomainError
 from curvedfield.geometry import Geometry
 from curvedfield.quadrature import gauss_legendre_grid
@@ -15,6 +15,7 @@ from curvedfield.randfield import (CorrelationEstimate, GaussianBump,
                                    Tabulated, analytic_correlation,
                                    estimate_correlation, mode_rng, mode_streams,
                                    power_law_eval, synthesize)
+from curvedfield.sft import spectral_nodes
 from curvedfield.specfun import zonal_spherical
 
 G_OPEN = Geometry.open(-1.0)
@@ -234,6 +235,14 @@ def test_config_validation():
         small_cfg(k_order=1)
     with pytest.raises(DomainError):
         small_cfg(closed_weight="other")
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="k_max"):
+            small_cfg(k_max=bad)
+        with pytest.raises(DomainError, match="k_max"):
+            spectral_nodes(G_FLAT, bad, 4, 6, None)
+    for a, b in ((0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan), (1.0, 1.0)):
+        with pytest.raises(DomainError, match="finite integration interval"):
+            gauss_legendre_grid(a, b, 4, 6)
     with pytest.raises(TypeError):          # synthesis runs on one thread
         small_cfg(threads=2)
 
@@ -346,7 +355,7 @@ ROWS = specfun.ZONAL_BLOCK // N_LAGS              # rows per block at N_LAGS lag
 @pytest.mark.parametrize("name", ["open", "flat", "closed"])
 def test_analytic_correlation_matches_per_k_loop(name, n_nodes):
     # lags from 0 (closed: past pi/2); the band cut zeroes the first nodes,
-    # which the blocked sum drops as the loop skipped them
+    # which add exact zeros to the blocked sum where the loop skipped them
     geom = {"open": G_OPEN, "flat": G_FLAT, "closed": G_CLOSED}[name]
     P = PowerLaw(1.0, -1.0, k_cut_low=0.05 if name != "closed" else 3.0)
     if name == "closed":
@@ -363,6 +372,32 @@ def test_analytic_correlation_matches_per_k_loop(name, n_nodes):
                       for a, om in zip(amp, omega) if a != 0.0]).reshape(-1, r.size)
     np.testing.assert_array_less(np.abs(got - terms.sum(axis=0)),
                                  1e-13 * np.abs(terms).sum(axis=0) + 1e-300)
+
+
+def test_analytic_correlation_takes_the_transforms_blocks(monkeypatch):
+    # one pass over sft._zonal_rows, the transforms' block builder, with every
+    # node in it (a band cut adds zero rows), and no zonal table of its own
+    calls, rows = [], sft._zonal_rows
+
+    def counted_rows(*a):
+        for blk, phi in rows(*a):
+            calls.append(phi.shape)
+            yield blk, phi
+
+    def no_table(*a):
+        raise AssertionError("analytic_correlation built its own table")
+
+    monkeypatch.setattr(sft, "_zonal_rows", counted_rows)
+    monkeypatch.setattr(randfield, "zonal_spherical", no_table)
+    P = PowerLaw(1.0, -1.0, k_cut_low=0.05)
+    n_nodes = 2 * ROWS + 1
+    for n_lags in (N_LAGS, 8):                  # anchors, and the direct table
+        calls.clear()
+        r = np.linspace(0.0, 5.0, n_lags)
+        got = analytic_correlation(G_OPEN, P, r, k_max=12.0, panels=n_nodes, order=1)
+        assert calls == [(len(range(n_nodes)[b]), n_lags)
+                         for b in specfun.zonal_blocks(n_nodes, n_lags)]
+        assert np.all(np.isfinite(got))
 
 
 def test_analytic_correlation_atoms_and_errors():

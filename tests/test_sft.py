@@ -350,13 +350,19 @@ def test_periodic_k_grids_build_blocks_by_angle_addition(monkeypatch, name):
     assert rows == [1]
 
 
-@pytest.mark.parametrize("name", ["open", "flat"])
+@pytest.mark.parametrize("name", ["open", "flat", "open-few", "flat-few"])
 def test_aperiodic_k_grid_gives_the_zonal_table_products(name):
-    geom, chi, prof, _ = blocked_setup(name, 1)
+    # "-few": a periodic Gauss-Legendre grid of 600 nodes on 20 radii, fewer
+    # than the 24 rows of one anchor group, takes the direct table too
+    kind, _, few = name.partition("-")
+    geom, chi, prof, _ = blocked_setup(kind, 1)
     k = np.sort(np.random.default_rng(3).uniform(0.0, 30.0, 2 * ROWS + 1))
+    if few:
+        k, chi = gauss_legendre_grid(0.0, 30.0, 50, 12)[0], chi[::30]
+        prof = RadialProfile(geom, chi, prof.values[::30])
     blocks = specfun.zonal_blocks(k.size, chi.size)
     base = trapezoid_base(prof)
-    ref = np.concatenate([FORWARD_A[name] * (zonal_kernel(geom, k[b], chi) @ base)
+    ref = np.concatenate([FORWARD_A[kind] * (zonal_kernel(geom, k[b], chi) @ base)
                           for b in blocks])
     np.testing.assert_array_equal(forward_isotropic(prof, k, tail_tol=None).values, ref)
     spec = Spectrum(geom, k, ref, np.full(k.size, 0.1))
@@ -473,6 +479,15 @@ def test_zonal_table_rejects_bad_omega():
         zonal_spherical(G_FLAT, np.array([1.0, np.inf]), 0.3)
     with pytest.raises(DomainError):
         zonal_spherical(G_FLAT, np.ones((2, 2)), 0.3)
+    for r in (math.nan, math.inf):              # before any sine: no RuntimeWarning
+        for geom, omega in ((G_OPEN, np.array([0.0, 1.5])), (G_FLAT, np.array([1.0])),
+                            (G_CLOSED, np.array([0.0, 3.0]))):
+            with pytest.raises(DomainError, match="finite"):
+                zonal_spherical(geom, omega, np.array([0.3, r]))
+            with pytest.raises(DomainError, match="finite"):
+                zonal_kernel(geom, geom.k_of_omega(omega), r)
+        with pytest.raises(DomainError, match="finite"):
+            zonal_kernel(G_OPEN, 0.5j, np.array([r, 0.3]))     # supplementary series
 
 
 @pytest.mark.parametrize("block", [specfun.ZONAL_BLOCK, 5 * 192])

@@ -435,3 +435,7 @@ def test_zonal_domain_errors():
         zonal_spherical(G_OPEN, 1.7j, 0.3)
     with pytest.raises(DomainError):
         zonal_spherical(G_OPEN, 1.0, -0.5)
+    for r in (math.nan, math.inf, -math.inf):   # before any sine: no RuntimeWarning
+        for geom, omega in ((G_OPEN, 1.0), (G_OPEN, 0.4j), (G_CLOSED, 2)):
+            with pytest.raises(DomainError, match="finite"):
+                zonal_spherical(geom, omega, r)

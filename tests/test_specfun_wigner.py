@@ -83,6 +83,16 @@ def test_index_validation():
         spin_harmonic(3, 2, 0, 0.3, 0.0)
     with pytest.raises(DomainError):
         spin_harmonic(0, -1, 0, 0.3, 0.0)
+    nan = math.nan                              # non-finite angles and arguments
+    for call in (lambda: wigner_d(2, 1, 0, nan),
+                 lambda: wigner_d(2, 1, 0, [0.3, math.inf]),
+                 lambda: spin_harmonic(0, 2, 1, nan, 0.0),
+                 lambda: spin_harmonic(0, 2, 1, 1.0, nan),
+                 lambda: spin_harmonic_table(0, 2, [nan]),
+                 lambda: gegenbauer(1, 3, nan),
+                 lambda: gegenbauer(1, 3, [0.5, nan])):
+        with pytest.raises(DomainError):
+            call()
 
 
 def test_harmonic_ceiling_l128_passes_l129_raises():

@@ -312,13 +312,11 @@ def cmd_estimate(args) -> int:
     scfg = _synth_config(cfg, args.seed,
                          n_realizations=cfg["estimate.n_realizations"])
     chi = np.concatenate([[0.0], lags])
-    theta = np.full_like(chi, 0.5 * math.pi)
-    phi = np.zeros_like(chi)
-    field = synthesize(geom, P, scfg, chi, theta, phi)
-    est = estimate_correlation(field.values[:, 0], field.values[:, 1:])
     ana = analytic_correlation(geom, P, lags, k_max=cfg["analytic.k_max"] or scfg.k_max,
-                               panels=cfg["analytic.panels"],
+                               panels=cfg["analytic.panels"],   # checks analytic.* first
                                order=cfg["analytic.order"], omega_max=scfg.omega_max)
+    field = synthesize(geom, P, scfg, chi, np.full_like(chi, 0.5 * math.pi), np.zeros_like(chi))
+    est = estimate_correlation(field.values[:, 0], field.values[:, 1:])
     z = np.abs(est.mean - ana) / np.where(est.stderr > 0, est.stderr, np.inf)
     notes = [f"realizations: {est.n}", f"max |z|: {float(np.max(z)):.3f}"]
     _write_table(args, raw, {"lag": lags, "estimate": est.mean,

@@ -365,16 +365,17 @@ def analytic_correlation(geom: Geometry, P: PowerSpectrum, r,
     The sum runs over sft.spectral_nodes: Gauss-Legendre quadrature on
     [0, k_max] (panels x order) for the open and flat models, the exact
     lattice sum to omega_max for the closed model.  atoms adds discrete
-    spectral lines sum_j c_j Phi_{omega_j}(r) on every model; an open-model
-    atom may sit on the supplementary series omega = i tau, tau in (0, 1].
-    The node sum is the inverse transform's pass (sft._zonal_pass) with w k^2 P
-    in place of w k^2 f00, over the transforms' zonal blocks: the direct table
-    for fewer lags than an anchor group has rows (48 at 2,400 nodes).
+    spectral lines sum_j c_j Phi_{omega_j}(r), c_j finite and >= 0, on every
+    model; an open-model atom may sit on the supplementary series omega = i
+    tau, tau in (0, 1].  The node sum is sft._zonal_pass with w k^2 P in place
+    of w k^2 f00.  The result has r's shape (at least 1-d).
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     geom.check_chi(r)
+    if not all(0.0 <= c < math.inf for _, c in atoms):     # NaN fails
+        raise DomainError(f"atom weights must be finite and >= 0, got {atoms}")
     k, w = spectral_nodes(geom, k_max, panels, order, omega_max)
-    out = _zonal_pass(geom, k, r, amp=w * k * k * _power(P, k))[2]
+    out = _zonal_pass(geom, k, r.ravel(), amp=w * k * k * _power(P, k))[2].reshape(r.shape)
     rz = r if geom.kind is Kind.FLAT else geom.curvature_scale * r
     for om, c in atoms:
         out = out + c * np.real(zonal_spherical(geom, om, rz))

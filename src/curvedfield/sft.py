@@ -31,21 +31,14 @@ unconverged.  tail_tol is None (no monitor) or finite and > 0; anything else
 raises DomainError before any kernel block is built.
 
 The transforms and randfield.analytic_correlation make one pass (_zonal_pass)
-over the (k, chi) table of zonal kernels, in row blocks of at most
-specfun.ZONAL_BLOCK elements, each reduced as it is built: forward takes
-Phi_blk @ (w f S), inverse accumulates (w k^2 f00)_blk @ Phi_blk.  The sums
-run in BLAS order, not node by node, which moves results by about one ulp.
-The forward monitor weighs every node at once, |Phi_blk| @ |w f S|, and checks
-the heaviest (the first of a tie) on its own kernel row.  Every
-spectral_nodes grid repeats per panel, k = m_p + d_g (Gauss-Legendre panels,
-the closed lattice), so the blocks (specfun._zonal_rows) take each sin(k chi)
-by angle addition from the sines and cosines of about 2 sqrt(n) anchors m_p
-and offsets d_g per chi, not one sine per entry; an entry then differs from
-zonal_kernel's by the rounding of k chi, a few ulps.  A k grid without such a
-period, or fewer radii than the about sqrt(n) rows of an anchor group (a
-covariance's few lags), takes zonal_kernel's blocks.  roundtrip_isotropic
-does both products on each block, with the same bits as forward_isotropic
-followed by inverse_isotropic on the same chi.
+over the table Phi(k, chi) without building it: every spectral_nodes grid
+repeats per panel (Gauss-Legendre panels, the closed lattice), so by angle
+addition the table factors through the sines and cosines of about 2 sqrt(n)
+anchors and offsets per chi (specfun._zonal_factors), and each product with
+it is two BLAS-3 products, a few ulps from a per-k loop.  Other k grids, or
+fewer radii than an anchor group has rows (a covariance's few lags), take
+zonal_spherical's row blocks.  roundtrip_isotropic builds the factors once,
+with the same bits as forward_isotropic followed by inverse_isotropic.
 """
 from __future__ import annotations
 
@@ -57,7 +50,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .geometry import Geometry, Kind, surface_area
 from .quadrature import gauss_legendre_grid, tail_fraction
-from .specfun import _zonal_rows, zonal_spherical
+from .specfun import _factor_rows, _zonal_factors, zonal_blocks, zonal_spherical
 
 __all__ = [
     "RadialProfile", "Spectrum", "surface_area", "forward_isotropic",
@@ -214,35 +207,54 @@ def _check_tail(contrib: np.ndarray, tol: float | None, what: str):
 
 def _zonal_pass(geom: Geometry, k: np.ndarray, chi: np.ndarray, base=None,
                 pref: float = 1.0, amp=None, monitor: bool = False):
-    """(fwd, mass, inv) from one pass over the blocks Phi(k[blk], chi) of
-    specfun._zonal_rows: fwd = pref (Phi @ base) if base is given, mass =
-    |Phi| @ |base| (each node's sum |contrib|) if monitor, inv = a @ Phi if amp
-    is given, a = amp, or amp fwd with base (a roundtrip); None if not asked."""
-    fwd = None if base is None else np.empty_like(k)
-    mass = np.empty_like(k) if monitor else None
-    inv = None if amp is None else np.zeros_like(chi)
-    for blk, phi in _zonal_rows(geom, *_scaled(geom, k, chi)):
-        if base is not None:
-            fwd[blk] = pref * (phi @ base)
-        if monitor:
-            mass[blk] = np.abs(phi) @ np.abs(base)
-        if amp is not None:
-            inv += (amp[blk] if base is None else amp[blk] * fwd[blk]) @ phi
-    return fwd, mass, inv
+    """(fwd, top, inv): fwd = pref (Phi @ base) = pref/a [(sa base) @ cd^T + (ca base) @ sd^T]
+    if base is given, top = argmax |Phi| @ |base| if monitor (summed only where its bound by
+    1/(a f) reaches the first anchor group's max), inv = A @ Phi = sum_p sa_p (A/a @ cd)_p +
+    ca_p (A/a @ sd)_p if amp is given, A = amp, or amp fwd with base; None if not asked."""
+    omega, r = _scaled(geom, k, chi)
+    fac = _zonal_factors(geom, omega, r)
+    if fac is None:                               # zonal_spherical's blocks
+        fwd, mass = (None, None) if base is None else (np.empty_like(k), np.empty_like(k))
+        inv = None if amp is None else np.zeros_like(chi)
+        for blk in zonal_blocks(k.size, chi.size):
+            phi = zonal_spherical(geom, omega[blk], r)
+            if base is not None:
+                fwd[blk] = pref * (phi @ base)
+                mass[blk] = np.abs(phi) @ np.abs(base) if monitor else 0.0
+            if amp is not None:
+                inv += (amp[blk] if base is None else amp[blk] * fwd[blk]) @ phi
+        return fwd, int(np.argmax(mass)) if monitor else None, inv
+    s, sa, ca, sd, cd, inv_a, inv_f, scale, origin, refl, par = fac
+    n, o1, o2 = k.size, origin & ~refl, origin & refl     # Phi = 1, (-1)^omega there
+    fwd = top = inv = None
+    if base is not None:                          # Phi_0 = r/f(r) exactly
+        fwd = ((sa * base) @ cd.T + (ca * base) @ sd.T).ravel()[:n] * inv_a
+        fwd = pref * np.where(inv_a > 0.0, fwd + base[o1].sum() + par * base[o2].sum(),
+                              scale @ base)
+    if monitor:                                   # a cap |Phi| <= 1 would drop no row
+        ab = np.abs(base)
+        bound = np.where(inv_a > 0.0, (ab @ inv_f) * inv_a + ab[origin].sum(), np.inf)
+        best = np.max(np.abs(_factor_rows(fac, np.arange(s))) @ ab)
+        rows = np.flatnonzero(bound * (1.0 + 1e-12) >= best)
+        top = int(rows[np.argmax(np.concatenate([np.abs(_factor_rows(fac, rows[blk])) @ ab
+                                                 for blk in zonal_blocks(rows.size, r.size)]))])
+    if amp is not None:
+        A = amp if base is None else amp * fwd
+        V = np.pad(A * inv_a, (0, sa.shape[0] * s - n)).reshape(-1, s)
+        inv = np.sum(sa * (V @ cd), axis=0) + np.sum(ca * (V @ sd), axis=0)
+        inv += A[inv_a == 0.0].sum() * scale
+        inv[o1], inv[o2] = A.sum(), A @ par
+    return fwd, top, inv
 
 
 def _forward(profile: RadialProfile, k: np.ndarray, tail_tol: float | None, amp=None):
-    """The forward amplitudes on k and _zonal_pass's inv (None without amp);
-    the forward tail is checked after the pass."""
-    geom = profile.geometry
-    w = _weights_or_trapezoid(profile.chi, profile.weights)
-    base = w * profile.values * surface_area(geom, profile.chi)
+    """(forward amplitudes on k, _zonal_pass's inv); the tail is checked after the pass."""
+    geom, chi = profile.geometry, profile.chi
+    base = _weights_or_trapezoid(chi, profile.weights) * profile.values * surface_area(geom, chi)
     monitor = geom.kind is not Kind.CLOSED and tail_tol is not None
-    fwd, mass, inv = _zonal_pass(geom, k, profile.chi, base, 1.0 / _norm_const(geom),
-                                 amp, monitor)
-    if monitor:                        # argmax: the first node wins ties, as in a per-k loop
-        contrib = base * zonal_kernel(geom, k[np.argmax(mass)], profile.chi)
-        _check_tail(contrib, tail_tol, "forward transform chi")
+    fwd, top, inv = _zonal_pass(geom, k, chi, base, 1.0 / _norm_const(geom), amp, monitor)
+    if monitor:                        # the first node wins ties, as in a per-k loop
+        _check_tail(base * zonal_kernel(geom, k[top], chi), tail_tol, "forward transform chi")
     return fwd, inv
 
 

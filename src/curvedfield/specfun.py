@@ -549,14 +549,12 @@ def conical_legendre(omega: float, l: int, r) -> np.ndarray:
 # Zonal spherical functions
 # ---------------------------------------------------------------------------
 
-# Bulk callers reduce zonal tables one row block at a time; a block holds at
-# most this many elements, so no (n_omega, n_r) table is ever held whole.
+# Tables reduced one row block at a time hold at most this many elements per block.
 ZONAL_BLOCK = 1 << 16
 
 
 def zonal_blocks(n_rows: int, n_cols: int) -> list[slice]:
-    """Row slices covering range(n_rows); each spans at most ZONAL_BLOCK
-    elements of an n_cols-column table, and at least one row."""
+    """Row slices of range(n_rows), each at most ZONAL_BLOCK elements of n_cols, or 1 row."""
     step = max(1, ZONAL_BLOCK // max(n_cols, 1))
     return [slice(i, i + step) for i in range(0, n_rows, step)]
 
@@ -608,10 +606,7 @@ def zonal_spherical(geom: Geometry, omega, r):
     a = omega (open, flat) or omega+1 (closed) and f = sinh, 1 or sin, so
     r/f(r) is evaluated once per call and each table entry costs one sine.
     The closed model is evaluated at min(r, pi - r) and takes the factor
-    (-1)^omega past pi/2, which keeps its accuracy near the antipode.  Bulk
-    callers (the sft transforms, randfield.analytic_correlation) take the
-    table from _zonal_rows in zonal_blocks row blocks of at most ZONAL_BLOCK
-    elements and reduce each block with a matrix product.
+    (-1)^omega past pi/2, which keeps its accuracy near the antipode.
     """
     r = np.asarray(r, dtype=float)
     shape_r, r = r.shape, r.ravel()
@@ -653,20 +648,17 @@ def zonal_spherical(geom: Geometry, omega, r):
     return vals.reshape(shape_w + shape_r)[()]
 
 
-def _zonal_rows(geom: Geometry, omega: np.ndarray, r: np.ndarray):
-    """Yield (blk, Phi_omega[blk](r)) for blk in zonal_blocks(omega.size, r.size).
+def _zonal_factors(geom: Geometry, omega: np.ndarray, r: np.ndarray):
+    """Angle-addition factors of zonal_spherical's table Phi_omega(r), or None.
 
     omega (increasing) and r are 1-d.  Let a = omega (omega+1 closed), G <= n/4 the
-    smallest period with every a[i+G] - a[i] = a[G] - a[0] within 4 eps max(a).
-    Row a[ps+g] = a[ps] + d_g, d_g = a[g] - a[0] >= 0, takes the angle addition
-    sin(a r) = sin(a[ps] r) cos(d_g r) + cos(a[ps] r) sin(d_g r) from anchors
-    every s rows (s the multiple of G nearest sqrt(n)) and s offsets: 2 (n/s+s)
-    sines and cosines per r, not n.  It is then sin(a' r) with |a' - a| within
-    that tolerance, the size of the rounding of a r; 1/(a f(r)) and the closed
-    model's reflection at pi/2 are zonal_spherical's.  Without such a period, or
-    with fewer radii than s (a few lags, where the anchors would cost more than
-    they save), the blocks are zonal_spherical's.  Errors are its DomainErrors.
-    """
+    smallest period with a[i+G] - a[i] = a[G] - a[0] within 4 eps max(a), and s the
+    multiple of G nearest sqrt(n).  Off r = 0 row ps + g is (sa[p] cd[g] + ca[p] sd[g])
+    / a, with sa, ca = sin, cos(a[ps] r)/f(r), sd, cd = sin, cos((a[g] - a[0]) r) and
+    the closed sign (-1)^omega past pi/2 folded in: sin(a' r), |a' - a| within the
+    tolerance.  Returns (s, sa, ca, sd, cd, 1/a, 1/f, r/f, origin, refl, (-1)^omega),
+    0 for 1/0; None without such a period, or with fewer radii than s (a few lags,
+    where anchors cost more than they save), and zonal_spherical's DomainErrors."""
     closed = geom.kind is Kind.CLOSED
     a, n = omega + 1.0 if closed else omega, omega.size
     tol = 4.0 * np.finfo(float).eps * a[-1]
@@ -675,9 +667,7 @@ def _zonal_rows(geom: Geometry, omega: np.ndarray, r: np.ndarray):
               and np.all(np.abs(a[g:] - a[:-g] - (a[g] - a[0])) <= tol)), None)
     s = G * max(1, round(math.sqrt(n) / G)) if G else math.inf
     if r.size < s:                                # no period, or too few radii for anchors
-        for blk in zonal_blocks(n, r.size):
-            yield blk, zonal_spherical(geom, omega[blk], r)
-        return
+        return None
     zonal_spherical(geom, omega[:1], r)           # checks r and omega as the table does
     refl = r > math.pi / 2.0 if closed else np.zeros(r.shape, bool)
     r = np.where(refl, math.pi - r, r)
@@ -685,20 +675,19 @@ def _zonal_rows(geom: Geometry, omega: np.ndarray, r: np.ndarray):
     scale = (_x_over(np.sin, 1.0, r) if closed else
              _x_over(np.sinh, -1.0, r) if geom.kind is Kind.OPEN else np.ones_like(r))
     inv_f = np.divide(scale, r, out=np.zeros_like(r), where=~origin)   # 1/f(r), 0 at r = 0
-    sa, ca = (np.sin(x := np.multiply.outer(a[::s], r)) * inv_f, np.cos(x) * inv_f)
-    sd, cd = (np.sin(x := np.multiply.outer(a[:s] - a[0], r)), np.cos(x))
-    inv_a = np.divide(1.0, a, out=np.zeros_like(a), where=a > 0.0)[:, None]
-    for blk in zonal_blocks(n, r.size):
-        lo, hi = blk.start, min(blk.stop, n)
-        phi = np.empty((hi - lo, r.size))
-        for p in range(lo // s, (hi - 1) // s + 1):  # the anchors' row groups in blk
-            i, j = max(lo, p * s), min(hi, (p + 1) * s)
-            out = phi[i - lo:j - lo]
-            np.multiply(cd[i - p * s:j - p * s], sa[p], out=out)
-            out += sd[i - p * s:j - p * s] * ca[p]
-            out *= inv_a[i:j]
-        phi[a[lo:hi] == 0.0] = scale              # Phi_0(r) = r/f(r)
-        phi[:, origin] = 1.0                      # Phi(0) = 1
-        flip = np.ix_(omega[lo:hi] % 2 == 1, refl)    # Phi(pi - r) = (-1)^omega Phi(r)
-        phi[flip] = -phi[flip]
-        yield blk, phi
+    par = np.where(closed & (omega % 2 == 1), -1.0, 1.0)     # = (-1)^omega[ps] (-1)^d_g
+    sp, sg = (np.where(refl, q[:, None], 1.0) for q in (par[::s], par[:s] * par[0]))
+    sa, ca = (np.sin(x := np.multiply.outer(a[::s], r)) * inv_f * sp, np.cos(x) * inv_f * sp)
+    sd, cd = (np.sin(x := np.multiply.outer(a[:s] - a[0], r)) * sg, np.cos(x) * sg)
+    inv_a = np.divide(1.0, a, out=np.zeros_like(a), where=a > 0.0)
+    return s, sa, ca, sd, cd, inv_a, inv_f, scale, origin, refl, par
+
+
+def _factor_rows(fac, idx: np.ndarray) -> np.ndarray:
+    """Rows Phi[idx] of the table with _zonal_factors fac, exact at a = 0 and at r = 0."""
+    s, sa, ca, sd, cd, inv_a, _, scale, origin, refl, par = fac
+    p, g = np.divmod(idx, s)
+    phi = (cd[g] * sa[p] + sd[g] * ca[p]) * inv_a[idx, None]
+    phi[inv_a[idx] == 0.0] = scale
+    phi[:, origin] = np.where(refl[origin], par[idx, None], 1.0)
+    return phi

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import curvedfield
-from curvedfield import __version__
+from curvedfield import __version__, cli
 from curvedfield.cli import _write_table, main
 from curvedfield.config import config_hash
 from curvedfield.cosmology import (comoving_distance, hubble, lookback_time,
@@ -220,6 +220,19 @@ def test_non_finite_k_max_exits_3(tmp_path, capsys):
         assert main([command, "--config", cfg, "--out", str(out)]) == 3
         assert "k_max" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_estimate_checks_analytic_before_synthesis(tmp_path, capsys, monkeypatch):
+    # a bad analytic.* once surfaced only after the Monte Carlo synthesis had run
+    calls = []
+    monkeypatch.setattr(cli, "synthesize", lambda *a: calls.append(a))
+    est = "".join(line + "\n" for line in SYN_CFG.splitlines() if not line.startswith("grid."))
+    cfg = write(tmp_path, "est.cfg", est + "estimate.n_realizations = 50\n"
+                "estimate.lags = 0.3\nanalytic.k_max = inf\n")
+    out = tmp_path / "est.csv"
+    assert main(["estimate", "--config", cfg, "--out", str(out)]) == 3
+    assert "k_max" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
 
 
 def test_synthesize_container_and_thread_invariance(tmp_path, capsys):

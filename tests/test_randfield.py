@@ -375,29 +375,60 @@ def test_analytic_correlation_matches_per_k_loop(name, n_nodes):
 
 
 def test_analytic_correlation_takes_the_transforms_blocks(monkeypatch):
-    # one pass over sft._zonal_rows, the transforms' block builder, with every
-    # node in it (a band cut adds zero rows), and no zonal table of its own
-    calls, rows = [], sft._zonal_rows
+    # one pass (sft._zonal_pass) with every node in it (a band cut adds zero
+    # rows), and no zonal table of its own: at 600 lags the transforms'
+    # angle-addition factors, once, and no table; at 8 lags, fewer than an
+    # anchor group has rows, zonal_spherical's blocks
+    factors, rows, tables = [], [], []
+    build, factor_rows, table = sft._zonal_factors, sft._factor_rows, sft.zonal_spherical
 
-    def counted_rows(*a):
-        for blk, phi in rows(*a):
-            calls.append(phi.shape)
-            yield blk, phi
+    def counted_factors(*a):
+        fac = build(*a)
+        factors.append(fac is not None)
+        return fac
 
     def no_table(*a):
         raise AssertionError("analytic_correlation built its own table")
 
-    monkeypatch.setattr(sft, "_zonal_rows", counted_rows)
+    monkeypatch.setattr(sft, "_zonal_factors", counted_factors)
+    monkeypatch.setattr(sft, "_factor_rows", lambda *a: (rows.append(a), factor_rows(*a))[1])
+    monkeypatch.setattr(sft, "zonal_spherical",
+                        lambda g, w, r: (tables.append((np.size(w), np.size(r))), table(g, w, r))[1])
     monkeypatch.setattr(randfield, "zonal_spherical", no_table)
     P = PowerLaw(1.0, -1.0, k_cut_low=0.05)
     n_nodes = 2 * ROWS + 1
-    for n_lags in (N_LAGS, 8):                  # anchors, and the direct table
-        calls.clear()
+    for n_lags, blocks in ((N_LAGS, []), (8, specfun.zonal_blocks(n_nodes, 8))):
+        factors.clear()
+        tables.clear()
         r = np.linspace(0.0, 5.0, n_lags)
         got = analytic_correlation(G_OPEN, P, r, k_max=12.0, panels=n_nodes, order=1)
-        assert calls == [(len(range(n_nodes)[b]), n_lags)
-                         for b in specfun.zonal_blocks(n_nodes, n_lags)]
+        assert factors == [not blocks]
+        assert tables == [(len(range(n_nodes)[b]), n_lags) for b in blocks]
+        assert rows == []
         assert np.all(np.isfinite(got))
+
+
+def test_analytic_correlation_keeps_the_shape_of_r():
+    # a 2-d r once raised numpy's bare ValueError from the node sum
+    P = GaussianBump(1.0, 2.0, 0.6)
+    for n_lags in (6, N_LAGS):                  # the direct table, and the factors
+        r = np.linspace(0.1, 3.0, n_lags)
+        flat = analytic_correlation(G_OPEN, P, r, k_max=6.0, atoms=((0.5j, 2.0),))
+        got = analytic_correlation(G_OPEN, P, r.reshape(2, 3, -1), k_max=6.0,
+                                   atoms=((0.5j, 2.0),))
+        assert got.shape == (2, 3, n_lags // 6)
+        np.testing.assert_array_equal(got.ravel(), flat)
+    assert analytic_correlation(G_OPEN, P, 1.0, k_max=6.0).shape == (1,)
+
+
+def test_analytic_correlation_rejects_bad_atom_weights():
+    # a spectral line of negative mass is no covariance: (2, -5) gave C(0) = 14.3
+    P = GaussianBump(1.0, 3.0, 0.8)
+    r = np.array([0.0, 1.0])
+    for c in (-5.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="atom weights"):
+            analytic_correlation(G_FLAT, P, r, k_max=8.0, atoms=((1.0, 1.0), (2.0, c)))
+    analytic_correlation(G_FLAT, P, r, k_max=8.0, atoms=((2.0, 0.0),))
 
 
 def test_analytic_correlation_atoms_and_errors():

@@ -134,7 +134,8 @@ def test_tail_tol_is_none_or_finite_and_positive(monkeypatch):
         raise AssertionError("a zonal block was built")
 
     monkeypatch.setattr(sft, "zonal_kernel", no_block)
-    monkeypatch.setattr(sft, "_zonal_rows", no_block)
+    monkeypatch.setattr(sft, "zonal_spherical", no_block)
+    monkeypatch.setattr(sft, "_zonal_factors", no_block)
     for bad in (math.nan, math.inf, -math.inf, 0.0, -1e-3):
         for call in (lambda: forward_isotropic(prof, k, tail_tol=bad),
                      lambda: inverse_isotropic(spec, chi, tail_tol=bad),
@@ -419,26 +420,83 @@ def test_roundtrip_equals_two_calls(monkeypatch, name, normalization):
 
 @pytest.mark.parametrize("name", ["open", "flat", "closed"])
 def test_roundtrip_builds_each_block_once(monkeypatch, name):
-    calls = []
-    rows, kernel = sft._zonal_rows, sft.zonal_kernel
-
-    def counted_rows(*a):              # one call per block built
-        for blk, phi in rows(*a):
-            calls.append(blk)
-            yield blk, phi
-
-    monkeypatch.setattr(sft, "_zonal_rows", counted_rows)
-    monkeypatch.setattr(sft, "zonal_kernel",
-                        lambda *a: (calls.append(a), kernel(*a))[1])
+    # the angle-addition factors stand in for the table's blocks: a roundtrip
+    # builds them once, two calls twice, and neither builds a table; the forward
+    # monitor sums |Phi| exactly on the first anchor group and a few rows past
+    # it, and rebuilds its heaviest node's kernel row
+    calls, rows, tables = [], [], []
+    factors, factor_rows, table = sft._zonal_factors, sft._factor_rows, sft.zonal_spherical
+    monkeypatch.setattr(sft, "_zonal_factors", lambda *a: (calls.append(a), factors(*a))[1])
+    monkeypatch.setattr(sft, "_factor_rows",
+                        lambda fac, idx: (rows.append(idx.size), factor_rows(fac, idx))[1])
+    monkeypatch.setattr(sft, "zonal_spherical",
+                        lambda g, w, r: (tables.append(np.size(w)), table(g, w, r))[1])
     geom, chi, prof, k = blocked_setup(name, 2 * ROWS + 1)
-    n_blocks = len(specfun.zonal_blocks(k.size, chi.size))
-    assert n_blocks == 3
-    monitor = name != "closed"         # the forward monitor rebuilds its heaviest node
-    roundtrip_isotropic(prof, k, tail_tol=1.0)
-    assert len(calls) == n_blocks + monitor
-    calls.clear()
-    two_call_roundtrip(prof, k, None, "consistent", 1.0)
-    assert len(calls) == 2 * n_blocks + monitor
+    assert len(specfun.zonal_blocks(k.size, chi.size)) == 3     # a table's blocks
+    s = factors(geom, *sft._scaled(geom, k, chi))[0]
+    monitor = name != "closed"
+    for call, n_factors in ((lambda: roundtrip_isotropic(prof, k, tail_tol=1.0), 1),
+                            (lambda: two_call_roundtrip(prof, k, None, "consistent", 1.0), 2)):
+        for seen in (calls, rows, tables):
+            seen.clear()
+        call()
+        assert len(calls) == n_factors
+        assert tables == [1] * monitor
+        assert rows[:1] == [s] * monitor and len(rows) == 2 * monitor
+        assert all(n <= 8 for n in rows[1:])
+
+
+@pytest.mark.parametrize("name", BLOCKED)
+def test_factored_pass_matches_the_zonal_table(name):
+    # chi from 0 (closed: through the antipode pi, where Phi = (-1)^omega) and k
+    # from 0 (open, flat: Phi_0 = r/f(r)), the factors' exact rows and columns;
+    # base is not 0 at the antipode, as a profile's w f S is
+    geom, chi, prof, k = blocked_setup(name, 2 * ROWS + 1)
+    fac = specfun._zonal_factors(geom, *sft._scaled(geom, k, chi))
+    assert fac is not None
+    phi = zonal_kernel(geom, k, chi)
+    rows = specfun._factor_rows(fac, np.arange(k.size))
+    assert np.max(np.abs(rows - phi)) < 1e-13
+    ends = (chi == 0.0) | (chi == math.pi) if name == "closed" else chi == 0.0
+    assert np.count_nonzero(ends) == (2 if name == "closed" else 1)
+    np.testing.assert_array_equal(rows[:, ends], phi[:, ends])
+    if name != "closed":
+        np.testing.assert_array_equal(rows[0], phi[0])
+    rng = np.random.default_rng(5)
+    b, amp = rng.standard_normal(chi.size), rng.standard_normal(k.size)
+    fwd, top, _ = sft._zonal_pass(geom, k, chi, b, monitor=True)
+    np.testing.assert_array_less(np.abs(fwd - phi @ b), 1e-13 * (np.abs(phi) @ np.abs(b)))
+    assert top == np.argmax(np.abs(phi) @ np.abs(b))
+    inv = sft._zonal_pass(geom, k, chi, amp=amp)[2]
+    np.testing.assert_array_less(np.abs(inv - amp @ phi), 1e-13 * (np.abs(amp) @ np.abs(phi)))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_bounded_monitor_picks_the_full_tables_node(seed):
+    # random profiles (narrow bumps of either sign, some reaching the grid's
+    # end) on random grids, the k grid shifted off 0 so that the heaviest node
+    # mostly lies past the first anchor group: the bounded monitor checks the
+    # node of largest |Phi| @ |b| over the whole table, and raises its
+    # ConvergenceError, word for word
+    rng = np.random.default_rng(seed)
+    geom = (G_OPEN, G_FLAT, Geometry.open(-0.3))[seed % 3]
+    chi, w = gauss_legendre_grid(0.0, rng.uniform(3.0, 6.0), int(rng.integers(16, 40)), 8)
+    f = sum(rng.normal() * bump_profile(chi, rng.uniform(1.5, chi[-1]), rng.uniform(0.05, 0.4))
+            for _ in range(2)) + (seed % 4 == 0) * rng.normal()
+    prof = RadialProfile(geom, chi, f, w)
+    k = sft.spectral_nodes(geom, rng.uniform(2.0, 12.0), int(rng.integers(4, 30)),
+                           int(rng.integers(4, 13)), None)[0] + (seed % 6 > 0) * rng.uniform(0.5, 8.0)
+    assert specfun._zonal_factors(geom, *sft._scaled(geom, k, chi)) is not None
+    base = w * f * surface_area(geom, chi)
+    top = int(np.argmax(np.abs(zonal_kernel(geom, k, chi)) @ np.abs(base)))
+    assert sft._zonal_pass(geom, k, chi, base, monitor=True)[1] == top
+    try:
+        sft._check_tail(base * zonal_kernel(geom, k[top], chi), 1e-6, "forward transform chi")
+    except ConvergenceError as exc:
+        with pytest.raises(ConvergenceError, match=re.escape(str(exc))):
+            forward_isotropic(prof, k, tail_tol=1e-6)
+    else:
+        forward_isotropic(prof, k, tail_tol=1e-6)
 
 
 def test_roundtrip_checks_its_arguments_first():

@@ -353,16 +353,11 @@ def cmd_spin(args) -> int:
         if s != LENSING_SPINS[observable]:
             raise ConfigError(f"spin.s={s} does not match {observable} "
                               f"(s={LENSING_SPINS[observable]})")
-        potential = separable_kernels(0, np.arange(0, L + 1), chi,
-                                      cfg["kernel.amplitude"],
-                                      cfg["kernel.corr_length"],
-                                      cfg["kernel.ell_scale"])
-        kernels = lensing_ladder(potential, observable)
-    else:
-        kernels = separable_kernels(s, np.arange(abs(s), L + 1), chi,
-                                    cfg["kernel.amplitude"],
-                                    cfg["kernel.corr_length"],
-                                    cfg["kernel.ell_scale"])
+    s0 = 0 if observable else s                   # a lensing observable ladders the s=0 potential
+    kernels = separable_kernels(s0, np.arange(abs(s0), L + 1), chi, cfg["kernel.amplitude"],
+                                cfg["kernel.corr_length"], cfg["kernel.ell_scale"])
+    if observable:
+        kernels = lensing_ladder(kernels, observable)
     tt, pp = np.meshgrid(theta, phi, indexing="ij")
     field = synthesize_spin(s, kernels, tt.ravel(), pp.ravel(), args.seed)
     values = field.values[0].reshape(chi.size, theta.size, phi.size)

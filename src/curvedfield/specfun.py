@@ -33,20 +33,25 @@ three-term recurrence in l, the hyperspherical Bessel recurrence (Kosowsky
 with kappa = -1 and g = coth r (open), kappa = 1, g = cot r and w + 1 for w
 (closed), and kappa = 0, g = 1/r, w = 1 and r = k chi (flat), started from
 the closed forms R_0 = sin(w r)/(w f) and R_1 = (g sin(w r)/w - cos(w r))/(a_1 f),
-f = sinh r, sin r or r.  One estimate, shared by the models, picks each
-(k, chi) column's direction: past the turning point in l the regular row
-shrinks by e^-eta per rung while the other solution grows by e^eta, with
-cosh eta = (2l+1) g / (2 sqrt(a_l a_{l+1})).
+f = sinh r, sin r or r.  kappa, f and f/f' = tanh r, r or tan r (g = f'/f) are
+the models' one table, _MODEL; one fold of the radius, _fold, reflects closed
+radii past pi/2 to pi - r, reads those below the smallest normal double as the
+origin and gives r/f, for the rows and the zonal functions alike.  One
+estimate, shared by the models, picks each (k, chi) column's direction: past
+the turning point in l the regular row shrinks by e^-eta per rung while the
+other solution grows by e^eta, with cosh eta = (2l+1) g / (2 sqrt(a_l a_{l+1})).
 
 - Upward from R_0 and R_1 where that sweep amplifies roundoff by at most e^5
   (2 sum eta over the rungs below L, plus the cancellation in the R_1 seed).
 - Otherwise Miller's downward sweep from R_{N+1} = 0, at the first rung N
   from which the other solution decays by e^40 on the way down to row L,
-  normalised to the closed-form R_0, or to R_1 where |R_0| < |R_1|.  At
-  large l eta tends to arccosh(coth r), so the start converges by only
-  e^(2 eta) = 1.6 per rung at r = 2.1, and no fixed margin serves.  Where N
-  would lie more than 4 (L + 16) rungs out, the column sweeps upward, whose
-  roundoff grows as slowly.
+  normalised to the closed-form R_0, or to R_1 where |R_0| < |R_1|.  The
+  search for N begins at the turning rung floor(w / sqrt(g^2 + kappa)), that
+  is w sinh r, k chi or w sin r, below which the rows oscillate (eta = 0), or
+  at the top row if that is higher.  At large l eta tends to arccosh(coth r),
+  so the start converges by only e^(2 eta) = 1.6 per rung at r = 2.1, and no
+  fixed margin serves.  Where N would lie more than 4 (L + 16) rungs out, the
+  column sweeps upward, whose roundoff grows as slowly.
 - Closed columns sweep down from l = omega, where a_{omega+1} = 0 makes the
   start exact (or from N, if lower); rows l > omega are +0.0, and
   R(pi - r) = (-1)^(omega - l) R(r) keeps r <= pi/2.
@@ -316,7 +321,24 @@ _REACH = 4         # ... or while its Miller start would lie over 4 (L + 16) run
 _FLOOR = 700.0     # rows more than e^700 below R_0 are 0, under the normal range
 _KICK = 2.0 ** -46  # relative seed perturbation of an upward column's second sweep
 _BLOCK = 8         # rungs of the start-rung search before it extrapolates
-_KAPPA = {Kind.OPEN: -1.0, Kind.FLAT: 0.0, Kind.CLOSED: 1.0}
+_MODEL = {Kind.OPEN: (-1.0, np.sinh, np.tanh),   # per model: kappa, f and f/f' (g = f'/f)
+          Kind.FLAT: (0.0, np.positive, np.positive), Kind.CLOSED: (1.0, np.sin, np.tan)}
+
+
+def _fold(kind: Kind, r: np.ndarray):
+    """(r, refl, origin, r/f(r)) at the 1-d scaled radii r.  Closed radii past
+    pi/2 (refl) become pi - r, where Phi takes the factor (-1)^omega and R_l
+    (-1)^(omega - l); origin marks the radii below the smallest normal double;
+    r/f(r) is 1 + kappa r^2/6 + 7 r^4/360 below 1e-4 (exactly 1 flat)."""
+    kappa, f, _ = _MODEL[kind]
+    refl = r > math.pi / 2.0 if kind is Kind.CLOSED else np.zeros(r.shape, bool)
+    r = np.maximum(np.where(refl, math.pi - r, r), 0.0)
+    r_over_f, small = np.empty_like(r), r < 1e-4
+    rs, rb = r[small], r[~small]
+    r_over_f[small] = 1.0 + kappa * rs * rs / 6.0 + 7.0 * rs ** 4 / 360.0
+    with np.errstate(over="ignore"):              # sinh r = inf past r = 710: r/f = 0
+        r_over_f[~small] = rb / f(rb)
+    return r, refl, r < np.finfo(float).tiny, r_over_f
 
 
 def _eta(kappa: float, w2, g, l):
@@ -334,17 +356,23 @@ def _eta(kappa: float, w2, g, l):
 def _start_rungs(kappa: float, w2, g, top, stop, gains):
     """Miller start rungs N of each column, one per gain: the first rung from
     which the other solution decays by e^gain on its way down to top, or stop
-    (closed: omega) where that comes first.  Past the first _BLOCK rungs eta
-    rises toward its limit, so the last of them bounds the rungs still to go.
-    Also returns the estimated log growth of the row from N down to top."""
-    e = _eta(kappa, w2, g, top + np.arange(_BLOCK)[:, None])
+    (closed: omega) where that comes first.  The search starts at the turning
+    rung (module notes), or at top if higher, and at most at stop - _BLOCK.
+    Past its first _BLOCK rungs eta rises toward its limit, so the last of them
+    bounds the rungs still to go.  Also returns the estimated log growth of the
+    row from N down to top."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        turn = np.floor(np.sqrt(w2 / (g * g + kappa)))
+    start = np.fmax(top, np.minimum(turn, stop - _BLOCK))   # 0/0 (w = 0, g^2 = 1): top
+    e = _eta(kappa, w2, g, start + np.arange(_BLOCK)[:, None])
     grown = np.cumsum(e, axis=0)
     Ns, growth = [], []
     for gain in gains:
         hit = grown >= 0.5 * gain
         j, got = np.argmax(hit, axis=0), hit.any(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            N = np.where(got, top + j, top + _BLOCK + np.ceil((0.5 * gain - grown[-1]) / e[-1]))
+            N = np.where(got, start + j,
+                         start + _BLOCK + np.ceil((0.5 * gain - grown[-1]) / e[-1]))
         Ns.append(np.minimum(N, stop))
         growth.append(np.where(got & (j > 0), grown[j - 1, np.arange(top.size)], 0.5 * gain * ~got))
     return Ns, growth
@@ -393,15 +421,15 @@ def _plan(kind: Kind, w, r, L: int):
     """How each column (w[i], r[i]), r > 0, is swept: the sweep order (upward, then
     Miller by start rung descending), the number upward, (w^2, g, R_0, R_1, top) in
     that order (R_1 = 0 where too inexact to normalise a Miller sweep), two starts (N, D_N)."""
-    kappa, closed = _KAPPA[kind], kind is Kind.CLOSED
+    (kappa, f, f_over_df), closed = _MODEL[kind], kind is Kind.CLOSED
     w2 = w * w
-    g = 1.0 / {Kind.OPEN: np.tanh, Kind.FLAT: np.positive, Kind.CLOSED: np.tan}[kind](r)
+    g = 1.0 / f_over_df(r)
     s, c = r * np.sinc(w * r / math.pi), np.cos(w * r)            # sin(w r) / w, cos(w r)
     # sinh r = inf past r = 710 gives R_0 = R_1 = 0; closed omega = 0 has R_1 = 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        f = {Kind.OPEN: np.sinh, Kind.FLAT: np.positive, Kind.CLOSED: np.sin}[kind](r)
+        fr = f(r)
         a1 = np.sqrt(w2 - kappa)
-        R0, R1 = s / f, np.where(a1 > 0, (g * s - c) / (a1 * f), 0.0)
+        R0, R1 = s / fr, np.where(a1 > 0, (g * s - c) / (a1 * fr), 0.0)
         cancel = np.log((np.abs(g * s) + np.abs(c)) / np.abs(g * s - c))  # in the R_1 seed
 
     # D_l, the log size of R_0 / R_l, is 0 at l = 0 and eta_0 + S_l above, where rung
@@ -433,26 +461,22 @@ def _rows(kind: Kind, w: np.ndarray, r: np.ndarray, L: int, cert_tol: float | No
     """The table R_0..R_L at the columns (w[q, p], r[q, p]) of the model kind
     (module notes), shaped (L+1,) + r.shape, and the certificate's worst
     disagreement (gap / scale, l, q, p), or None if it passes or cert_tol is None."""
-    kappa, closed = _KAPPA[kind], kind is Kind.CLOSED
-    shape, w, r = r.shape, w.ravel(), r.ravel()
-    sign = np.ones(r.size)
-    if closed:                                    # R(pi - r) = (-1)^(omega - l) R(r)
-        flip = r > math.pi / 2.0
-        sign[flip] = (-1.0) ** (np.rint(w[flip]) - 1.0)
-        r = np.maximum(np.where(flip, math.pi - r, r), 0.0)
-    live = r >= np.finfo(float).tiny              # the origin has R_0 = 1, R_l = 0 above
-    order, nu, P, (N, d_N), (N2, d_N2) = _plan(kind, w[live], r[live], L)
-    cols = np.flatnonzero(live)[order]
-    if closed:   # a flipped column sweeps with -g from the seeds (-1)^omega (R_0, -R_1)
-        neg = np.where(flip[cols], -1.0, 1.0)
-        P[1:4] *= (neg, sign[cols], sign[cols] * neg)
+    kappa = _MODEL[kind][0]
+    shape, w = r.shape, w.ravel()
+    r, refl, origin, _ = _fold(kind, r.ravel())   # the origin has R_0 = 1, R_l = 0 above
+    sign = np.ones(r.size)                        # R(pi - r) = (-1)^(omega - l) R(r)
+    sign[refl] = (-1.0) ** (np.rint(w[refl]) - 1.0)
+    order, nu, P, (N, d_N), (N2, d_N2) = _plan(kind, w[~origin], r[~origin], L)
+    cols = np.flatnonzero(~origin)[order]
+    neg = np.where(refl[cols], -1.0, 1.0)         # a reflected column sweeps with -g
+    P[1:4] *= (neg, sign[cols], sign[cols] * neg)  # from the seeds (-1)^omega (R_0, -R_1)
 
     # the table is swept in place, the origin columns last, then put in order
     out = np.zeros((L + 1, r.size))
     _upward(kappa, *P[:4, :nu], 0.0, out[:, :nu])
     _downward(kappa, *P[:, nu:], N, d_N, out[:, nu:cols.size])
-    out[0, cols.size:] = sign[~live]              # R_0 = 1, or (-1)^omega at pi
-    order = np.argsort(np.concatenate([cols, np.flatnonzero(~live)]))
+    out[0, cols.size:] = sign[origin]             # R_0 = 1, or (-1)^omega at pi
+    order = np.argsort(np.concatenate([cols, np.flatnonzero(origin)]))
     blocks = zonal_blocks(L + 1, 16 * r.size)     # a row, or all of a small table: the
     for b in blocks:                              # scratch is 1/16 of a zonal block at most
         out[b] = out[b][:, order]
@@ -470,7 +494,7 @@ def _rows(kind: Kind, w: np.ndarray, r: np.ndarray, L: int, cert_tol: float | No
     P, cols, rows = P[:, keep], cols[keep], np.zeros((L + 1, keep.size))
     _upward(kappa, *P[:4, :nu], _KICK, rows[:, :nu])
     _downward(kappa, *P[:, nu:], N2[moved], d_N2[moved], rows[:, nu:])
-    row_max = np.maximum(np.maximum.reduce(T, axis=2), -np.minimum.reduce(T, axis=2))[..., None]
+    row_max = np.fmax(np.fmax.reduce(T, axis=2), -np.fmin.reduce(T, axis=2))[..., None]
     col_max = 2.0 ** -20 * np.fmax(np.fmax.reduce(T, axis=0), -np.fmin.reduce(T, axis=0))
     worst = (-1.0,)
     for b in blocks:
@@ -559,33 +583,15 @@ def zonal_blocks(n_rows: int, n_cols: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
-def _x_over(fn, sign: float, r: np.ndarray) -> np.ndarray:
-    """r/fn(r) for fn = sinh (sign=-1) or sin (sign=+1, r in [0, pi/2]), series-safe at r=0."""
-    out = np.empty_like(r)
-    small = r < 1e-4
-    rs = r[small]
-    out[small] = 1.0 + sign * rs * rs / 6.0 + 7.0 * rs ** 4 / 360.0
-    rb = r[~small]
-    out[~small] = rb / fn(rb)
-    return out
-
-
-def _sin_over(x: np.ndarray) -> np.ndarray:
-    """sin(x)/x for x >= 0, exactly 1 at x = 0; overwrites x."""
-    np.maximum(x, np.finfo(float).tiny, out=x)       # sin(tiny) == tiny
-    out = np.sin(x)
-    out /= x
-    return out
-
-
 def _supplementary(tau: float, r: np.ndarray) -> np.ndarray:
     if not 0.0 < tau <= 1.0:
         raise DomainError("supplementary series needs omega = i tau, tau in (0, 1]")
     # sinh(tau r)/(tau sinh r); bounded by 1, exp-safe for large r
-    return np.where(r < 1e-4,
-                    1.0 + (tau * tau - 1.0) * r * r / 6.0,
-                    np.exp((tau - 1.0) * r) * (1 - np.exp(-2 * tau * r))
-                    / (tau * (1 - np.exp(-2 * r))))
+    out, far = 1.0 + (tau * tau - 1.0) * r * r / 6.0, r >= 1e-4
+    rf = r[far]
+    out[far] = (np.exp((tau - 1.0) * rf) * (1 - np.exp(-2 * tau * rf))
+                / (tau * (1 - np.exp(-2 * rf))))
+    return out
 
 
 def zonal_spherical(geom: Geometry, omega, r):
@@ -597,13 +603,16 @@ def zonal_spherical(geom: Geometry, omega, r):
         closed : sin((omega+1) r)/((omega+1) sin r), omega = 0, 1, 2, ...
 
     Normalized so Phi_omega(0) = 1; |Phi| <= 1 on the principal series.
-    r must be finite and >= 0, else DomainError.
+    r must be finite and >= 0, else DomainError.  Radii below the smallest
+    normal double (2.2e-308), and closed radii that close to pi, are the
+    origin: Phi = 1 there, and (-1)^omega at pi, as in radial_table and the
+    transforms.
 
     A scalar omega gives values shaped like r.  A 1-d array of real omega
     (principal or closed series) gives the table shaped (omega.size,) +
     r.shape, row i holding Phi_omega[i]; the supplementary series takes a
     scalar only.  Both use the separable form sin(a r)/(a r) * r/f(r), with
-    a = omega (open, flat) or omega+1 (closed) and f = sinh, 1 or sin, so
+    a = omega (open, flat) or omega+1 (closed) and f = sinh, r or sin, so
     r/f(r) is evaluated once per call and each table entry costs one sine.
     The closed model is evaluated at min(r, pi - r) and takes the factor
     (-1)^omega past pi/2, which keeps its accuracy near the antipode.
@@ -635,16 +644,15 @@ def zonal_spherical(geom: Geometry, omega, r):
         wr = np.round(w)
         if np.any(np.abs(w - wr) > 1e-9):
             raise DomainError(f"closed model needs integer omega >= 0, got {omega}")
-        refl = r > math.pi / 2.0
-        r = np.where(refl, math.pi - r, r)
-        vals = _sin_over(np.multiply.outer(wr + 1.0, r))
-        vals *= _x_over(np.sin, 1.0, r)
-        flip = np.ix_(wr % 2 == 1, refl)          # Phi(pi - r) = (-1)^omega Phi(r)
-        vals[flip] = -vals[flip]
-    else:
-        vals = _sin_over(np.multiply.outer(w, r))
-        if geom.kind is Kind.OPEN:
-            vals *= _x_over(np.sinh, -1.0, r)
+        w = wr + 1.0                              # the closed a = omega + 1
+    r, refl, _, r_over_f = _fold(geom.kind, r)
+    x = np.multiply.outer(w, r)
+    np.maximum(x, np.finfo(float).tiny, out=x)    # sin(x)/x is 1 at x = 0: sin(tiny) == tiny
+    vals = np.sin(x)
+    vals /= x
+    vals *= r_over_f
+    flip = np.ix_(w % 2 == 0, refl)               # closed: Phi(pi - r) = (-1)^omega Phi(r)
+    vals[flip] = -vals[flip]
     return vals.reshape(shape_w + shape_r)[()]
 
 
@@ -653,7 +661,7 @@ def _zonal_factors(geom: Geometry, omega: np.ndarray, r: np.ndarray):
 
     omega (increasing) and r are 1-d.  Let a = omega (omega+1 closed), G <= n/4 the
     smallest period with a[i+G] - a[i] = a[G] - a[0] within 4 eps max(a), and s the
-    multiple of G nearest sqrt(n).  Off r = 0 row ps + g is (sa[p] cd[g] + ca[p] sd[g])
+    multiple of G nearest sqrt(n).  Off the origin row ps + g is (sa[p] cd[g] + ca[p] sd[g])
     / a, with sa, ca = sin, cos(a[ps] r)/f(r), sd, cd = sin, cos((a[g] - a[0]) r) and
     the closed sign (-1)^omega past pi/2 folded in: sin(a' r), |a' - a| within the
     tolerance.  Returns (s, sa, ca, sd, cd, 1/a, 1/f, r/f, origin, refl, (-1)^omega),
@@ -669,12 +677,8 @@ def _zonal_factors(geom: Geometry, omega: np.ndarray, r: np.ndarray):
     if r.size < s:                                # no period, or too few radii for anchors
         return None
     zonal_spherical(geom, omega[:1], r)           # checks r and omega as the table does
-    refl = r > math.pi / 2.0 if closed else np.zeros(r.shape, bool)
-    r = np.where(refl, math.pi - r, r)
-    origin = r == 0.0
-    scale = (_x_over(np.sin, 1.0, r) if closed else
-             _x_over(np.sinh, -1.0, r) if geom.kind is Kind.OPEN else np.ones_like(r))
-    inv_f = np.divide(scale, r, out=np.zeros_like(r), where=~origin)   # 1/f(r), 0 at r = 0
+    r, refl, origin, scale = _fold(geom.kind, r)
+    inv_f = np.divide(scale, r, out=np.zeros_like(r), where=~origin)   # 1/f(r), 0 at the origin
     par = np.where(closed & (omega % 2 == 1), -1.0, 1.0)     # = (-1)^omega[ps] (-1)^d_g
     sp, sg = (np.where(refl, q[:, None], 1.0) for q in (par[::s], par[:s] * par[0]))
     sa, ca = (np.sin(x := np.multiply.outer(a[::s], r)) * inv_f * sp, np.cos(x) * inv_f * sp)
@@ -684,7 +688,7 @@ def _zonal_factors(geom: Geometry, omega: np.ndarray, r: np.ndarray):
 
 
 def _factor_rows(fac, idx: np.ndarray) -> np.ndarray:
-    """Rows Phi[idx] of the table with _zonal_factors fac, exact at a = 0 and at r = 0."""
+    """Rows Phi[idx] of the table with _zonal_factors fac, exact at a = 0 and at the origin."""
     s, sa, ca, sd, cd, inv_a, _, scale, origin, refl, par = fac
     p, g = np.divmod(idx, s)
     phi = (cd[g] * sa[p] + sd[g] * ca[p]) * inv_a[idx, None]

@@ -433,7 +433,7 @@ def test_analytic_correlation_rejects_bad_atom_weights():
 
 def test_analytic_correlation_atoms_and_errors():
     P = GaussianBump(1.0, 2.0, 0.6)
-    r = np.array([0.5, 1.5])
+    r = np.array([0.0, 0.5, 1.5])                 # lag 0 once divided 0 by 0 in the atom
     base = analytic_correlation(G_OPEN, P, r, k_max=6.0)
     plus = analytic_correlation(G_OPEN, P, r, k_max=6.0,
                                 atoms=((0.5j, 2.0),))
@@ -444,6 +444,24 @@ def test_analytic_correlation_atoms_and_errors():
         analytic_correlation(G_CLOSED, P, r)       # needs omega_max
     with pytest.raises(DomainError):
         analytic_correlation(G_OPEN, P, r)         # needs k_max
+
+
+@pytest.mark.parametrize("name", ["open", "flat", "closed"])
+def test_analytic_correlation_reads_subnormal_lags_as_the_origin(name):
+    # enough lags for the angle-addition factors, whose 1/f(r) overflowed at a
+    # subnormal lag (inf open and flat, NaN closed) where the table read r = 0;
+    # two lags take zonal_spherical's table
+    geom = {"open": G_OPEN, "flat": G_FLAT, "closed": G_CLOSED}[name]
+    kw = {"omega_max": 60} if name == "closed" else {"k_max": 8.0}
+    r = np.concatenate([[0.0, 1e-310], np.linspace(0.1, 2.0, 60)])
+    k, _ = spectral_nodes(geom, kw.get("k_max"), 200, 12, kw.get("omega_max"))
+    assert specfun._zonal_factors(geom, *sft._scaled(geom, k, r)) is not None
+    P = GaussianBump(1.0, 3.0, 0.8)
+    got = analytic_correlation(geom, P, r, **kw)
+    assert np.isfinite(got[0]) and got[0] == got[1]
+    table = analytic_correlation(geom, P, r[:2], **kw)
+    assert table[0] == table[1]
+    np.testing.assert_allclose(table, got[:2], rtol=1e-14)
 
 
 def test_closed_analytic_correlation_applies_atoms():

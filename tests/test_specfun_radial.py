@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,8 +16,8 @@ from curvedfield.quadrature import gauss_legendre_grid
 from curvedfield.randfield import GaussianBump, SynthesisConfig, synthesize
 from curvedfield.sft import spectral_nodes
 from curvedfield.specfun import conical_legendre, radial, radial_table, zonal_spherical
-from oracles import (CLOSED_RADIAL, CONICAL_LEGENDRE, FLAT_RADIAL, OPEN_RADIAL, OPEN_RADIAL_HIGH_L,
-                     OPEN_RADIAL_ROWS)
+from oracles import (CLOSED_RADIAL, CLOSED_RADIAL_ROWS, CLOSED_RADIAL_ROWS_CHI, CONICAL_LEGENDRE,
+                     FLAT_RADIAL, OPEN_RADIAL, OPEN_RADIAL_HIGH_L, OPEN_RADIAL_ROWS)
 
 G_OPEN = Geometry.open(-1.0)
 G_FLAT = Geometry.flat()
@@ -37,6 +38,26 @@ def test_closed_radial_against_frozen_table():
     for omega, l, r, ref in CLOSED_RADIAL:
         got = float(radial(G_CLOSED, float(omega + 1), l, r, check=False))
         assert abs(got - ref) < 1e-11 * max(abs(ref), 1e-12), (omega, l, r)
+
+
+def test_closed_rows_near_origin_and_antipode_at_large_omega():
+    # Miller's start search once began L + 8 rungs up, where these columns
+    # still oscillate: it assumed e^20 of growth from omega down, and the rows
+    # overflowed to NaN (AccuracyError with check=True)
+    omegas = list(CLOSED_RADIAL_ROWS)
+    T = radial_table(G_CLOSED, [w + 1.0 for w in omegas], 8, np.array(CLOSED_RADIAL_ROWS_CHI))
+    for q, w in enumerate(omegas):
+        for l, ref in enumerate(np.array(CLOSED_RADIAL_ROWS[w])):
+            np.testing.assert_allclose(T[l, q], ref, rtol=0, atol=1e-11 * np.max(np.abs(ref)),
+                                       err_msg=f"omega={w}, l={l}")
+    assert np.all(np.isfinite(radial_table(G_CLOSED, [401.0], 8, [0.05], check=False)))
+
+
+def test_closed_sweep_to_omega_1500_certifies():
+    # every lattice k = 1..1500 near the origin, the equator and the antipode
+    chi = np.array([0.0, 1e-3, 0.05, 0.14, 0.5, 1.0, 1.5, 3.0, math.pi - 0.01, math.pi])
+    T = radial_table(G_CLOSED, np.arange(1.0, 1501.0), 8, chi)
+    assert np.all(np.isfinite(T))
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +243,25 @@ def test_radial_table_certifies_every_row(monkeypatch):
             radial_table(G_OPEN, ks, 4, chi)
     good = specfun._downward
 
-    def nan_sample(*args):
-        # one NaN sample in the table, row 3 of the first Miller column; the
-        # second sweep, which certifies it, runs clean
-        good(*args)
-        args[-1][3, 0] = np.nan
-        monkeypatch.setattr(specfun, "_downward", good)
+    def poison(where):
+        # NaN in the table's first Miller column; the second sweep, which
+        # certifies it, runs clean
+        def sweep(*args):
+            good(*args)
+            args[-1][where] = np.nan
+            monkeypatch.setattr(specfun, "_downward", good)
+        monkeypatch.setattr(specfun, "_downward", sweep)
 
-    monkeypatch.setattr(specfun, "_downward", nan_sample)
+    poison((3, 0))                                # one sample, in row 3
     with pytest.raises(AccuracyError, match=r"l=3\)"):
+        radial_table(G_OPEN, ks, 4, chi)
+    # a whole NaN column once made every row's scale NaN, so the message named
+    # the first sample in C order, chi = 0 and l = 0, whose rows are exact
+    poison((slice(None), 0))
+    (q, p), = np.argwhere(np.isnan(radial_table(G_OPEN, ks, 4, chi, check=False)[0]))
+    poison((slice(None), 0))
+    named = re.escape(f"at chi={chi[p]:.4g} (open, k={ks[q]}, l=0)")
+    with pytest.raises(AccuracyError, match=named):
         radial_table(G_OPEN, ks, 4, chi)
 
 
@@ -422,6 +453,8 @@ def test_zonal_supplementary_series():
     # tau = 1 is the constant function
     ones = zonal_spherical(G_OPEN, 1j, r)
     np.testing.assert_allclose(ones, 1.0, rtol=1e-12)
+    # the exp form, once evaluated at r = 0 too, divided 0 by 0 there
+    assert zonal_spherical(G_OPEN, 1j * tau, 0.0) == 1.0
 
 
 def test_zonal_domain_errors():

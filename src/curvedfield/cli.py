@@ -107,7 +107,6 @@ _SYNTH_SCHEMA = {
     "synthesis.k_order": Option("int", 12),
     "synthesis.omega_max": Option("int", -1),
     "synthesis.real": Option("bool", True),
-    "synthesis.closed_weight": Option("str", "plancherel"),
 }
 
 
@@ -139,8 +138,7 @@ def _synth_config(cfg, seed, n_realizations=1) -> SynthesisConfig:
         k_max=cfg["synthesis.k_max"] or None,
         k_panels=cfg["synthesis.k_panels"], k_order=cfg["synthesis.k_order"],
         omega_max=None if cfg["synthesis.omega_max"] < 0 else cfg["synthesis.omega_max"],
-        n_realizations=n_realizations, real=cfg["synthesis.real"],
-        closed_weight=cfg["synthesis.closed_weight"])
+        n_realizations=n_realizations, real=cfg["synthesis.real"])
 
 
 def _tensor_grid(cfg):
@@ -213,7 +211,6 @@ def cmd_transform(args) -> int:
     cfg = apply_schema(raw, {
         **_GEOM_SCHEMA,
         "transform.mode": Option("str", "roundtrip"),
-        "transform.normalization": Option("str", "consistent"),
         "profile.center": Option("float"),
         "profile.halfwidth": Option("float"),
         "profile.amplitude": Option("float", 1.0),
@@ -232,9 +229,6 @@ def cmd_transform(args) -> int:
     tail_tol = 1e-3 if args.tolerance is None else args.tolerance
     if not 0.0 < tail_tol < math.inf:
         raise DomainError(f"tolerance must be finite and > 0, got {tail_tol}")
-    normalization = cfg["transform.normalization"]
-    if normalization not in ("consistent", "printed"):
-        raise DomainError(f"unknown normalization {normalization!r}")
     order = cfg["grid.order"]
     chi, wchi = gauss_legendre_grid(0.0, cfg["grid.chi_max"], cfg["grid.panels"], order)
     f = bump_profile(chi, cfg["profile.center"], cfg["profile.halfwidth"],
@@ -251,7 +245,7 @@ def cmd_transform(args) -> int:
         spec = forward_isotropic(profile, k, tail_tol=tail_tol)
         _write_table(args, raw, {"k": spec.k, "f00": spec.values})
         return 0
-    _, back = roundtrip_isotropic(profile, k, wk, normalization=normalization, tail_tol=tail_tol)
+    _, back = roundtrip_isotropic(profile, k, wk, tail_tol=tail_tol)
     scale = float(np.max(np.abs(f))) or 1.0
     err = float(np.max(np.abs(back.values - f))) / scale
     notes = [f"max relative roundtrip error: {err:.6e}"]
@@ -282,7 +276,7 @@ def cmd_synthesize(args) -> int:
     digest = write_field(args.out, FieldFile(
         geom, 0, args.seed, chi, theta, phi, values, config_hash(raw)))
     print(f"wrote {args.out} sha256={digest} "
-          f"rms={float(np.sqrt(np.mean(values ** 2))):.6g}")
+          f"rms={float(np.sqrt(np.mean(np.abs(values) ** 2))):.6g}")
     return 0
 
 

@@ -21,9 +21,7 @@ exactly in expectation; the closed weight sqrt(K) carries the K^(3/4) that
 alpha would otherwise need.
 
 The closed-model weight k sqrt(P w) = K^(3/4) (w+1) sqrt(P) matches the
-covariance lattice sum above and keeps the fundamental mode w = 0;
-closed_weight="printed" substitutes (k - sqrt(K)) sqrt(P w), i.e. w in place
-of w+1, which silently drops w = 0.
+covariance lattice sum above and keeps the fundamental mode w = 0.
 
 Per mode the field sees xi only through a_lm = xi_lm B_l on the distinct
 radii, B_l = diag(k sqrt(P w)) R_l (n_k x n_radii), of kernel C_l = B_l^T B_l.
@@ -177,7 +175,6 @@ class SynthesisConfig:
     omega_max: int | None = None
     n_realizations: int = 1
     real: bool = True
-    closed_weight: str = "plancherel"
 
     def __post_init__(self):
         if self.L_max < 0 or self.n_realizations < 1:
@@ -193,8 +190,6 @@ class SynthesisConfig:
             raise DomainError("k_panels >= 1 and k_order >= 2 required")
         if self.omega_max is not None and self.omega_max < 0:
             raise DomainError("omega_max must be >= 0")
-        if self.closed_weight not in ("plancherel", "printed"):
-            raise DomainError(f"unknown closed_weight {self.closed_weight!r}")
 
 
 @dataclass(frozen=True)
@@ -283,10 +278,7 @@ def _power(P: PowerSpectrum, k: np.ndarray) -> np.ndarray:
 def _k_nodes(geom: Geometry, P: PowerSpectrum, cfg: SynthesisConfig):
     """(k nodes, per-node standard deviation weights k sqrt(P w))."""
     k, w = spectral_nodes(geom, cfg.k_max, cfg.k_panels, cfg.k_order, cfg.omega_max)
-    pk = _power(P, k)
-    if geom.kind is Kind.CLOSED and cfg.closed_weight == "printed":
-        return k, (k - geom.curvature_scale) * np.sqrt(pk * w)
-    return k, k * np.sqrt(pk * w)
+    return k, k * np.sqrt(_power(P, k) * w)
 
 
 def _radial_factor(B: np.ndarray) -> np.ndarray:

@@ -9,21 +9,20 @@ shell measure S(chi) dchi = 4 pi f_K(chi)^2 dchi:
 
 over one spectral measure in all three models (spectral_nodes): nodes k_q and
 weights w_q with sum_q w_q k_q^2 g(k_q) the integral int g k^2 dk.  Open and
-flat use Gauss-Legendre nodes on [0, k_max] (or any stored weights, else the
-trapezoid rule); the closed model sums the lattice k = sqrt(K) (w+1),
-w = 0, 1, ..., every weight the lattice spacing sqrt(K), so the sum is
-K^(3/2) sum_w (w+1)^2 g(k_w).  The kernels obey
+flat use Gauss-Legendre nodes on [0, k_max], or any weights a Spectrum stores;
+an open or flat Spectrum without weights can be transformed to but not
+inverted or normed (DomainError).  The closed model sums the lattice
+k = sqrt(K) (w+1), w = 0, 1, ..., every weight the lattice spacing sqrt(K),
+so the sum is K^(3/2) sum_w (w+1)^2 g(k_w).  The kernels obey
 
     int Phi_k Phi_k' S dchi = 2 pi^2 / k^2 delta(k - k')
 
 (on the closed lattice delta(k - k') = d_ww' / sqrt(K), the measure's delta),
 so one constant per model, c = 2 sqrt(pi) (open, closed) or pi sqrt(2) (flat),
-gives every normalisation: inverse(forward(f)) = f needs B = c/(2 pi^2)
-(normalization="consistent", the default), and Parseval reads
-sum w k^2 |f00|^2 = (2 pi^2/c^2) ||f||^2.  normalization="printed" keeps the
-symmetric prefactor B = 1/c, which overcounts the curved roundtrip by pi/2;
-it is exposed for comparison only.  spectrum_norm2 and parseval_constant quote
-the closed model per sum_w (w+1)^2, i.e. divided by K^(3/2).
+gives every normalisation: inverse(forward(f)) = f needs B = c/(2 pi^2), and
+Parseval reads sum w k^2 |f00|^2 = (2 pi^2/c^2) ||f||^2.  spectrum_norm2 and
+parseval_constant quote the closed model per sum_w (w+1)^2, i.e. divided by
+K^(3/2).
 
 Non-compact integrals carry a tail monitor: if the trailing nodes contribute
 more than tail_tol of the total absolute mass, the grid is declared
@@ -104,10 +103,10 @@ class Spectrum:
     """Monopole spectral amplitudes on a wavenumber grid.
 
     weights are the spectral measure's weights for the k grid (see
-    spectral_nodes); without them the trapezoid rule is used.  For the
-    closed model k must sit on the lattice sqrt(K) (w+1) and the weights
-    field is ignored: the measure there is the lattice, weight sqrt(K).
-    values and weights must be finite.
+    spectral_nodes); an open or flat spectrum needs them to be inverted or
+    normed.  For the closed model k must sit on the lattice sqrt(K) (w+1) and
+    the measure is the lattice, weight sqrt(K): given weights must equal it
+    within 1e-12.  values and weights must be finite.
     """
 
     geometry: Geometry
@@ -121,6 +120,10 @@ class Spectrum:
             raise DomainError("k must be >= 0")
         self.geometry.omega_of_k(k)  # lattice check (closed)
         _set_samples(self, "k", k)
+        if self.geometry.kind is Kind.CLOSED and self.weights is not None:
+            s = self.geometry.curvature_scale
+            if not np.all(np.abs(self.weights - s) <= 1e-12 * s):
+                raise DomainError(f"closed weights must be the lattice spacing sqrt(K) = {s!r}")
 
 
 def closed_k_lattice(geom: Geometry, omega_max: int) -> np.ndarray:
@@ -170,22 +173,24 @@ def _norm_const(geom: Geometry) -> float:
     return math.pi * math.sqrt(2.0) if geom.kind is Kind.FLAT else 2.0 * math.sqrt(math.pi)
 
 
-def _inverse_pref(geom: Geometry, normalization: str) -> float:
-    if normalization not in ("consistent", "printed"):
-        raise DomainError(f"unknown normalization {normalization!r}")
-    c = _norm_const(geom)
-    return c / (2.0 * math.pi ** 2) if normalization == "consistent" else 1.0 / c
+def _inverse_pref(geom: Geometry) -> float:
+    """B = c/(2 pi^2), so that inverse(forward(f)) = f."""
+    return _norm_const(geom) / (2.0 * math.pi ** 2)
 
 
 def _spectral_weights(spec: Spectrum) -> np.ndarray:
     """The measure's weights on spec.k: sqrt(K) on the closed lattice, else the
-    stored weights or the trapezoid rule."""
+    stored weights."""
     if spec.geometry.kind is Kind.CLOSED:
         return np.full_like(spec.k, spec.geometry.curvature_scale)
-    return _weights_or_trapezoid(spec.k, spec.weights)
+    if spec.weights is None:
+        raise DomainError("an open or flat spectrum needs the weights of its k grid "
+                          "(sft.spectral_nodes) to be inverted or normed")
+    return spec.weights
 
 
 def _weights_or_trapezoid(x: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+    """A chi grid's quadrature weights: the stored ones, else the trapezoid rule."""
     if weights is not None:
         return weights
     w = np.empty_like(x)
@@ -276,23 +281,22 @@ def forward_isotropic(profile: RadialProfile, k, tail_tol: float | None = 1e-3) 
     return Spectrum(profile.geometry, k, _forward(profile, k, tail_tol)[0])
 
 
-def inverse_isotropic(spec: Spectrum, chi, normalization: str = "consistent",
-                      tail_tol: float | None = 1e-3) -> RadialProfile:
+def inverse_isotropic(spec: Spectrum, chi, *, tail_tol: float | None = 1e-3) -> RadialProfile:
     """Reconstruct the radial profile on grid chi from spectral amplitudes."""
     _check_tail_tol(tail_tol)
     geom = spec.geometry
     chi = _as_grid("chi", np.atleast_1d(np.asarray(chi, dtype=float)))
-    pref = _inverse_pref(geom, normalization)
+    pref = _inverse_pref(geom)
     amp = _spectral_weights(spec) * spec.k ** 2 * spec.values
     _check_inverse_tail(geom, amp, tail_tol)
     return RadialProfile(geom, chi, pref * _zonal_pass(geom, spec.k, chi, amp=amp)[2])
 
 
-def roundtrip_isotropic(profile: RadialProfile, k, weights=None,
-                        normalization: str = "consistent",
+def roundtrip_isotropic(profile: RadialProfile, k, weights=None, *,
                         tail_tol: float | None = 1e-3) -> tuple[Spectrum, RadialProfile]:
     """forward_isotropic then inverse_isotropic back onto profile.chi, with the
-    spectral measure's weights on k, building each zonal block once.
+    spectral measure's weights on k (required open and flat), building each
+    zonal block once.
 
     Returns (spectrum, profile back), bitwise equal to the two calls; the
     forward tail is checked before the inverse tail, as there."""
@@ -300,7 +304,7 @@ def roundtrip_isotropic(profile: RadialProfile, k, weights=None,
     geom = profile.geometry
     k = np.atleast_1d(np.asarray(k, dtype=float))
     grid = Spectrum(geom, k, np.zeros(k.shape), weights)    # checks k and weights first
-    pref = _inverse_pref(geom, normalization)
+    pref = _inverse_pref(geom)
     wk2 = _spectral_weights(grid) * grid.k ** 2
     out, vals = _forward(profile, grid.k, tail_tol, wk2)
     _check_inverse_tail(geom, wk2 * out, tail_tol)
@@ -335,6 +339,6 @@ def spectrum_norm2(spec: Spectrum) -> float:
 
 
 def parseval_constant(geom: Geometry) -> float:
-    """c in ||f00||^2 = c ||f||^2 for the consistent normalization."""
+    """c in ||f00||^2 = c ||f||^2."""
     c = 2.0 * math.pi ** 2 / _norm_const(geom) ** 2
     return c / geom.K ** 1.5 if geom.kind is Kind.CLOSED else c

@@ -251,6 +251,19 @@ def test_synthesize_container_and_thread_invariance(tmp_path, capsys):
     assert "sha256=" in capsys.readouterr().out
 
 
+def test_synthesize_prints_the_rms_of_the_container(tmp_path, capsys):
+    # a complex field's rms is sqrt(mean |z|^2); the printed Re sqrt(mean z^2)
+    # came with a ComplexWarning, which the suite raises as an error
+    for real in ("true", "false"):
+        cfg = write(tmp_path, "syn.cfg", SYN_CFG + f"synthesis.real = {real}\n")
+        out = str(tmp_path / f"{real}.cfd")
+        assert main(["synthesize", "--config", cfg, "--out", out, "--seed", "4"]) == 0
+        values = read_field(out).values
+        assert np.iscomplexobj(values) == (real == "false")
+        rms = float(np.sqrt(np.mean(np.abs(values) ** 2)))
+        assert capsys.readouterr().out.split()[-1] == f"rms={rms:.6g}"
+
+
 def test_synthesize_requires_out(tmp_path):
     cfg = write(tmp_path, "syn.cfg", SYN_CFG)
     assert main(["synthesize", "--config", cfg]) == 2
@@ -410,12 +423,19 @@ def test_transform_non_finite_profile_exits_3(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_transform_normalization_is_checked_in_every_mode(tmp_path, capsys):
-    for mode in ("forward", "inverse", "roundtrip"):
-        cfg = write(tmp_path, "tr.cfg", TR_CFG + f"transform.mode = {mode}\n"
-                    "transform.normalization = bogus\n")
-        assert main(["transform", "--config", cfg]) == 3
-        assert "unknown normalization 'bogus'" in capsys.readouterr().err
+def test_removed_measure_keys_exit_2(tmp_path, capsys):
+    # one closed weight and one inverse constant per model: the keys that chose
+    # the printed forms are unknown in every mode
+    cases = [("synthesize", SYN_CFG, "synthesis.closed_weight", v) for v in ("plancherel",
+                                                                             "printed")]
+    cases += [("transform", TR_CFG + f"transform.mode = {mode}\n", "transform.normalization", v)
+              for mode in ("forward", "inverse", "roundtrip") for v in ("consistent", "printed")]
+    for command, text, key, value in cases:
+        cfg = write(tmp_path, "old.cfg", text + f"{key} = {value}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"unknown config key(s): {key}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_import_loads_no_scipy():

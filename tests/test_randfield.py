@@ -233,8 +233,6 @@ def test_config_validation():
         small_cfg(seed=2 ** 63)
     with pytest.raises(DomainError):
         small_cfg(k_order=1)
-    with pytest.raises(DomainError):
-        small_cfg(closed_weight="other")
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(DomainError, match="k_max"):
             small_cfg(k_max=bad)
@@ -245,6 +243,9 @@ def test_config_validation():
             gauss_legendre_grid(a, b, 4, 6)
     with pytest.raises(TypeError):          # synthesis runs on one thread
         small_cfg(threads=2)
+    for value in ("plancherel", "printed"):   # one closed measure: k sqrt(P w), w+1 kept
+        with pytest.raises(TypeError):
+            small_cfg(closed_weight=value)
 
 
 # ---------------------------------------------------------------------------
@@ -294,21 +295,6 @@ def test_origin_couples_only_to_monopole():
     b = synthesize(G_CLOSED, P, SynthesisConfig(
         L_max=0, seed=7, omega_max=8, n_realizations=20), *pt)
     np.testing.assert_array_equal(a.values, b.values)
-
-
-def test_closed_printed_weight_rescales_isolated_mode():
-    # spectrum isolating the omega = 3 lattice point: the printed closed
-    # weight scales its mode by omega/(omega+1) = 3/4
-    for geom in (G_CLOSED, Geometry.closed(4.0)):
-        s = geom.curvature_scale
-        P = Tabulated(s * np.array([3.9, 4.0, 4.1]), np.array([0.0, 1.0, 0.0]))
-        pt = (np.array([0.9 / s]), np.array([1.1]), np.array([0.4]))
-        plan = synthesize(geom, P, SynthesisConfig(
-            L_max=2, seed=3, omega_max=8, n_realizations=6), *pt)
-        prnt = synthesize(geom, P, SynthesisConfig(
-            L_max=2, seed=3, omega_max=8, n_realizations=6,
-            closed_weight="printed"), *pt)
-        np.testing.assert_allclose(prnt.values, 0.75 * plan.values, rtol=1e-13)
 
 
 def test_config_rejects_l_max_past_harmonic_ceiling():

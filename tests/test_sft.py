@@ -76,19 +76,24 @@ def test_parseval(name):
                                                         rel=1e-15)
 
 
-def test_printed_normalization_scales_curved_inverse():
-    for name in ("open", "closed", "closed4"):
-        geom, chi_max, k_top, center, hw = ROUNDTRIP[name]
-        prof, k, wk = transform_setup(geom, chi_max, k_top, center, hw, order=6)
-        spec = forward_isotropic(prof, k, tail_tol=None)
-        if wk is not None:
-            spec = Spectrum(geom, k, spec.values, wk)
-        cons = inverse_isotropic(spec, prof.chi, "consistent", tail_tol=None)
-        prnt = inverse_isotropic(spec, prof.chi, "printed", tail_tol=None)
-        np.testing.assert_allclose(prnt.values, (math.pi / 2) * cons.values,
-                                   rtol=1e-14)
-    with pytest.raises(DomainError):
-        inverse_isotropic(spec, prof.chi, "other")
+def test_one_inverse_constant_per_model():
+    # B = c/(2 pi^2) is the only inverse prefactor, and tail_tol is keyword-only:
+    # a normalization passed in its old place raises
+    for name in ("open", "flat", "closed", "closed4"):
+        geom = ROUNDTRIP[name][0]
+        assert sft._inverse_pref(geom) == sft._norm_const(geom) / (2.0 * math.pi ** 2)
+    geom, chi_max, k_top, center, hw = ROUNDTRIP["open"]
+    prof, k, wk = transform_setup(geom, chi_max, k_top, center, hw, order=6)
+    spec = Spectrum(geom, k, forward_isotropic(prof, k, tail_tol=None).values, wk)
+    for norm in ("consistent", "printed"):
+        with pytest.raises(TypeError):
+            inverse_isotropic(spec, prof.chi, norm)
+        with pytest.raises(TypeError):
+            roundtrip_isotropic(prof, k, wk, norm)
+        with pytest.raises(TypeError):
+            inverse_isotropic(spec, prof.chi, normalization=norm)
+        with pytest.raises(TypeError):
+            roundtrip_isotropic(prof, k, wk, normalization=norm)
 
 
 def test_closed_kernel_orthogonality():
@@ -113,7 +118,7 @@ def test_forward_tail_monitor():
     forward_isotropic(prof, np.array([0.1, 1.0]), tail_tol=None)
     # the fused roundtrip raises the same error
     with pytest.raises(ConvergenceError, match=re.escape(str(two_call.value))):
-        roundtrip_isotropic(prof, np.array([0.1, 1.0]))
+        roundtrip_isotropic(prof, np.array([0.1, 1.0]), np.array([0.45, 0.45]))
     # compact support well inside the grid passes the default monitor
     prof2 = RadialProfile(G_FLAT, chi, bump_profile(chi, 1.5, 0.8), w)
     forward_isotropic(prof2, np.array([0.1, 1.0]))
@@ -282,11 +287,15 @@ def blocked_setup(name, n_k):
     return geom, chi, RadialProfile(geom, chi, f), k
 
 
+def trapezoid_weights(x):
+    w = np.empty_like(x)
+    w[1:-1] = 0.5 * (x[2:] - x[:-2])
+    w[0], w[-1] = 0.5 * (x[1] - x[0]), 0.5 * (x[-1] - x[-2])
+    return w
+
+
 def trapezoid_base(prof):
-    w = np.empty_like(prof.chi)
-    w[1:-1] = 0.5 * (prof.chi[2:] - prof.chi[:-2])
-    w[0], w[-1] = 0.5 * (prof.chi[1] - prof.chi[0]), 0.5 * (prof.chi[-1] - prof.chi[-2])
-    return w * prof.values * surface_area(prof.geometry, prof.chi)
+    return trapezoid_weights(prof.chi) * prof.values * surface_area(prof.geometry, prof.chi)
 
 
 def loop_forward(prof, k):
@@ -371,7 +380,7 @@ def test_aperiodic_k_grid_gives_the_zonal_table_products(name):
     for b in blocks:
         vals += (0.1 * k[b] ** 2 * ref[b]) @ zonal_kernel(geom, k[b], chi)
     np.testing.assert_array_equal(inverse_isotropic(spec, chi, tail_tol=None).values,
-                                  sft._inverse_pref(geom, "consistent") * vals)
+                                  sft._inverse_pref(geom) * vals)
 
 
 def test_split_table_matches_long_double_sums():
@@ -392,23 +401,22 @@ def test_split_table_matches_long_double_sums():
     assert err < 1e-15, err
 
 
-def two_call_roundtrip(prof, k, wk, normalization, tail_tol):
+def two_call_roundtrip(prof, k, wk, tail_tol):
     spec = Spectrum(prof.geometry, k,
                     forward_isotropic(prof, k, tail_tol=tail_tol).values, wk)
-    return spec, inverse_isotropic(spec, prof.chi, normalization, tail_tol=tail_tol)
+    return spec, inverse_isotropic(spec, prof.chi, tail_tol=tail_tol)
 
 
-@pytest.mark.parametrize("normalization", ["consistent", "printed"])
 @pytest.mark.parametrize("name", ["open", "flat", "closed"])
-def test_roundtrip_equals_two_calls(monkeypatch, name, normalization):
+def test_roundtrip_equals_two_calls(monkeypatch, name):
     # tail_tol=1.0 runs both monitors (a tail fraction never exceeds 1), so the
     # in-place monitor work on each block is exercised without raising
     for block in (specfun.ZONAL_BLOCK, 100):       # 100: one row per block
         monkeypatch.setattr(specfun, "ZONAL_BLOCK", block)
         geom, chi, prof, k = blocked_setup(name, 2 * ROWS + 1)
         wk = None if name == "closed" else np.full(k.size, 30.0 / (k.size - 1))
-        spec, back = roundtrip_isotropic(prof, k, wk, normalization, tail_tol=1.0)
-        ref_spec, ref_back = two_call_roundtrip(prof, k, wk, normalization, 1.0)
+        spec, back = roundtrip_isotropic(prof, k, wk, tail_tol=1.0)
+        ref_spec, ref_back = two_call_roundtrip(prof, k, wk, 1.0)
         np.testing.assert_array_equal(spec.k, ref_spec.k)
         np.testing.assert_array_equal(spec.values, ref_spec.values)
         assert (spec.weights is None) == (wk is None)
@@ -435,8 +443,9 @@ def test_roundtrip_builds_each_block_once(monkeypatch, name):
     assert len(specfun.zonal_blocks(k.size, chi.size)) == 3     # a table's blocks
     s = factors(geom, *sft._scaled(geom, k, chi))[0]
     monitor = name != "closed"
-    for call, n_factors in ((lambda: roundtrip_isotropic(prof, k, tail_tol=1.0), 1),
-                            (lambda: two_call_roundtrip(prof, k, None, "consistent", 1.0), 2)):
+    wk = trapezoid_weights(k) if monitor else None
+    for call, n_factors in ((lambda: roundtrip_isotropic(prof, k, wk, tail_tol=1.0), 1),
+                            (lambda: two_call_roundtrip(prof, k, wk, 1.0), 2)):
         for seen in (calls, rows, tables):
             seen.clear()
         call()
@@ -501,12 +510,60 @@ def test_bounded_monitor_picks_the_full_tables_node(seed):
 
 def test_roundtrip_checks_its_arguments_first():
     geom, chi, prof, k = blocked_setup("flat", 5)
-    with pytest.raises(DomainError, match="normalization"):
-        roundtrip_isotropic(prof, k, normalization="other")
     with pytest.raises(DomainError, match="weights"):
         roundtrip_isotropic(prof, k, np.ones(4))
     with pytest.raises(SpectralLatticeError):
         roundtrip_isotropic(blocked_setup("closed", 5)[2], np.array([1.0, 2.5]))
+
+
+# the open and flat grids of the transform-background bench workload
+BENCH_TRANSFORM = {"open": (G_OPEN, 200.0), "flat": (G_FLAT, 150.0)}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_TRANSFORM))
+def test_open_flat_spectra_need_their_measure_weights(monkeypatch, name):
+    # without weights the trapezoid rule on k once gave these grids back with a
+    # 5.6-5.8% error and no exception; spectral_nodes' weights give the roundtrip
+    geom, k_max = BENCH_TRANSFORM[name]
+    chi, wchi = gauss_legendre_grid(0.0, 4.5, 85, 12)
+    prof = RadialProfile(geom, chi, bump_profile(chi, 2.0, 1.8), wchi)
+    k, wk = sft.spectral_nodes(geom, k_max, 85, 12, None)
+    f00 = forward_isotropic(prof, k).values
+    bare = Spectrum(geom, k, f00)
+    for call in (lambda: inverse_isotropic(bare, chi), lambda: spectrum_norm2(bare)):
+        with pytest.raises(DomainError, match=re.escape("sft.spectral_nodes")):
+            call()
+    spec, back = roundtrip_isotropic(prof, k, wk)
+    np.testing.assert_array_equal(spec.values, f00)
+    np.testing.assert_array_equal(back.values,
+                                  inverse_isotropic(Spectrum(geom, k, f00, wk), chi).values)
+    assert np.max(np.abs(back.values - prof.values)) < 1e-6 * np.max(prof.values)
+
+    def no_block(*args):
+        raise AssertionError("a zonal block was built")
+
+    for attr in ("zonal_kernel", "zonal_spherical", "_zonal_factors"):
+        monkeypatch.setattr(sft, attr, no_block)
+    with pytest.raises(DomainError, match=re.escape("sft.spectral_nodes")):
+        roundtrip_isotropic(prof, k)
+
+
+def test_closed_weights_are_the_lattice_spacing():
+    # closed weights were once ignored: spectrum_norm2 read the same with
+    # weights 0.1 as with none
+    geom = Geometry.closed(4.0)   # curvature scale 2
+    k, wk = sft.spectral_nodes(geom, None, 1, 2, 5)
+    f00 = np.linspace(1.0, 2.0, k.size)
+    ref = spectrum_norm2(Spectrum(geom, k, f00))
+    assert spectrum_norm2(Spectrum(geom, k, f00, wk)) == ref
+    assert spectrum_norm2(Spectrum(geom, k, f00, wk * (1.0 + 1e-13))) == ref
+    for bad in (np.full(k.size, 0.1), wk * (1.0 + 1e-11), np.ones(k.size)):
+        with pytest.raises(DomainError, match=re.escape("sqrt(K)")):
+            Spectrum(geom, k, f00, bad)
+    prof = blocked_setup("closed", 5)[2]
+    with pytest.raises(DomainError, match=re.escape("sqrt(K)")):
+        roundtrip_isotropic(prof, prof.geometry.curvature_scale * np.arange(1.0, 6.0),
+                            np.full(5, 0.1))
 
 
 @pytest.mark.parametrize("name", ["open", "flat", "closed"])

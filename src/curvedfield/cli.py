@@ -123,10 +123,10 @@ def _spectrum(cfg):
         if not path:
             raise ConfigError("spectrum.form=tabulated needs spectrum.file")
         try:
-            table = np.loadtxt(path, delimiter=",")
+            table = np.loadtxt(path, delimiter=",", ndmin=2)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read spectrum table {path}: {exc}") from None
-        if table.ndim != 2 or table.shape[1] != 2:
+        if table.shape[1] != 2:
             raise ConfigError("spectrum table must have two columns: k, P")
         return Tabulated(table[:, 0], table[:, 1])
     raise ConfigError(f"unknown spectrum.form {form!r}")
@@ -224,8 +224,8 @@ def cmd_transform(args) -> int:
     })
     geom = _geometry(cfg)
     mode = cfg["transform.mode"]
-    if mode not in ("forward", "inverse", "roundtrip"):
-        raise ConfigError(f"transform.mode must be forward, inverse or roundtrip, not {mode!r}")
+    if mode not in ("forward", "roundtrip"):
+        raise ConfigError(f"transform.mode must be forward or roundtrip, not {mode!r}")
     tail_tol = 1e-3 if args.tolerance is None else args.tolerance
     if not 0.0 < tail_tol < math.inf:
         raise DomainError(f"tolerance must be finite and > 0, got {tail_tol}")
@@ -248,11 +248,8 @@ def cmd_transform(args) -> int:
     _, back = roundtrip_isotropic(profile, k, wk, tail_tol=tail_tol)
     scale = float(np.max(np.abs(f))) or 1.0
     err = float(np.max(np.abs(back.values - f))) / scale
-    notes = [f"max relative roundtrip error: {err:.6e}"]
-    if mode == "inverse":
-        _write_table(args, raw, {"chi": chi, "f": back.values}, notes)
-    else:
-        _write_table(args, raw, {"chi": chi, "f_in": f, "f_back": back.values}, notes)
+    _write_table(args, raw, {"chi": chi, "f_in": f, "f_back": back.values},
+                 [f"max relative roundtrip error: {err:.6e}"])
     return 0
 
 

@@ -379,7 +379,9 @@ def estimate_correlation(ref, lagged) -> CorrelationEstimate:
 
     ref has shape (N,), lagged (N, L): one reference sample and L lagged
     samples per realization.  The jackknife over realizations gives the
-    standard error of the mean product.
+    standard error of the mean product; for a plain mean its variance is
+    exactly sum_i |p_i - mean|^2 / (N (N-1)), computed without the
+    leave-one-out means.
     """
     ref = np.asarray(ref)
     lagged = np.asarray(lagged)
@@ -392,7 +394,5 @@ def estimate_correlation(ref, lagged) -> CorrelationEstimate:
     if not np.iscomplexobj(ref) and not np.iscomplexobj(lagged):
         prod = prod.real
     mean = prod.mean(axis=0)
-    # leave-one-out means; for a plain mean this reduces to stderr of the mean
-    loo = (mean[None, :] * n - prod) / (n - 1)
-    var = (n - 1) / n * np.sum(np.abs(loo - loo.mean(axis=0)) ** 2, axis=0)
+    var = np.sum(np.abs(prod - mean) ** 2, axis=0) / (n * (n - 1))
     return CorrelationEstimate(mean, np.sqrt(var), n)

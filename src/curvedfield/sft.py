@@ -9,11 +9,12 @@ shell measure S(chi) dchi = 4 pi f_K(chi)^2 dchi:
 
 over one spectral measure in all three models (spectral_nodes): nodes k_q and
 weights w_q with sum_q w_q k_q^2 g(k_q) the integral int g k^2 dk.  Open and
-flat use Gauss-Legendre nodes on [0, k_max], or any weights a Spectrum stores;
-an open or flat Spectrum without weights can be transformed to but not
-inverted or normed (DomainError).  The closed model sums the lattice
-k = sqrt(K) (w+1), w = 0, 1, ..., every weight the lattice spacing sqrt(K),
-so the sum is K^(3/2) sum_w (w+1)^2 g(k_w).  The kernels obey
+flat use Gauss-Legendre nodes on [0, k_max]; the closed model sums the lattice
+k = sqrt(K) (w+1), w = 0, 1, ..., every weight the lattice spacing sqrt(K) (a
+closed Spectrum always carries it), so the sum is K^(3/2) sum_w (w+1)^2 g(k_w).
+Every integral reads its grid's stored weights, with no fallback rule on chi
+or k: a RadialProfile or an open or flat Spectrum without weights can be held
+but not transformed from or normed (DomainError).  The kernels obey
 
     int Phi_k Phi_k' S dchi = 2 pi^2 / k^2 delta(k - k')
 
@@ -85,7 +86,8 @@ def _set_samples(obj, grid_name: str, grid: np.ndarray):
 class RadialProfile:
     """Sampled radial profile; weights are quadrature weights for the chi grid.
 
-    values and weights must be finite."""
+    A profile without them, as inverse_isotropic returns, cannot be transformed
+    or normed.  values and weights must be finite."""
 
     geometry: Geometry
     chi: np.ndarray
@@ -105,8 +107,8 @@ class Spectrum:
     weights are the spectral measure's weights for the k grid (see
     spectral_nodes); an open or flat spectrum needs them to be inverted or
     normed.  For the closed model k must sit on the lattice sqrt(K) (w+1) and
-    the measure is the lattice, weight sqrt(K): given weights must equal it
-    within 1e-12.  values and weights must be finite.
+    the measure is the lattice: given weights must equal sqrt(K) within 1e-12,
+    and the spectrum stores sqrt(K) exactly.  values and weights must be finite.
     """
 
     geometry: Geometry
@@ -120,10 +122,11 @@ class Spectrum:
             raise DomainError("k must be >= 0")
         self.geometry.omega_of_k(k)  # lattice check (closed)
         _set_samples(self, "k", k)
-        if self.geometry.kind is Kind.CLOSED and self.weights is not None:
+        if self.geometry.kind is Kind.CLOSED:
             s = self.geometry.curvature_scale
-            if not np.all(np.abs(self.weights - s) <= 1e-12 * s):
+            if self.weights is not None and not np.all(np.abs(self.weights - s) <= 1e-12 * s):
                 raise DomainError(f"closed weights must be the lattice spacing sqrt(K) = {s!r}")
+            object.__setattr__(self, "weights", np.full_like(k, s))
 
 
 def closed_k_lattice(geom: Geometry, omega_max: int) -> np.ndarray:
@@ -178,26 +181,12 @@ def _inverse_pref(geom: Geometry) -> float:
     return _norm_const(geom) / (2.0 * math.pi ** 2)
 
 
-def _spectral_weights(spec: Spectrum) -> np.ndarray:
-    """The measure's weights on spec.k: sqrt(K) on the closed lattice, else the
-    stored weights."""
-    if spec.geometry.kind is Kind.CLOSED:
-        return np.full_like(spec.k, spec.geometry.curvature_scale)
-    if spec.weights is None:
-        raise DomainError("an open or flat spectrum needs the weights of its k grid "
-                          "(sft.spectral_nodes) to be inverted or normed")
-    return spec.weights
-
-
-def _weights_or_trapezoid(x: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
-    """A chi grid's quadrature weights: the stored ones, else the trapezoid rule."""
-    if weights is not None:
-        return weights
-    w = np.empty_like(x)
-    w[1:-1] = 0.5 * (x[2:] - x[:-2])
-    w[0] = 0.5 * (x[1] - x[0]) if x.size > 1 else 0.0
-    w[-1] = 0.5 * (x[-1] - x[-2]) if x.size > 1 else 0.0
-    return w
+def _weights(grid: RadialProfile | Spectrum, rule: str) -> np.ndarray:
+    """The quadrature weights grid carries; DomainError naming the rule that makes them."""
+    if grid.weights is None:
+        raise DomainError(f"a {type(grid).__name__} without weights cannot be integrated: "
+                          f"give it its grid's quadrature weights ({rule})")
+    return grid.weights
 
 
 def _check_tail(contrib: np.ndarray, tol: float | None, what: str):
@@ -255,7 +244,8 @@ def _zonal_pass(geom: Geometry, k: np.ndarray, chi: np.ndarray, base=None,
 def _forward(profile: RadialProfile, k: np.ndarray, tail_tol: float | None, amp=None):
     """(forward amplitudes on k, _zonal_pass's inv); the tail is checked after the pass."""
     geom, chi = profile.geometry, profile.chi
-    base = _weights_or_trapezoid(chi, profile.weights) * profile.values * surface_area(geom, chi)
+    w = _weights(profile, "quadrature.gauss_legendre_grid")
+    base = w * profile.values * surface_area(geom, chi)
     monitor = geom.kind is not Kind.CLOSED and tail_tol is not None
     fwd, top, inv = _zonal_pass(geom, k, chi, base, 1.0 / _norm_const(geom), amp, monitor)
     if monitor:                        # the first node wins ties, as in a per-k loop
@@ -275,7 +265,10 @@ def _check_inverse_tail(geom: Geometry, amp: np.ndarray, tail_tol: float | None)
 
 
 def forward_isotropic(profile: RadialProfile, k, tail_tol: float | None = 1e-3) -> Spectrum:
-    """Transform a radial profile to monopole spectral amplitudes on grid k."""
+    """Transform a radial profile, with its chi weights, to amplitudes on grid k.
+
+    An open or flat result has no weights: to invert it, rebuild Spectrum(geom,
+    k, values, w) with spectral_nodes' weights w, or call roundtrip_isotropic."""
     _check_tail_tol(tail_tol)
     k = _as_grid("k", np.atleast_1d(np.asarray(k, dtype=float)))
     return Spectrum(profile.geometry, k, _forward(profile, k, tail_tol)[0])
@@ -287,7 +280,7 @@ def inverse_isotropic(spec: Spectrum, chi, *, tail_tol: float | None = 1e-3) -> 
     geom = spec.geometry
     chi = _as_grid("chi", np.atleast_1d(np.asarray(chi, dtype=float)))
     pref = _inverse_pref(geom)
-    amp = _spectral_weights(spec) * spec.k ** 2 * spec.values
+    amp = _weights(spec, "sft.spectral_nodes") * spec.k ** 2 * spec.values
     _check_inverse_tail(geom, amp, tail_tol)
     return RadialProfile(geom, chi, pref * _zonal_pass(geom, spec.k, chi, amp=amp)[2])
 
@@ -305,7 +298,7 @@ def roundtrip_isotropic(profile: RadialProfile, k, weights=None, *,
     k = np.atleast_1d(np.asarray(k, dtype=float))
     grid = Spectrum(geom, k, np.zeros(k.shape), weights)    # checks k and weights first
     pref = _inverse_pref(geom)
-    wk2 = _spectral_weights(grid) * grid.k ** 2
+    wk2 = _weights(grid, "sft.spectral_nodes") * grid.k ** 2
     out, vals = _forward(profile, grid.k, tail_tol, wk2)
     _check_inverse_tail(geom, wk2 * out, tail_tol)
     return (Spectrum(geom, grid.k, out, grid.weights),
@@ -326,15 +319,14 @@ def bump_profile(chi, center: float, halfwidth: float, amplitude: float = 1.0) -
 
 def profile_norm2(profile: RadialProfile) -> float:
     """||f||^2 = int |f|^2 S(chi) dchi on the stored grid."""
-    w = _weights_or_trapezoid(profile.chi, profile.weights)
-    return float(np.sum(w * profile.values ** 2
+    return float(np.sum(_weights(profile, "quadrature.gauss_legendre_grid") * profile.values ** 2
                         * surface_area(profile.geometry, profile.chi)))
 
 
 def spectrum_norm2(spec: Spectrum) -> float:
     """int |f00|^2 k^2 dk (open, flat) or sum (w+1)^2 |f00|^2 (closed)."""
     geom = spec.geometry
-    n2 = float(np.sum(_spectral_weights(spec) * spec.k ** 2 * spec.values ** 2))
+    n2 = float(np.sum(_weights(spec, "sft.spectral_nodes") * spec.k ** 2 * spec.values ** 2))
     return n2 / geom.K ** 1.5 if geom.kind is Kind.CLOSED else n2
 
 

@@ -15,6 +15,8 @@ from curvedfield.config import config_hash
 from curvedfield.cosmology import (comoving_distance, hubble, lookback_time,
                                    make_params)
 from curvedfield.fieldfile import HEADER_BYTES, read_field
+from curvedfield.geometry import Geometry
+from curvedfield.randfield import SynthesisConfig, Tabulated, synthesize
 
 BG_CFG = """
 cosmology.h0 = 67.8
@@ -435,6 +437,60 @@ def test_removed_measure_keys_exit_2(tmp_path, capsys):
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert f"unknown config key(s): {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_transform_inverse_mode_exits_2(tmp_path, capsys):
+    # the inverse mode ran the roundtrip and dropped its f_in column
+    cfg = write(tmp_path, "tr.cfg", TR_CFG + "transform.mode = inverse\n")
+    out = tmp_path / "tr.csv"
+    assert main(["transform", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "transform.mode must be forward or roundtrip" in err and not out.exists()
+
+
+def tabulated_cfg(tmp_path, rows):
+    """A synthesize config reading P(k) from a table of rows (None: no table file)."""
+    table = tmp_path / "P.csv"
+    if rows is None:
+        table.unlink(missing_ok=True)
+    else:
+        table.write_text(rows)
+    return write(tmp_path, "tab.cfg", SYN_CFG.replace(
+        "spectrum.form = gaussian_bump", f"spectrum.form = tabulated\nspectrum.file = {table}"))
+
+
+def test_tabulated_spectrum_synthesizes_as_the_library(tmp_path):
+    k = np.array([0.0, 1.5, 3.0, 5.0, 8.0])
+    P = np.array([0.0, 0.4, 1.0, 0.3, 0.0])
+    rows = "".join(f"{a!r},{b!r}\n" for a, b in zip(k.tolist(), P.tolist()))
+    cfg = tabulated_cfg(tmp_path, rows)
+    out = str(tmp_path / "tab.cfd")
+    assert main(["synthesize", "--config", cfg, "--out", out, "--seed", "3"]) == 0
+    chi = np.linspace(0.0, 2.0, 3)
+    theta = (np.arange(4) + 0.5) * math.pi / 4
+    phi = np.arange(6) * 2.0 * math.pi / 6
+    cc, tt, pp = np.meshgrid(chi, theta, phi, indexing="ij")
+    ref = synthesize(Geometry.flat(), Tabulated(k, P),
+                     SynthesisConfig(L_max=5, seed=3, k_max=8.0, k_panels=12, k_order=8),
+                     cc.ravel(), tt.ravel(), pp.ravel())
+    np.testing.assert_array_equal(read_field(out).values, ref.values[0].reshape(3, 4, 6))
+
+
+def test_tabulated_spectrum_errors(tmp_path, capsys):
+    # a one-row table was read as a 1-d array and blamed on its columns
+    out = tmp_path / "tab.cfd"
+    cfg = write(tmp_path, "none.cfg", SYN_CFG.replace("gaussian_bump", "tabulated"))
+    assert main(["synthesize", "--config", cfg, "--out", str(out)]) == 2
+    assert "needs spectrum.file" in capsys.readouterr().err
+    for rows, code, message in ((None, 2, "cannot read spectrum table"),
+                                ("0\n1\n2\n", 2, "two columns"),
+                                ("0,0\n", 3, ">= 2 samples"),
+                                ("0,1\n1,-1\n", 3, "P samples must be finite and >= 0"),
+                                ("1,1\n1,2\n", 3, "strictly increasing")):
+        cfg = tabulated_cfg(tmp_path, rows)
+        assert main(["synthesize", "--config", cfg, "--out", str(out)]) == code
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -485,6 +485,12 @@ def test_estimate_correlation_complex_and_validation():
     np.testing.assert_allclose(est.mean,
                                (ref[:, None] * np.conj(lag)).mean(axis=0))
     assert np.iscomplexobj(est.mean)
+    # the explicit leave-one-out jackknife
+    prod = ref[:, None] * np.conj(lag)
+    loo = (prod.sum(axis=0) - prod) / 19
+    var = 19 / 20 * np.sum(np.abs(loo - loo.mean(axis=0)) ** 2, axis=0)
+    assert not np.iscomplexobj(est.stderr)
+    np.testing.assert_allclose(est.stderr, np.sqrt(var), rtol=1e-12)
     single = estimate_correlation(ref, lag[:, 0])
     np.testing.assert_allclose(single.mean, est.mean[:1])
     with pytest.raises(DomainError):

@@ -284,7 +284,7 @@ def blocked_setup(name, n_k):
         k = gauss_legendre_grid(0.0, 30.0, -(-n_k // 12), 12)[0][:n_k]
         k -= k[0]
     f = bump_profile(chi, 1.6, 1.4) + 0.1 * np.cos(3.0 * chi)
-    return geom, chi, RadialProfile(geom, chi, f), k
+    return geom, chi, RadialProfile(geom, chi, f, trapezoid_weights(chi)), k
 
 
 def trapezoid_weights(x):
@@ -369,7 +369,7 @@ def test_aperiodic_k_grid_gives_the_zonal_table_products(name):
     k = np.sort(np.random.default_rng(3).uniform(0.0, 30.0, 2 * ROWS + 1))
     if few:
         k, chi = gauss_legendre_grid(0.0, 30.0, 50, 12)[0], chi[::30]
-        prof = RadialProfile(geom, chi, prof.values[::30])
+        prof = RadialProfile(geom, chi, prof.values[::30], trapezoid_weights(chi))
     blocks = specfun.zonal_blocks(k.size, chi.size)
     base = trapezoid_base(prof)
     ref = np.concatenate([FORWARD_A[kind] * (zonal_kernel(geom, k[b], chi) @ base)
@@ -419,9 +419,8 @@ def test_roundtrip_equals_two_calls(monkeypatch, name):
         ref_spec, ref_back = two_call_roundtrip(prof, k, wk, 1.0)
         np.testing.assert_array_equal(spec.k, ref_spec.k)
         np.testing.assert_array_equal(spec.values, ref_spec.values)
-        assert (spec.weights is None) == (wk is None)
-        if wk is not None:
-            np.testing.assert_array_equal(spec.weights, wk)
+        np.testing.assert_array_equal(spec.weights, np.full(k.size, geom.curvature_scale)
+                                      if wk is None else wk)
         np.testing.assert_array_equal(back.chi, ref_back.chi)
         np.testing.assert_array_equal(back.values, ref_back.values)
 
@@ -564,6 +563,42 @@ def test_closed_weights_are_the_lattice_spacing():
     with pytest.raises(DomainError, match=re.escape("sqrt(K)")):
         roundtrip_isotropic(prof, prof.geometry.curvature_scale * np.arange(1.0, 6.0),
                             np.full(5, 0.1))
+
+
+def test_every_grid_carries_its_weights(monkeypatch):
+    # a closed spectrum once held None and its integrals filled sqrt(K) in, so
+    # a closed forward result is now inverted as it stands
+    for K in (1.0, 2.0, 4.0):
+        geom, s = Geometry.closed(K), math.sqrt(K)
+        k = closed_k_lattice(geom, 6)
+        for given in (None, np.full(k.size, s * (1.0 + 1e-13))):
+            assert np.all(Spectrum(geom, k, np.ones(k.size), given).weights == s)
+        chi, wchi = gauss_legendre_grid(0.0, math.pi / s, 16, 12)
+        prof = RadialProfile(geom, chi, bump_profile(chi, 0.5 * math.pi / s, 0.4 * math.pi / s),
+                             wchi)
+        fwd = forward_isotropic(prof, k)
+        assert np.all(fwd.weights == s)
+        np.testing.assert_array_equal(inverse_isotropic(fwd, chi).values,
+                                      roundtrip_isotropic(prof, k)[1].values)
+    # chi once fell back to the trapezoid rule: on the open bench transform grid
+    # a weightless profile came back with a 2.1e-2 roundtrip error, not 3.5e-8;
+    # such a profile is legal to hold, and inverse_isotropic returns one
+    geom, k_max = BENCH_TRANSFORM["open"]
+    chi, wchi = gauss_legendre_grid(0.0, 4.5, 85, 12)
+    bare = RadialProfile(geom, chi, bump_profile(chi, 2.0, 1.8))
+    k, wk = sft.spectral_nodes(geom, k_max, 85, 12, None)
+    spec = roundtrip_isotropic(RadialProfile(geom, chi, bare.values, wchi), k, wk)[0]
+    assert inverse_isotropic(spec, chi).weights is None
+
+    def no_block(*args):
+        raise AssertionError("a zonal factor or block was built")
+
+    for attr in ("_zonal_factors", "zonal_spherical", "zonal_kernel"):
+        monkeypatch.setattr(sft, attr, no_block)
+    for call in (lambda: forward_isotropic(bare, k), lambda: roundtrip_isotropic(bare, k, wk),
+                 lambda: profile_norm2(bare)):
+        with pytest.raises(DomainError, match=re.escape("quadrature.gauss_legendre_grid")):
+            call()
 
 
 @pytest.mark.parametrize("name", ["open", "flat", "closed"])

@@ -27,8 +27,11 @@ Per mode the field sees xi only through a_lm = xi_lm B_l on the distinct
 radii, B_l = diag(k sqrt(P w)) R_l (n_k x n_radii), of kernel C_l = B_l^T B_l.
 With fewer radii than nodes, B_l = Q T_l (thin QR) and xi Q is again iid, so
 eta_lm T_l draws it from n_radii Gaussians with no clipping; else T_l = B_l.
-Per m, b_m = sum_l a_lm lambda_lm on the distinct (chi, theta) pairs, from one
-spin_harmonic_table, is gathered to the points times e^{i m phi}; real fields
+The T_l overwrite the radial table.  m runs outermost, in blocks whose modes
+a_lm (all l, 0 for l < |m|) fit _SLAB complex entries, or one m: per block and
+l, one matmul with T_l; per m, b_m = sum_l a_lm lambda_lm on the distinct (chi,
+theta) pairs, from the block's harmonic rows, is gathered times e^{i m phi}, so
+synthesis never holds all (L+1)^2 modes or every m's harmonics.  Real fields
 (xi_{l,-m} = (-1)^m conj(xi_lm)) are Re b_0 + 2 Re sum_{m>0} b_m e^{i m phi}.
 
 Randomness is counter-based (Philox) with one stream per (l, m) mode keyed by
@@ -45,7 +48,7 @@ import numpy as np
 from .errors import DomainError
 from .geometry import Geometry, Kind
 from .sft import _norm_const, _zonal_pass, spectral_nodes
-from .specfun import HARMONIC_L_MAX, radial_table, spin_harmonic_table, zonal_spherical
+from .specfun import HARMONIC_L_MAX, _d_rows, radial_table, zonal_spherical
 from .specfun import radial, spin_harmonic  # noqa: F401  (perfbench/spans.py wraps them)
 
 __all__ = [
@@ -250,23 +253,23 @@ def mode_streams(seed: int, tag: int = _SCALAR_TAG, spin: int = 0):
     return stream
 
 
-def _draw_xi(stream, l: int, shape: tuple[int, ...], real_mode: bool) -> np.ndarray:
-    """Standard complex Gaussians xi_lm of shape, m = -l..l (real field: 0..l, m = 0 real)."""
-    ms = range(0 if real_mode else -l, l + 1)
-    xi = np.zeros((len(ms),) + shape, dtype=complex)
-    z = xi.view(float).reshape(xi.shape + (2,))         # z[..., 0] + 1j z[..., 1] is xi
-    for n, m in enumerate(ms):
-        if real_mode and m == 0:
-            z[n, ..., 0] = stream(l, m).standard_normal(shape)
-        else:
-            stream(l, m).standard_normal(out=z[n])
-    xi[int(real_mode):] /= math.sqrt(2.0)
-    return xi
+def _draw_xi(stream, l: int, ms: list[int], out: np.ndarray, real: bool):
+    """Standard complex Gaussians xi_lm into out[j] for m = ms[j] (a real field's m = 0: real)."""
+    for j, m in enumerate(ms):
+        if real and m == 0:
+            out[j] = stream(l, m).standard_normal(out.shape[1:])
+        else:                   # real and imaginary parts interleaved
+            stream(l, m).standard_normal(out=out[j].view(float))
+    out[int(real and ms[0] == 0):] /= math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
 # Synthesis
 # ---------------------------------------------------------------------------
+
+# One block of m holds at most this many complex modes a_lm, (len(ls), nb) + shape, or one m.
+_SLAB = 1 << 19
+
 
 def _power(P: PowerSpectrum, k: np.ndarray) -> np.ndarray:
     pk = np.asarray(P(k), dtype=float)
@@ -296,31 +299,56 @@ def _points(theta, phi, *more):
     return pts
 
 
-def _synthesize_modes(factor, ls, stream, lam, ci, ti, phi, shape, real: bool) -> np.ndarray:
-    """sum_lm a_lm(chi) lam_lm(theta) e^{i m phi} at the points (its real part if
+def _synthesize_modes(T, ls, stream, s: int, theta_u, ci, ti, phi, shape, real: bool) -> np.ndarray:
+    """sum_lm a_lm(chi) sY_lm(theta, 0) e^{i m phi} at the points (its real part if
     real), shape (n_realizations,) + (ci * ti).shape, ci and ti indexing the
-    distinct chi and theta: a_lm = eta_lm factor(i) for l = ls[i] (ascending),
-    eta from stream (see mode_streams), m = -L..L or 0..L (lam's columns).  Per m,
-    b_m = sum_l a_lm lam_lm on the distinct (chi, theta) pairs, from the chi x
-    theta product only if they fill half of it, is gathered times e^{i m phi}."""
-    L = ls[-1]
-    a = np.zeros((len(ls), lam.shape[1]) + shape, dtype=complex)
-    for i, l in enumerate(ls):      # each draw is freed with its row, before the per-m pass
-        F = factor(i)
-        lo, hi = (0, l + 1) if real else (L - l, L + l + 1)
-        np.matmul(_draw_xi(stream, l, (shape[0], F.shape[0]), real), F, out=a[i, lo:hi])
-    n_t = lam.shape[2]
+    distinct chi and theta_u: a_lm = eta_lm T[i] for l = ls[i] (ascending), eta
+    from stream (see mode_streams), m = -L..L or 0..L in blocks of nb (module
+    notes); b_m is formed over the chi x theta product if the pairs fill half of
+    it, else per pair.  One allocation holds the block's modes a, at most
+    max(_SLAB, len(ls) N n_chi) complex entries for N realizations, its draws,
+    and one m's b and gather, N n_points each: never (L+1)^2 N n_chi modes.
+    (Separate buffers were trimmed off the heap and faulted back in every call.)"""
+    L, (N, n_chi), n_l, n_t = ls[-1], shape, len(ls), theta_u.size
     pairs, pick = np.unique(ci * n_t + ti, return_inverse=True)
-    grid = 2 * pairs.size >= shape[1] * n_t          # b over chi x theta, else per pair
+    grid = 2 * pairs.size >= n_chi * n_t          # b over chi x theta, else per pair
     pick = (pairs[pick] if grid else pick).reshape(np.broadcast(ci, ti).shape)
     cp, tp = np.divmod(pairs, n_t)
     phi_u, ip = np.unique(phi, return_inverse=True)
-    out = np.zeros((shape[0],) + pick.shape, dtype=float if real else complex)
-    for j, m in enumerate(range(0 if real else -L, L + 1)):
-        b = ((a[:, j].reshape(len(ls), -1).T @ lam[:, j]).reshape(shape[0], -1) if grid
-             else sum(a[i, j][:, cp] * lam[i, j, tp] for i in range(len(ls))))
-        term = b[:, pick] * np.exp(1j * m * phi_u)[ip]
-        out += term.real if real else term
+    ms = np.arange(0 if real else -L, L + 1)
+    nb = min(ms.size, max(1, _SLAB // max(1, n_l * N * n_chi)))
+    shapes = [(n_l, nb) + shape, (nb, N, T.shape[1]),
+              (N * n_chi, n_t) if grid else (N, pairs.size), (N,) + pick.shape]
+    ends = np.cumsum([math.prod(x) for x in shapes])
+    a, xi, b, g = (x.reshape(s) for x, s in zip(np.split(np.empty(ends[-1], complex), ends), shapes))
+    out = np.zeros((N,) + pick.shape, dtype=float if real else complex)
+    norm = (-1.0) ** s * np.sqrt((2 * np.asarray(ls) + 1) / (4.0 * math.pi))
+    nr = nb * max(1, _SLAB // max(1, n_l * nb * n_t))   # m per _d_rows call: whole blocks
+    for j0 in range(0, ms.size, nb):
+        mb = ms[j0:j0 + nb]
+        if j0 % nr == 0:
+            lam = _d_rows(-s, L, ms[j0:j0 + nr], theta_u)
+            lam = lam if n_l > L else lam[ls]      # the rows of ls, if it skips an l
+            lam *= norm[:, None, None]  # sY_lm(theta, 0), as in spin_harmonic_table
+            if real:
+                lam[:, int(j0 == 0):] *= 2.0    # Re b_0 + 2 Re sum_{m>0} b_m e^{i m phi}
+        for i, l in enumerate(ls):
+            lo, hi = (min(max(x - mb[0], 0), mb.size) for x in (-l, l + 1))    # |m| <= l
+            a[i, :lo] = a[i, hi:] = 0.0
+            if lo < hi:                 # T_l is read once per block that has modes at l
+                _draw_xi(stream, l, mb[lo:hi].tolist(), xi[lo:hi], real)
+                np.matmul(xi[lo:hi], T[i], out=a[i, lo:hi])
+        for j, m in enumerate(mb.tolist()):
+            lam_m = lam[:, j0 % nr + j]
+            if grid:
+                np.matmul(a[:, j].reshape(n_l, -1).T, lam_m, out=b)
+            else:
+                b[...] = 0.0            # rows l < |m| would only add exact zeros to this +0
+                for i in range(np.searchsorted(ls, abs(m)), n_l):
+                    b += a[i, j][:, cp] * lam_m[i, tp]
+            np.take(b.reshape(N, -1), pick, axis=1, out=g, mode="clip")
+            g *= np.exp(1j * m * phi_u)[ip]
+            out += g.real if real else g
     return out
 
 
@@ -332,14 +360,13 @@ def synthesize(geom: Geometry, P: PowerSpectrum, cfg: SynthesisConfig,
 
     k, sd = _k_nodes(geom, P, cfg)
     (chi_u, ci), (theta_u, ti) = (np.unique(x, return_inverse=True) for x in (chi, theta))
-    L = cfg.L_max
-    R = radial_table(geom, k, L, chi_u)
-    lam = spin_harmonic_table(0, L, theta_u)[:, L if cfg.real else 0:]
-    if cfg.real:
-        lam[:, 1:] *= 2.0       # Re b_0 + 2 Re sum_{m>0} b_m e^{i m phi}
-    values = _synthesize_modes(lambda l: _radial_factor(sd[:, None] * R[l]), range(L + 1),
-                               mode_streams(cfg.seed), lam, ci, ti, phi,
-                               (cfg.n_realizations, chi_u.size), cfg.real)
+    R = radial_table(geom, k, cfg.L_max, chi_u)
+    R *= sd[:, None]                    # B_l, in place
+    T = R[:, :min(R.shape[1:])]         # T_l over B_l's first rows (all of them if B_l is not tall)
+    for B, F in zip(R, T):
+        F[...] = _radial_factor(B)
+    values = _synthesize_modes(T, range(cfg.L_max + 1), mode_streams(cfg.seed), 0, theta_u,
+                               ci, ti, phi, (cfg.n_realizations, chi_u.size), cfg.real)
     values *= _norm_const(geom)
     return FieldRealization(geom, chi, theta, phi, values, cfg.seed, cfg)
 

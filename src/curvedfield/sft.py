@@ -264,14 +264,16 @@ def _check_inverse_tail(geom: Geometry, amp: np.ndarray, tail_tol: float | None)
         _check_tail(np.abs(amp), tail_tol, "inverse transform k")
 
 
-def forward_isotropic(profile: RadialProfile, k, tail_tol: float | None = 1e-3) -> Spectrum:
+def forward_isotropic(profile: RadialProfile, k, weights=None, *,
+                      tail_tol: float | None = 1e-3) -> Spectrum:
     """Transform a radial profile, with its chi weights, to amplitudes on grid k.
 
-    An open or flat result has no weights: to invert it, rebuild Spectrum(geom,
-    k, values, w) with spectral_nodes' weights w, or call roundtrip_isotropic."""
+    The result carries weights, the spectral measure's weights on k (see
+    spectral_nodes), which inverse_isotropic needs on the open and flat models."""
     _check_tail_tol(tail_tol)
-    k = _as_grid("k", np.atleast_1d(np.asarray(k, dtype=float)))
-    return Spectrum(profile.geometry, k, _forward(profile, k, tail_tol)[0])
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    grid = Spectrum(profile.geometry, k, np.zeros(k.shape), weights)    # checks k and weights first
+    return Spectrum(grid.geometry, grid.k, _forward(profile, grid.k, tail_tol)[0], grid.weights)
 
 
 def inverse_isotropic(spec: Spectrum, chi, *, tail_tol: float | None = 1e-3) -> RadialProfile:

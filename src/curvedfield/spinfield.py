@@ -22,7 +22,7 @@ raise KernelDefinitenessError, small negative roundoff is clipped to zero.
 Rows with zero diagonal (for instance chi = 0, where every l >= 1 process
 must vanish) are zeroed in the factor so those samples are exactly 0.0.
 Synthesis runs randfield._synthesize_modes with this factor in place of T_l:
-per-l draws, then one pass over the points per m with one harmonic table.
+per block of m, one matmul per l, then one pass over the points per m.
 
 Kernel recovery inverts the two-point function in the polar configuration
 n1 = north pole, n2 = (beta, 0), where alpha + gamma = pi exactly:
@@ -54,7 +54,7 @@ import numpy as np
 from .errors import DomainError, KernelDefinitenessError
 from .quadrature import gauss_legendre_grid
 from .randfield import _points, _synthesize_modes, mode_rng, mode_streams  # noqa: F401 (traced)
-from .specfun import spin_harmonic, spin_harmonic_table  # noqa: F401 (traced by perfbench)
+from .specfun import _check_index, spin_harmonic, spin_harmonic_table  # noqa: F401 (traced by perfbench)
 
 __all__ = [
     "SpinKernelSet", "SpinFieldRealization", "PointPairFrame",
@@ -258,10 +258,10 @@ def synthesize_spin(s: int, kernels: SpinKernelSet, theta, phi, seed: int,
     if n_realizations < 1:
         raise DomainError("n_realizations must be >= 1")
     ell, theta_u = kernels.ell.tolist(), np.unique(theta)
-    lam = spin_harmonic_table(s, ell[-1], theta_u)[kernels.ell]     # (n_ell, 2L+1, n_theta_u)
-    vals = _synthesize_modes(lambda i: _factor(kernels.kernels[i], ell[i]).T, ell,
-                             mode_streams(seed, tag=_SPIN_TAG, spin=s), lam,
-                             np.arange(kernels.chi.size)[:, None],
+    _check_index(ell[-1])                       # before any kernel is factored
+    fac = np.array([_factor(c, l) for c, l in zip(kernels.kernels, ell)])
+    vals = _synthesize_modes(fac.transpose(0, 2, 1), ell, mode_streams(seed, tag=_SPIN_TAG, spin=s),
+                             s, theta_u, np.arange(kernels.chi.size)[:, None],
                              np.searchsorted(theta_u, theta), phi,
                              (n_realizations, kernels.chi.size), real=False)
     return SpinFieldRealization(kernels, theta, phi, vals, seed)

@@ -192,16 +192,71 @@ def test_scattered_points_match_per_mode_sum():
         k, sd = randfield._k_nodes(G_OPEN, P, cfg)
         order = np.argsort(chi)
         R = specfun.radial_table(G_OPEN, k, cfg.L_max, chi[order])
-        stream, ref = mode_streams(cfg.seed), np.zeros(n, dtype=complex)
+        ref, a = np.zeros(n, dtype=complex), np.empty(n, dtype=complex)
         for l in range(cfg.L_max + 1):
             T = randfield._radial_factor(sd[:, None] * R[l])
-            a = np.empty((l + 1 if real else 2 * l + 1, n), dtype=complex)
-            a[:, order] = (randfield._draw_xi(stream, l, (1, T.shape[0]), real) @ T)[:, 0]
-            for i, m in enumerate(range(0 if real else -l, l + 1)):
+            for m in range(0 if real else -l, l + 1):
+                # xi_lm straight from its stream: real at m = 0 of a real field, else
+                # (x + i y)/sqrt(2) from interleaved pairs
+                rng = mode_rng(cfg.seed, l, m)
+                if real and m == 0:
+                    xi = rng.standard_normal((1, T.shape[0]))
+                else:
+                    z = rng.standard_normal((1, T.shape[0], 2))
+                    xi = (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
+                a[order] = (xi @ T)[0]
                 y = specfun.spin_harmonic(0, l, m, theta, phi)
-                ref += a[i] * y * (2.0 if real and m > 0 else 1.0)
+                ref += a * y * (2.0 if real and m > 0 else 1.0)
         ref = (ref.real if real else ref) * randfield._norm_const(G_OPEN)
         np.testing.assert_allclose(f, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+
+def _synthesis_peak(geom, P, cfg, chi, theta, phi) -> int:
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        synthesize(geom, P, cfg, chi, theta, phi)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_many_realizations_hold_one_m_of_modes(real):
+    # synthesis runs over blocks of m: with this many realizations a block is
+    # one m, (L+1) N n_chi complex modes, not the (L+1) (L+1 or 2L+1) of all
+    # modes at once, which peak at 4.5 (real) and 6.7 (complex) such units
+    L, N, chi = 2, 10000, np.linspace(0.0, 2.0, 9)
+    cfg = SynthesisConfig(L_max=L, seed=1, k_max=8.0, k_panels=4, k_order=6,
+                          n_realizations=N, real=real)
+    peak = _synthesis_peak(G_FLAT, GaussianBump(1.0, 3.0, 0.8), cfg, chi,
+                           np.full(chi.size, 0.5 * math.pi), np.zeros(chi.size))
+    unit = (L + 1) * N * chi.size * 16
+    assert peak <= 3 * unit, peak / unit
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_large_l_scattered_peak_grows_as_l_times_points(real):
+    # the radial table is (L+1) n_k n, and a block of modes and its harmonic
+    # rows fit randfield._SLAB: every m's modes and harmonics, (L+1)^2 n, peak
+    # at 4.3 (real) and 5.8 (complex) tables here
+    L, n, omega_max = 64, 500, 80
+    rng = np.random.default_rng(3)
+    chi, theta, phi = rng.uniform(0.1, 3.0, n), rng.uniform(0, math.pi, n), rng.uniform(0, 6, n)
+    cfg = SynthesisConfig(L_max=L, seed=1, omega_max=omega_max, real=real)
+    peak = _synthesis_peak(G_CLOSED, GaussianBump(1.0, 20.0, 8.0), cfg, chi, theta, phi)
+    table = (L + 1) * (omega_max + 1) * n * 8
+    assert peak <= 2.5 * table, peak / table
+
+
+def test_no_points_give_empty_fields():
+    # the m blocks are sized from the point counts, which may be 0
+    from curvedfield.spinfield import separable_kernels, synthesize_spin
+    for real in (True, False):
+        cfg = SynthesisConfig(L_max=2, k_max=6.0, k_panels=2, k_order=4, real=real)
+        assert synthesize(G_FLAT, GaussianBump(1.0, 3.0, 0.8), cfg, [], [], []).values.shape == (1, 0)
+    kernels = separable_kernels(2, [2, 3], [0.0, 1.0])
+    assert synthesize_spin(2, kernels, [], [], seed=1).values.shape == (1, 2, 0)
 
 
 def test_synthesize_validation():

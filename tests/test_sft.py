@@ -547,6 +547,34 @@ def test_open_flat_spectra_need_their_measure_weights(monkeypatch, name):
         roundtrip_isotropic(prof, k)
 
 
+@pytest.mark.parametrize("name", sorted(BENCH_TRANSFORM))
+def test_forward_spectrum_carries_its_weights(monkeypatch, name):
+    # forward_isotropic stores the measure's weights, so the two-call roundtrip
+    # needs no rebuilt Spectrum, and gives roundtrip_isotropic's bits
+    geom, k_max = BENCH_TRANSFORM[name]
+    chi, wchi = gauss_legendre_grid(0.0, 4.5, 85, 12)
+    prof = RadialProfile(geom, chi, bump_profile(chi, 2.0, 1.8), wchi)
+    k, wk = sft.spectral_nodes(geom, k_max, 85, 12, None)
+    spec = forward_isotropic(prof, k, wk)
+    np.testing.assert_array_equal(spec.weights, wk)
+    back = inverse_isotropic(spec, chi)
+    ref_spec, ref_back = roundtrip_isotropic(prof, k, wk)
+    np.testing.assert_array_equal(spec.values, ref_spec.values)
+    np.testing.assert_array_equal(back.values, ref_back.values)
+    assert np.max(np.abs(back.values - prof.values)) < 1e-6 * np.max(prof.values)
+    assert forward_isotropic(prof, k).weights is None
+
+    def no_block(*args):
+        raise AssertionError("a zonal block was built")
+
+    # weights that do not fit the k grid raise before any zonal factor is built
+    for attr in ("zonal_kernel", "zonal_spherical", "_zonal_factors"):
+        monkeypatch.setattr(sft, attr, no_block)
+    for bad in (wk[:-1], np.full(k.size, np.nan)):
+        with pytest.raises(DomainError, match="weights must"):
+            forward_isotropic(prof, k, bad)
+
+
 def test_closed_weights_are_the_lattice_spacing():
     # closed weights were once ignored: spectrum_norm2 read the same with
     # weights 0.1 as with none

@@ -102,10 +102,10 @@ _SPECTRUM_SCHEMA = {
 
 _SYNTH_SCHEMA = {
     "synthesis.l_max": Option("int"),
-    "synthesis.k_max": Option("float", 0.0),
+    "synthesis.k_max": Option("float", None),
     "synthesis.k_panels": Option("int", 48),
     "synthesis.k_order": Option("int", 12),
-    "synthesis.omega_max": Option("int", -1),
+    "synthesis.omega_max": Option("int", None),
     "synthesis.real": Option("bool", True),
 }
 
@@ -135,9 +135,9 @@ def _spectrum(cfg):
 def _synth_config(cfg, seed, n_realizations=1) -> SynthesisConfig:
     return SynthesisConfig(
         L_max=cfg["synthesis.l_max"], seed=seed,
-        k_max=cfg["synthesis.k_max"] or None,
+        k_max=cfg["synthesis.k_max"],
         k_panels=cfg["synthesis.k_panels"], k_order=cfg["synthesis.k_order"],
-        omega_max=None if cfg["synthesis.omega_max"] < 0 else cfg["synthesis.omega_max"],
+        omega_max=cfg["synthesis.omega_max"],
         n_realizations=n_realizations, real=cfg["synthesis.real"])
 
 
@@ -213,14 +213,11 @@ def cmd_transform(args) -> int:
         "transform.mode": Option("str", "roundtrip"),
         "profile.center": Option("float"),
         "profile.halfwidth": Option("float"),
-        "profile.amplitude": Option("float", 1.0),
         "grid.chi_max": Option("float"),
         "grid.panels": Option("int", 64),
         "grid.order": Option("int", 12),
-        "spectral.k_max": Option("float", 0.0),
-        "spectral.omega_max": Option("int", -1),
-        "spectral.panels": Option("int", 0),
-        "spectral.order": Option("int", 0),
+        "spectral.k_max": Option("float", None),
+        "spectral.omega_max": Option("int", None),
     })
     geom = _geometry(cfg)
     mode = cfg["transform.mode"]
@@ -229,20 +226,18 @@ def cmd_transform(args) -> int:
     tail_tol = 1e-3 if args.tolerance is None else args.tolerance
     if not 0.0 < tail_tol < math.inf:
         raise DomainError(f"tolerance must be finite and > 0, got {tail_tol}")
-    order = cfg["grid.order"]
-    chi, wchi = gauss_legendre_grid(0.0, cfg["grid.chi_max"], cfg["grid.panels"], order)
-    f = bump_profile(chi, cfg["profile.center"], cfg["profile.halfwidth"],
-                     cfg["profile.amplitude"])
+    panels, order = cfg["grid.panels"], cfg["grid.order"]
+    chi, wchi = gauss_legendre_grid(0.0, cfg["grid.chi_max"], panels, order)
+    f = bump_profile(chi, cfg["profile.center"], cfg["profile.halfwidth"])
     profile = RadialProfile(geom, chi, f, wchi)
     k_max, omega_max = cfg["spectral.k_max"], cfg["spectral.omega_max"]
     closed = geom.kind is Kind.CLOSED
-    if omega_max < 0 if closed else k_max <= 0:
+    if (omega_max if closed else k_max) is None:
         raise ConfigError("closed transform needs spectral.omega_max" if closed
-                          else "open/flat transform needs spectral.k_max > 0")
-    k, wk = spectral_nodes(geom, k_max, cfg["spectral.panels"] or cfg["grid.panels"],
-                           cfg["spectral.order"] or order, omega_max)
+                          else "open/flat transform needs spectral.k_max")
+    k, wk = spectral_nodes(geom, k_max, panels, order, omega_max)
     if mode == "forward":
-        spec = forward_isotropic(profile, k, tail_tol=tail_tol)
+        spec = forward_isotropic(profile, k, wk, tail_tol=tail_tol)
         _write_table(args, raw, {"k": spec.k, "f00": spec.values})
         return 0
     _, back = roundtrip_isotropic(profile, k, wk, tail_tol=tail_tol)
@@ -287,9 +282,8 @@ def cmd_estimate(args) -> int:
         **_GEOM_SCHEMA, **_SPECTRUM_SCHEMA, **_SYNTH_SCHEMA,
         "estimate.n_realizations": Option("int", 2000),
         "estimate.lags": Option("str"),
-        "analytic.k_max": Option("float", 0.0),
+        "analytic.k_max": Option("float", None),
         "analytic.panels": Option("int", 200),
-        "analytic.order": Option("int", 12),
     })
     geom = _geometry(cfg)
     P = _spectrum(cfg)
@@ -303,9 +297,9 @@ def cmd_estimate(args) -> int:
     scfg = _synth_config(cfg, args.seed,
                          n_realizations=cfg["estimate.n_realizations"])
     chi = np.concatenate([[0.0], lags])
-    ana = analytic_correlation(geom, P, lags, k_max=cfg["analytic.k_max"] or scfg.k_max,
-                               panels=cfg["analytic.panels"],   # checks analytic.* first
-                               order=cfg["analytic.order"], omega_max=scfg.omega_max)
+    k_max = scfg.k_max if cfg["analytic.k_max"] is None else cfg["analytic.k_max"]
+    ana = analytic_correlation(geom, P, lags, k_max=k_max, panels=cfg["analytic.panels"],
+                               omega_max=scfg.omega_max)    # checks analytic.* first
     field = synthesize(geom, P, scfg, chi, np.full_like(chi, 0.5 * math.pi), np.zeros_like(chi))
     est = estimate_correlation(field.values[:, 0], field.values[:, 1:])
     z = np.abs(est.mean - ana) / np.where(est.stderr > 0, est.stderr, np.inf)

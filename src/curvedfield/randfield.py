@@ -192,7 +192,7 @@ class SynthesisConfig:
         if self.k_panels < 1 or self.k_order < 2:
             raise DomainError("k_panels >= 1 and k_order >= 2 required")
         if self.omega_max is not None and self.omega_max < 0:
-            raise DomainError("omega_max must be >= 0")
+            raise DomainError(f"omega_max must be >= 0, got {self.omega_max}")
 
 
 @dataclass(frozen=True)

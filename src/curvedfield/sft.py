@@ -25,10 +25,13 @@ Parseval reads sum w k^2 |f00|^2 = (2 pi^2/c^2) ||f||^2.  spectrum_norm2 and
 parseval_constant quote the closed model per sum_w (w+1)^2, i.e. divided by
 K^(3/2).
 
-Non-compact integrals carry a tail monitor: if the trailing nodes contribute
-more than tail_tol of the total absolute mass, the grid is declared
-unconverged.  tail_tol is None (no monitor) or finite and > 0; anything else
-raises DomainError before any kernel block is built.
+Every k sum is tail-checked, the closed lattice included: if the last eighth
+of the nodes carries more than tail_tol of the total |w k^2 f00|, the grid is
+declared unconverged (ConvergenceError), be it a Gauss-Legendre grid cut at
+k_max or a lattice cut at omega_max.  The forward chi integral is checked the
+same way on the open and flat models; the closed chi domain is compact.
+tail_tol is None (no monitor) or finite and > 0; anything else raises
+DomainError before any kernel block is built.
 
 The transforms and randfield.analytic_correlation make one pass (_zonal_pass)
 over the table Phi(k, chi) without building it: every spectral_nodes grid
@@ -37,8 +40,9 @@ addition the table factors through the sines and cosines of about 2 sqrt(n)
 anchors and offsets per chi (specfun._zonal_factors), and each product with
 it is two BLAS-3 products, a few ulps from a per-k loop.  Other k grids, or
 fewer radii than an anchor group has rows (a covariance's few lags), take
-zonal_spherical's row blocks.  roundtrip_isotropic builds the factors once,
-with the same bits as forward_isotropic followed by inverse_isotropic.
+zonal_spherical's row blocks.  forward_isotropic and roundtrip_isotropic share
+one driver (_transform); the roundtrip builds the factors once, with the same
+bits as forward_isotropic followed by inverse_isotropic.
 """
 from __future__ import annotations
 
@@ -134,7 +138,7 @@ def closed_k_lattice(geom: Geometry, omega_max: int) -> np.ndarray:
     if geom.kind is not Kind.CLOSED:
         raise DomainError("k lattice only applies to the closed model")
     if omega_max < 0:
-        raise DomainError("omega_max must be >= 0")
+        raise DomainError(f"omega_max must be >= 0, got {omega_max}")
     return geom.curvature_scale * (np.arange(omega_max + 1) + 1.0)
 
 
@@ -241,27 +245,32 @@ def _zonal_pass(geom: Geometry, k: np.ndarray, chi: np.ndarray, base=None,
     return fwd, top, inv
 
 
-def _forward(profile: RadialProfile, k: np.ndarray, tail_tol: float | None, amp=None):
-    """(forward amplitudes on k, _zonal_pass's inv); the tail is checked after the pass."""
-    geom, chi = profile.geometry, profile.chi
-    w = _weights(profile, "quadrature.gauss_legendre_grid")
-    base = w * profile.values * surface_area(geom, chi)
-    monitor = geom.kind is not Kind.CLOSED and tail_tol is not None
-    fwd, top, inv = _zonal_pass(geom, k, chi, base, 1.0 / _norm_const(geom), amp, monitor)
-    if monitor:                        # the first node wins ties, as in a per-k loop
-        _check_tail(base * zonal_kernel(geom, k[top], chi), tail_tol, "forward transform chi")
-    return fwd, inv
-
-
 def _check_tail_tol(tail_tol: float | None):
     # nan or inf would turn the monitor off (frac > nan is False), 0 or less blame the grid
     if tail_tol is not None and not (math.isfinite(tail_tol) and tail_tol > 0):
         raise DomainError(f"tail_tol must be None or finite and > 0, got {tail_tol}")
 
 
-def _check_inverse_tail(geom: Geometry, amp: np.ndarray, tail_tol: float | None):
-    if geom.kind is not Kind.CLOSED:
-        _check_tail(np.abs(amp), tail_tol, "inverse transform k")
+def _transform(profile: RadialProfile, k, weights, tail_tol: float | None, back: bool):
+    """(spectrum on k, profile back on profile.chi if back else None) from one zonal pass.
+
+    tail_tol, then k and its weights are checked before any kernel is built;
+    the chi tail (open, flat) is checked before the k tail (back only)."""
+    _check_tail_tol(tail_tol)
+    geom, chi = profile.geometry, profile.chi
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    grid = Spectrum(geom, k, np.zeros(k.shape), weights)
+    wk2 = _weights(grid, "sft.spectral_nodes") * k ** 2 if back else None
+    base = _weights(profile, "quadrature.gauss_legendre_grid") * profile.values \
+        * surface_area(geom, chi)
+    monitor = geom.kind is not Kind.CLOSED and tail_tol is not None   # closed chi is compact
+    fwd, top, inv = _zonal_pass(geom, k, chi, base, 1.0 / _norm_const(geom), wk2, monitor)
+    if monitor:                        # the first node wins ties, as in a per-k loop
+        _check_tail(base * zonal_kernel(geom, k[top], chi), tail_tol, "forward transform chi")
+    if back:
+        _check_tail(np.abs(wk2 * fwd), tail_tol, "inverse transform k")
+        inv = RadialProfile(geom, chi, _inverse_pref(geom) * inv)
+    return Spectrum(geom, k, fwd, grid.weights), inv
 
 
 def forward_isotropic(profile: RadialProfile, k, weights=None, *,
@@ -270,10 +279,7 @@ def forward_isotropic(profile: RadialProfile, k, weights=None, *,
 
     The result carries weights, the spectral measure's weights on k (see
     spectral_nodes), which inverse_isotropic needs on the open and flat models."""
-    _check_tail_tol(tail_tol)
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    grid = Spectrum(profile.geometry, k, np.zeros(k.shape), weights)    # checks k and weights first
-    return Spectrum(grid.geometry, grid.k, _forward(profile, grid.k, tail_tol)[0], grid.weights)
+    return _transform(profile, k, weights, tail_tol, False)[0]
 
 
 def inverse_isotropic(spec: Spectrum, chi, *, tail_tol: float | None = 1e-3) -> RadialProfile:
@@ -281,30 +287,20 @@ def inverse_isotropic(spec: Spectrum, chi, *, tail_tol: float | None = 1e-3) -> 
     _check_tail_tol(tail_tol)
     geom = spec.geometry
     chi = _as_grid("chi", np.atleast_1d(np.asarray(chi, dtype=float)))
-    pref = _inverse_pref(geom)
     amp = _weights(spec, "sft.spectral_nodes") * spec.k ** 2 * spec.values
-    _check_inverse_tail(geom, amp, tail_tol)
-    return RadialProfile(geom, chi, pref * _zonal_pass(geom, spec.k, chi, amp=amp)[2])
+    _check_tail(np.abs(amp), tail_tol, "inverse transform k")
+    return RadialProfile(geom, chi, _inverse_pref(geom) * _zonal_pass(geom, spec.k, chi, amp=amp)[2])
 
 
 def roundtrip_isotropic(profile: RadialProfile, k, weights=None, *,
                         tail_tol: float | None = 1e-3) -> tuple[Spectrum, RadialProfile]:
     """forward_isotropic then inverse_isotropic back onto profile.chi, with the
-    spectral measure's weights on k (required open and flat), building each
-    zonal block once.
+    spectral measure's weights on k (required open and flat), building the
+    zonal factors once.
 
     Returns (spectrum, profile back), bitwise equal to the two calls; the
     forward tail is checked before the inverse tail, as there."""
-    _check_tail_tol(tail_tol)
-    geom = profile.geometry
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    grid = Spectrum(geom, k, np.zeros(k.shape), weights)    # checks k and weights first
-    pref = _inverse_pref(geom)
-    wk2 = _weights(grid, "sft.spectral_nodes") * grid.k ** 2
-    out, vals = _forward(profile, grid.k, tail_tol, wk2)
-    _check_inverse_tail(geom, wk2 * out, tail_tol)
-    return (Spectrum(geom, grid.k, out, grid.weights),
-            RadialProfile(geom, profile.chi, pref * vals))
+    return _transform(profile, k, weights, tail_tol, True)
 
 
 def bump_profile(chi, center: float, halfwidth: float, amplitude: float = 1.0) -> np.ndarray:

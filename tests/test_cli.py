@@ -44,6 +44,10 @@ grid.n_theta = 4
 grid.n_phi = 6
 """
 
+# the synthesis config without its grid, as an estimate config
+EST_CFG = "".join(line + "\n" for line in SYN_CFG.splitlines() if not line.startswith("grid.")) \
+    + "estimate.n_realizations = 50\nestimate.lags = 0.3\n"
+
 
 def write(tmp_path, name, text):
     p = tmp_path / name
@@ -124,8 +128,20 @@ def test_background_bad_redshift_grid(tmp_path, capsys):
     assert not out.exists()
 
 
+# the closed profile and grid of the CI smoke step (k tail 6.3e-8)
+TR_CLOSED_CFG = """
+geometry.kind = closed
+geometry.k = 1.0
+profile.center = 1.5
+profile.halfwidth = 1.4
+grid.chi_max = 3.141592653589793
+grid.panels = 100
+spectral.omega_max = 300
+"""
+
+
 def test_transform_roundtrip_note(tmp_path):
-    cfg = write(tmp_path, "tr.cfg", """
+    flat = """
 geometry.kind = flat
 transform.mode = roundtrip
 profile.center = 2.0
@@ -134,16 +150,18 @@ grid.chi_max = 4.5
 grid.panels = 85
 grid.order = 12
 spectral.k_max = 150.0
-""")
-    out = str(tmp_path / "tr.csv")
-    assert main(["transform", "--config", cfg, "--out", out]) == 0
-    notes, cols = read_table(out)
-    err_note = [n for n in notes if "roundtrip error" in n]
-    assert err_note
-    err = float(err_note[0].split(":")[1])
-    assert err < 1e-6
-    np.testing.assert_allclose(cols["f_back"], cols["f_in"],
-                               atol=1e-6 * np.max(np.abs(cols["f_in"])))
+"""
+    for text in (flat, TR_CLOSED_CFG):
+        cfg = write(tmp_path, "tr.cfg", text)
+        out = str(tmp_path / "tr.csv")
+        assert main(["transform", "--config", cfg, "--out", out]) == 0
+        notes, cols = read_table(out)
+        err_note = [n for n in notes if "roundtrip error" in n]
+        assert err_note
+        err = float(err_note[0].split(":")[1])
+        assert err < 1e-6
+        np.testing.assert_allclose(cols["f_back"], cols["f_in"],
+                                   atol=1e-6 * np.max(np.abs(cols["f_in"])))
 
 
 def test_transform_convergence_failure_exits_4(tmp_path, capsys):
@@ -157,10 +175,19 @@ grid.chi_max = 4.0
 grid.panels = 32
 grid.order = 8
 spectral.k_max = 20.0
-spectral.panels = 16
 """)
     assert main(["transform", "--config", cfg, "--tolerance", "1e-9"]) == 4
     assert "tail" in capsys.readouterr().err
+    # the closed lattice's k tail went unchecked, and these exited 0: 16 chi panels
+    # (k tail 0.515, roundtrip error 2.35) and omega_max 30 on 64 (4.6e-3, 6.2e-3)
+    for panels, omega_max, frac in ((16, 300, "5.15e-01"), (64, 30, "4.60e-03")):
+        cfg = write(tmp_path, "tr.cfg", TR_CLOSED_CFG.replace(
+            "grid.panels = 100", f"grid.panels = {panels}").replace(
+            "spectral.omega_max = 300", f"spectral.omega_max = {omega_max}"))
+        out = tmp_path / "tr.csv"
+        assert main(["transform", "--config", cfg, "--out", str(out)]) == 4
+        assert f"inverse transform k tail carries {frac}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_transform_without_spectral_grid_exits_2(tmp_path, capsys):
@@ -209,11 +236,9 @@ grid.chi_max = 2.0
 def test_non_finite_k_max_exits_3(tmp_path, capsys):
     # inf once became NaN nodes, two RuntimeWarnings (errors in this suite) and
     # "P(k) must be finite"
-    est = "".join(line + "\n" for line in SYN_CFG.splitlines() if not line.startswith("grid."))
-    est += "estimate.n_realizations = 50\nestimate.lags = 0.3\n"
     cases = [("synthesize", SYN_CFG, "synthesis.k_max = 8.0", "synthesis.k_max = inf"),
              ("synthesize", SYN_CFG, "synthesis.k_max = 8.0", "synthesis.k_max = nan"),
-             ("estimate", est, "synthesis.k_max = 8.0",
+             ("estimate", EST_CFG, "synthesis.k_max = 8.0",
               "synthesis.k_max = 8.0\nanalytic.k_max = inf"),
              ("transform", TR_CFG, "spectral.k_max = 40.0", "spectral.k_max = inf")]
     for command, text, old, new in cases:
@@ -228,13 +253,32 @@ def test_estimate_checks_analytic_before_synthesis(tmp_path, capsys, monkeypatch
     # a bad analytic.* once surfaced only after the Monte Carlo synthesis had run
     calls = []
     monkeypatch.setattr(cli, "synthesize", lambda *a: calls.append(a))
-    est = "".join(line + "\n" for line in SYN_CFG.splitlines() if not line.startswith("grid."))
-    cfg = write(tmp_path, "est.cfg", est + "estimate.n_realizations = 50\n"
-                "estimate.lags = 0.3\nanalytic.k_max = inf\n")
+    cfg = write(tmp_path, "est.cfg", EST_CFG + "analytic.k_max = inf\n")
     out = tmp_path / "est.csv"
     assert main(["estimate", "--config", cfg, "--out", str(out)]) == 3
     assert "k_max" in capsys.readouterr().err
     assert calls == [] and not out.exists()
+
+
+def test_explicit_invalid_grid_values_exit_3(tmp_path, capsys):
+    # 0 and -1 once read as absent: analytic.k_max = 0 fell back to the synthesis
+    # k_max and exited 0, synthesis.k_max = 0 reported "got None", and the
+    # transform's spectral.k_max = 0 and spectral.omega_max = -1 exited 2
+    closed = SYN_CFG.replace("geometry.kind = flat", "geometry.kind = closed\ngeometry.k = 1.0")
+    cases = [("estimate", EST_CFG + "analytic.k_max = 0\n", "k_max", "got 0.0"),
+             ("synthesize", SYN_CFG.replace("synthesis.k_max = 8.0", "synthesis.k_max = 0"),
+              "k_max", "got 0.0"),
+             ("synthesize", closed + "synthesis.omega_max = -1\n", "omega_max", "got -1"),
+             ("transform", TR_CFG.replace("spectral.k_max = 40.0", "spectral.k_max = 0"),
+              "k_max", "got 0.0"),
+             ("transform", TR_CLOSED_CFG.replace("spectral.omega_max = 300",
+                                                 "spectral.omega_max = -1"), "omega_max", "got -1")]
+    for command, text, key, value in cases:
+        out = tmp_path / "out"
+        assert main([command, "--config", write(tmp_path, "v.cfg", text), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert key in err and value in err, err
+        assert not out.exists()
 
 
 def test_synthesize_container_and_thread_invariance(tmp_path, capsys):
@@ -432,6 +476,11 @@ def test_removed_measure_keys_exit_2(tmp_path, capsys):
                                                                              "printed")]
     cases += [("transform", TR_CFG + f"transform.mode = {mode}\n", "transform.normalization", v)
               for mode in ("forward", "inverse", "roundtrip") for v in ("consistent", "printed")]
+    # the k grid is the chi grid's panels and order, the profile amplitude 1, and
+    # the analytic order the library's 12
+    cases += [("transform", TR_CFG, key, v) for key, v in (
+        ("spectral.panels", 16), ("spectral.order", 8), ("profile.amplitude", 2.0))]
+    cases += [("estimate", EST_CFG, "analytic.order", 12)]
     for command, text, key, value in cases:
         cfg = write(tmp_path, "old.cfg", text + f"{key} = {value}\n")
         out = tmp_path / "out"

@@ -155,16 +155,23 @@ def test_inverse_tail_monitor():
     with pytest.raises(ConvergenceError):
         inverse_isotropic(spec, np.array([0.5, 1.0]))
     inverse_isotropic(spec, np.array([0.5, 1.0]), tail_tol=None)
-    # a bump whose forward tail converges but whose spectrum is cut at k = 3:
-    # the fused roundtrip raises the inverse error of the two calls
+    # bumps whose spectra are cut short: flat at k = 3, and the closed lattice
+    # once went unchecked - the CI closed profile on 16 chi panels (k tail 0.515,
+    # roundtrip error 2.35) and on 64 panels cut at omega_max 30 (k tail 4.6e-3,
+    # error 6.2e-3); the fused roundtrip raises the inverse error of the two calls
     chi, w = gauss_legendre_grid(1e-9, 4.0, 24, 8)
-    prof = RadialProfile(G_FLAT, chi, bump_profile(chi, 1.5, 0.8), w)
-    k, wk = gauss_legendre_grid(1e-9, 3.0, 8, 8)
-    spec = Spectrum(G_FLAT, k, forward_isotropic(prof, k).values, wk)
-    with pytest.raises(ConvergenceError, match="inverse transform k") as two_call:
-        inverse_isotropic(spec, chi)
-    with pytest.raises(ConvergenceError, match=re.escape(str(two_call.value))):
-        roundtrip_isotropic(prof, k, wk)
+    cases = [(RadialProfile(G_FLAT, chi, bump_profile(chi, 1.5, 0.8), w),
+              gauss_legendre_grid(1e-9, 3.0, 8, 8))]
+    for panels, omega_max in ((16, 300), (64, 30)):
+        chi, w = gauss_legendre_grid(0.0, math.pi, panels, 12)
+        cases.append((RadialProfile(G_CLOSED, chi, bump_profile(chi, 1.5, 1.4), w),
+                      sft.spectral_nodes(G_CLOSED, None, panels, 12, omega_max)))
+    for prof, (k, wk) in cases:
+        spec = forward_isotropic(prof, k, wk)
+        with pytest.raises(ConvergenceError, match="inverse transform k") as two_call:
+            inverse_isotropic(spec, prof.chi)
+        with pytest.raises(ConvergenceError, match=re.escape(str(two_call.value))):
+            roundtrip_isotropic(prof, k, wk)
 
 
 def test_closed_lattice_construction_and_rejection():

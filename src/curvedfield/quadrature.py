@@ -1,8 +1,8 @@
-"""Quadrature utilities: composite Gauss-Legendre grids and tail monitors.
+"""Composite Gauss-Legendre grids.
 
 Transforms integrate tabulated integrands.  Grids made by gauss_legendre_grid
 carry their own weights and integrate polynomials of degree < 2*order per
-panel exactly.
+panel exactly.  The transforms' tail rule lives in sft.
 """
 from __future__ import annotations
 
@@ -38,15 +38,3 @@ def gauss_legendre_grid(a: float, b: float, panels: int, order: int = 8):
     w = (half[:, None] * wg[None, :]).ravel()
     return x, w
 
-
-def tail_fraction(contrib: np.ndarray, tail_nodes: int):
-    """|sum over the trailing nodes| / sum|contrib|, per output value.
-
-    contrib has node contributions along the last axis.  Used as the
-    monitored tail estimate for truncated infinite-range integrals.
-    """
-    total = np.sum(np.abs(contrib), axis=-1)
-    tail = np.abs(np.sum(contrib[..., -tail_nodes:], axis=-1))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        frac = np.where(total > 0, tail / np.maximum(total, np.finfo(float).tiny), 0.0)
-    return frac

@@ -25,13 +25,13 @@ Parseval reads sum w k^2 |f00|^2 = (2 pi^2/c^2) ||f||^2.  spectrum_norm2 and
 parseval_constant quote the closed model per sum_w (w+1)^2, i.e. divided by
 K^(3/2).
 
-Every k sum is tail-checked, the closed lattice included: if the last eighth
-of the nodes carries more than tail_tol of the total |w k^2 f00|, the grid is
-declared unconverged (ConvergenceError), be it a Gauss-Legendre grid cut at
-k_max or a lattice cut at omega_max.  The forward chi integral is checked the
-same way on the open and flat models; the closed chi domain is compact.
-tail_tol is None (no monitor) or finite and > 0; anything else raises
-DomainError before any kernel block is built.
+One rule, _tail_fraction (the share of sum |c| in the last eighth of the
+nodes, at least 4), checks grids of every size; above tail_tol a grid is
+unconverged (ConvergenceError).  It checks c = w k^2 f00 on every k grid with
+the measure's weights: the inverse's, and the forward's on the closed lattice
+or when given weights; and the forward chi integral on the open and flat
+models (the closed chi domain is compact).  tail_tol is None (no monitor) or
+finite and > 0; anything else raises DomainError before any kernel is built.
 
 The transforms and randfield.analytic_correlation make one pass (_zonal_pass)
 over the table Phi(k, chi) without building it: every spectral_nodes grid
@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .geometry import Geometry, Kind, surface_area
-from .quadrature import gauss_legendre_grid, tail_fraction
+from .quadrature import gauss_legendre_grid
 from .specfun import _factor_rows, _zonal_factors, zonal_blocks, zonal_spherical
 
 __all__ = [
@@ -193,11 +193,14 @@ def _weights(grid: RadialProfile | Spectrum, rule: str) -> np.ndarray:
     return grid.weights
 
 
+def _tail_fraction(c: np.ndarray) -> float:
+    """|sum of the last eighth of the nodes (at least 4)| / sum |c|, 0 if all vanish."""
+    total = float(np.sum(np.abs(c)))
+    return abs(float(np.sum(c[-max(4, c.size // 8):]))) / total if total > 0.0 else 0.0
+
+
 def _check_tail(contrib: np.ndarray, tol: float | None, what: str):
-    if tol is None or contrib.size < 8:
-        return
-    frac = tail_fraction(contrib, max(4, contrib.size // 8))
-    if frac > tol:
+    if tol is not None and (frac := _tail_fraction(contrib)) > tol:
         raise ConvergenceError(
             f"{what} tail carries {frac:.2e} of the integrand mass "
             f"(tolerance {tol:.0e}); extend or refine the grid")
@@ -255,22 +258,24 @@ def _transform(profile: RadialProfile, k, weights, tail_tol: float | None, back:
     """(spectrum on k, profile back on profile.chi if back else None) from one zonal pass.
 
     tail_tol, then k and its weights are checked before any kernel is built;
-    the chi tail (open, flat) is checked before the k tail (back only)."""
+    the chi tail (open, flat) is checked before the k tail (k with weights)."""
     _check_tail_tol(tail_tol)
     geom, chi = profile.geometry, profile.chi
     k = np.atleast_1d(np.asarray(k, dtype=float))
     grid = Spectrum(geom, k, np.zeros(k.shape), weights)
-    wk2 = _weights(grid, "sft.spectral_nodes") * k ** 2 if back else None
+    weighted = back or grid.weights is not None        # back raises without them
+    wk2 = _weights(grid, "sft.spectral_nodes") * k ** 2 if weighted else None
     base = _weights(profile, "quadrature.gauss_legendre_grid") * profile.values \
         * surface_area(geom, chi)
     monitor = geom.kind is not Kind.CLOSED and tail_tol is not None   # closed chi is compact
-    fwd, top, inv = _zonal_pass(geom, k, chi, base, 1.0 / _norm_const(geom), wk2, monitor)
+    fwd, top, inv = _zonal_pass(geom, k, chi, base, 1.0 / _norm_const(geom),
+                                wk2 if back else None, monitor)
     if monitor:                        # the first node wins ties, as in a per-k loop
         _check_tail(base * zonal_kernel(geom, k[top], chi), tail_tol, "forward transform chi")
-    if back:
-        _check_tail(np.abs(wk2 * fwd), tail_tol, "inverse transform k")
-        inv = RadialProfile(geom, chi, _inverse_pref(geom) * inv)
-    return Spectrum(geom, k, fwd, grid.weights), inv
+    if weighted:
+        _check_tail(np.abs(wk2 * fwd), tail_tol, f"{'inverse' if back else 'forward'} transform k")
+    return Spectrum(geom, k, fwd, grid.weights), \
+        None if inv is None else RadialProfile(geom, chi, _inverse_pref(geom) * inv)
 
 
 def forward_isotropic(profile: RadialProfile, k, weights=None, *,
@@ -278,7 +283,9 @@ def forward_isotropic(profile: RadialProfile, k, weights=None, *,
     """Transform a radial profile, with its chi weights, to amplitudes on grid k.
 
     The result carries weights, the spectral measure's weights on k (see
-    spectral_nodes), which inverse_isotropic needs on the open and flat models."""
+    spectral_nodes), which inverse_isotropic needs on the open and flat models.
+    With them (the closed lattice always has them) its k tail is checked as
+    inverse_isotropic checks it."""
     return _transform(profile, k, weights, tail_tol, False)[0]
 
 

@@ -16,7 +16,9 @@ from curvedfield.cosmology import (comoving_distance, hubble, lookback_time,
                                    make_params)
 from curvedfield.fieldfile import HEADER_BYTES, read_field
 from curvedfield.geometry import Geometry
-from curvedfield.randfield import SynthesisConfig, Tabulated, synthesize
+from curvedfield.quadrature import gauss_legendre_grid
+from curvedfield.randfield import PowerLaw, SynthesisConfig, Tabulated, synthesize
+from curvedfield.sft import RadialProfile, bump_profile, forward_isotropic, spectral_nodes
 
 BG_CFG = """
 cosmology.h0 = 67.8
@@ -179,15 +181,43 @@ spectral.k_max = 20.0
     assert main(["transform", "--config", cfg, "--tolerance", "1e-9"]) == 4
     assert "tail" in capsys.readouterr().err
     # the closed lattice's k tail went unchecked, and these exited 0: 16 chi panels
-    # (k tail 0.515, roundtrip error 2.35) and omega_max 30 on 64 (4.6e-3, 6.2e-3)
-    for panels, omega_max, frac in ((16, 300, "5.15e-01"), (64, 30, "4.60e-03")):
+    # (k tail 0.515, roundtrip error 2.35), omega_max 30 on 64 (4.6e-3, 6.2e-3), a
+    # lattice of 7 points (0.156, 0.177) or of 4 (all tail), and any forward
+    for side, panels, omega_max, frac in (
+            ("inverse", 16, 300, "5.15e-01"), ("inverse", 64, 30, "4.60e-03"),
+            ("inverse", 100, 6, "1.56e-01"), ("inverse", 100, 3, "1.00e+00"),
+            ("forward", 16, 300, "5.15e-01")):
         cfg = write(tmp_path, "tr.cfg", TR_CLOSED_CFG.replace(
             "grid.panels = 100", f"grid.panels = {panels}").replace(
-            "spectral.omega_max = 300", f"spectral.omega_max = {omega_max}"))
+            "spectral.omega_max = 300", f"spectral.omega_max = {omega_max}")
+            + ("transform.mode = forward\n" if side == "forward" else ""))
         out = tmp_path / "tr.csv"
         assert main(["transform", "--config", cfg, "--out", str(out)]) == 4
-        assert f"inverse transform k tail carries {frac}" in capsys.readouterr().err
+        assert f"{side} transform k tail carries {frac}" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_transform_forward_table_is_the_library_forward(tmp_path):
+    # the CI flat forward config (k tail 7.3e-6)
+    cfg = write(tmp_path, "tr.cfg", """
+geometry.kind = flat
+profile.center = 2.0
+profile.halfwidth = 1.8
+grid.chi_max = 4.5
+grid.panels = 64
+spectral.k_max = 150
+transform.mode = forward
+""")
+    out = str(tmp_path / "tr.csv")
+    assert main(["transform", "--config", cfg, "--out", out]) == 0
+    notes, cols = read_table(out)
+    assert list(cols) == ["k", "f00"] and not [n for n in notes if "roundtrip" in n]
+    geom = Geometry.flat()
+    chi, wchi = gauss_legendre_grid(0.0, 4.5, 64, 12)
+    k, wk = spectral_nodes(geom, 150.0, 64, 12, None)
+    spec = forward_isotropic(RadialProfile(geom, chi, bump_profile(chi, 2.0, 1.8), wchi), k, wk)
+    np.testing.assert_array_equal(cols["k"], spec.k)
+    np.testing.assert_array_equal(cols["f00"], spec.values)
 
 
 def test_transform_without_spectral_grid_exits_2(tmp_path, capsys):
@@ -524,6 +554,57 @@ def test_tabulated_spectrum_synthesizes_as_the_library(tmp_path):
                      SynthesisConfig(L_max=5, seed=3, k_max=8.0, k_panels=12, k_order=8),
                      cc.ravel(), tt.ravel(), pp.ravel())
     np.testing.assert_array_equal(read_field(out).values, ref.values[0].reshape(3, 4, 6))
+
+
+def test_power_law_spectrum_synthesizes_as_the_library(tmp_path):
+    cfg = write(tmp_path, "pl.cfg", SYN_CFG.replace("spectrum.form = gaussian_bump", """\
+spectrum.form = power_law
+spectrum.index = -1.5
+spectrum.k_cut_low = 0.5
+spectrum.k_cut_high = 6.0"""))
+    out = str(tmp_path / "pl.cfd")
+    assert main(["synthesize", "--config", cfg, "--out", out, "--seed", "3"]) == 0
+    chi = np.linspace(0.0, 2.0, 3)
+    theta = (np.arange(4) + 0.5) * math.pi / 4
+    phi = np.arange(6) * 2.0 * math.pi / 6
+    cc, tt, pp = np.meshgrid(chi, theta, phi, indexing="ij")
+    ref = synthesize(Geometry.flat(), PowerLaw(1.0, -1.5, 0.5, 6.0),
+                     SynthesisConfig(L_max=5, seed=3, k_max=8.0, k_panels=12, k_order=8),
+                     cc.ravel(), tt.ravel(), pp.ravel())
+    np.testing.assert_array_equal(read_field(out).values, ref.values[0].reshape(3, 4, 6))
+
+
+SPIN_CFG = """
+spin.s = 2
+spin.l_max = 4
+grid.n_chi = 3
+grid.chi_max = 2.0
+"""
+
+
+@pytest.mark.parametrize("command, text, out, message", [
+    ("synthesize", SYN_CFG.replace("kind = flat", "kind = spherical"), True,
+     "geometry.kind must be open, flat or closed, not 'spherical'"),
+    ("synthesize", SYN_CFG.replace("gaussian_bump", "lognormal"), True,
+     "unknown spectrum.form 'lognormal'"),
+    ("synthesize", SYN_CFG.replace("grid.n_chi = 3", "grid.n_chi = 0"), True,
+     "grid sizes must be >= 1"),
+    ("synthesize", SYN_CFG.replace("grid.n_theta = 4", "grid.n_theta = 0"), True,
+     "grid sizes must be >= 1"),
+    ("spin", SPIN_CFG + "grid.n_phi = -1\n", True, "grid sizes must be >= 1"),
+    ("estimate", EST_CFG.replace("lags = 0.3", "lags = 0.3, near"), False,
+     "estimate.lags must be comma-separated floats, got '0.3, near'"),
+    ("estimate", EST_CFG.replace("lags = 0.3", "lags = ,"), False, "estimate.lags is empty"),
+    ("spin", SPIN_CFG, False, "spin needs --out for the field container"),
+    ("spin", SPIN_CFG + "lensing.observable = shear\n", True,
+     "lensing.observable must be one of ['F', 'G', 'gamma', 'kappa'], not 'shear'"),
+])
+def test_config_errors_exit_2(tmp_path, capsys, command, text, out, message):
+    path = tmp_path / "out"
+    argv = [command, "--config", write(tmp_path, "bad.cfg", text)]
+    assert main(argv + ["--out", str(path)] * out) == 2
+    assert message in capsys.readouterr().err
+    assert not path.exists()
 
 
 def test_tabulated_spectrum_errors(tmp_path, capsys):

@@ -152,3 +152,18 @@ def test_read_field_fuzz_only_field_file_error(tmp_path_factory, flips, cut, ver
         read_field(path, verify=verify)
     except FieldFileError:
         pass
+
+
+def _write_with_dtype(path, dtype):
+    write_field(path, sample_file())
+    path.write_bytes(path.read_bytes().replace(b"dtype=float64", dtype, 1))
+    return read_field(path, verify=False)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda path: write_field(path, sample_file(created="x" * 96)), "header line too long"),
+    (lambda path: _write_with_dtype(path, b"dtype=float32"), "unknown dtype 'float32'"),
+])
+def test_fieldfile_input_checks(tmp_path, call, message):
+    with pytest.raises(FieldFileError, match=message):
+        call(tmp_path / "f.fld")

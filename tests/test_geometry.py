@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,3 +79,13 @@ def test_f_K_small_chi_limit(chi):
     for g in (Geometry.open(-1e-8), Geometry.closed(1e-8)):
         bound = 1e-8 * chi ** 3 / 6.0 + 1e-12
         assert abs(float(f_K(g, chi)) - chi) <= 1.01 * bound
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Geometry.open(-math.inf), "curvature K must be finite"),
+    (lambda: Geometry.closed(math.nan), "curvature K must be finite"),
+    (lambda: Geometry.closed(1.0).check_chi([0.5, math.nan]), "chi must be finite"),
+])
+def test_geometry_input_checks(call, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()

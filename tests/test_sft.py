@@ -158,16 +158,23 @@ def test_inverse_tail_monitor():
     # bumps whose spectra are cut short: flat at k = 3, and the closed lattice
     # once went unchecked - the CI closed profile on 16 chi panels (k tail 0.515,
     # roundtrip error 2.35) and on 64 panels cut at omega_max 30 (k tail 4.6e-3,
-    # error 6.2e-3); the fused roundtrip raises the inverse error of the two calls
+    # error 6.2e-3), and lattices of under 8 points (omega_max 6 on 100 panels:
+    # k tail 0.156, error 0.177; 4 or fewer points are all tail); the fused
+    # roundtrip raises the inverse error of the two calls, and the forward, its
+    # spectrum carrying the measure's weights, raises first
     chi, w = gauss_legendre_grid(1e-9, 4.0, 24, 8)
     cases = [(RadialProfile(G_FLAT, chi, bump_profile(chi, 1.5, 0.8), w),
               gauss_legendre_grid(1e-9, 3.0, 8, 8))]
-    for panels, omega_max in ((16, 300), (64, 30)):
+    for panels, omega_max in ((16, 300), (64, 30), (100, 6), (100, 3)):
         chi, w = gauss_legendre_grid(0.0, math.pi, panels, 12)
         cases.append((RadialProfile(G_CLOSED, chi, bump_profile(chi, 1.5, 1.4), w),
                       sft.spectral_nodes(G_CLOSED, None, panels, 12, omega_max)))
     for prof, (k, wk) in cases:
-        spec = forward_isotropic(prof, k, wk)
+        with pytest.raises(ConvergenceError, match="forward transform k"):
+            forward_isotropic(prof, k, wk)
+        spec = forward_isotropic(prof, k, wk, tail_tol=None)
+        frac = sft._tail_fraction(np.abs(spec.weights * k ** 2 * spec.values))
+        assert frac == 1.0 if k.size <= 4 else frac > 1e-3
         with pytest.raises(ConvergenceError, match="inverse transform k") as two_call:
             inverse_isotropic(spec, prof.chi)
         with pytest.raises(ConvergenceError, match=re.escape(str(two_call.value))):
@@ -602,10 +609,11 @@ def test_closed_weights_are_the_lattice_spacing():
 
 def test_every_grid_carries_its_weights(monkeypatch):
     # a closed spectrum once held None and its integrals filled sqrt(K) in, so
-    # a closed forward result is now inverted as it stands
+    # a closed forward result is now inverted as it stands; omega_max 80 puts
+    # 3.4e-4 of the mass in the lattice's tail (omega_max 6: 0.158, and 13% off)
     for K in (1.0, 2.0, 4.0):
         geom, s = Geometry.closed(K), math.sqrt(K)
-        k = closed_k_lattice(geom, 6)
+        k = closed_k_lattice(geom, 80)
         for given in (None, np.full(k.size, s * (1.0 + 1e-13))):
             assert np.all(Spectrum(geom, k, np.ones(k.size), given).weights == s)
         chi, wchi = gauss_legendre_grid(0.0, math.pi / s, 16, 12)
@@ -634,6 +642,33 @@ def test_every_grid_carries_its_weights(monkeypatch):
                  lambda: profile_norm2(bare)):
         with pytest.raises(DomainError, match=re.escape("quadrature.gauss_legendre_grid")):
             call()
+
+
+@pytest.mark.parametrize("name, panels, converged", [
+    ("flat", 6, False), ("flat", 16, False), ("flat", 32, True), ("flat", 64, True),
+    ("open", 6, False), ("open", 16, False), ("open", 32, False), ("open", 64, True),
+    ("open", 128, True)])
+def test_weighted_forward_checks_its_k_tail(name, panels, converged):
+    # the bench profile on a 64x12-node k grid: amplitudes aliased by a coarse
+    # chi grid do not decay (k tails 0.40 and 0.67 flat, 0.18, 0.78 and 1.08e-3
+    # open) and once came back unchecked; without the measure's weights there
+    # is no k sum to check
+    geom, k_max = BENCH_TRANSFORM[name]
+    chi, w = gauss_legendre_grid(0.0, 4.5, panels, 12)
+    prof = RadialProfile(geom, chi, bump_profile(chi, 2.0, 1.8), w)
+    k, wk = gauss_legendre_grid(0.0, k_max, 64, 12)
+    bare = forward_isotropic(prof, k)
+    if converged:
+        np.testing.assert_array_equal(forward_isotropic(prof, k, wk).values, bare.values)
+    else:
+        with pytest.raises(ConvergenceError, match="forward transform k tail"):
+            forward_isotropic(prof, k, wk)
+
+
+@pytest.mark.parametrize("panels, order", [(0, 8), (3, 0)])
+def test_gauss_legendre_grid_needs_a_node(panels, order):
+    with pytest.raises(DomainError, match="panels and order must be >= 1"):
+        gauss_legendre_grid(0.0, 1.0, panels, order)
 
 
 @pytest.mark.parametrize("name", ["open", "flat", "closed"])

@@ -472,3 +472,27 @@ def test_zonal_domain_errors():
         for geom, omega in ((G_OPEN, 1.0), (G_OPEN, 0.4j), (G_CLOSED, 2)):
             with pytest.raises(DomainError, match="finite"):
                 zonal_spherical(geom, omega, r)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: specfun.spherical_bessel(-1, 0.5), "l must be >= 0"),
+    (lambda: specfun.spherical_bessel(2, [0.5, -0.1]), "x must be finite and >= 0"),
+    (lambda: specfun.spherical_bessel(2, [0.5, math.nan]), "x must be finite and >= 0"),
+    (lambda: specfun.gegenbauer(0, 2, 0.5), "need p >= 1 and q >= 0"),
+    (lambda: conical_legendre(-0.5, 1, 0.5), "omega must be finite and >= 0"),
+    (lambda: conical_legendre(2.0, 1, [0.5, 0.0]), "r must be > 0"),
+    (lambda: conical_legendre(2.0, 1, [-0.5]), "r must be > 0"),
+])
+def test_specfun_input_checks(call, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize("geom", [Geometry.open(-1.0), Geometry.flat(), Geometry.closed(1.0)])
+def test_zonal_spherical_reads_a_real_complex_omega_as_real(geom):
+    r = np.array([0.0, 0.4, 1.3, 2.9])
+    omega = np.array([0.0, 1.0, 3.0])
+    np.testing.assert_array_equal(zonal_spherical(geom, omega + 0j, r),
+                                  zonal_spherical(geom, omega, r))
+    np.testing.assert_array_equal(zonal_spherical(geom, np.complex128(2.0), r),
+                                  zonal_spherical(geom, 2.0, r))

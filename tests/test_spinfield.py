@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -359,3 +360,23 @@ def test_separable_kernels_validation():
         separable_kernels(0, np.arange(3), CHI, corr_length=0.0)
     with pytest.raises(DomainError):
         separable_kernels(0, np.arange(3), CHI, amplitude=-1.0)
+
+
+_ELL, _CHI = np.array([2, 3]), np.array([0.5, 1.0])
+_KER = np.broadcast_to(np.eye(2), (2, 2, 2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SpinKernelSet(2, _ELL, [1.0, 0.5], _KER),
+     "chi must be strictly increasing and non-empty"),
+    (lambda: SpinKernelSet(2, _ELL, [-0.5, 1.0], _KER), "chi must be >= 0"),
+    (lambda: SpinKernelSet(2, _ELL, _CHI, _KER[:1]),
+     "kernels must have shape (n_ell, n_chi, n_chi)"),
+    (lambda: recover_kernels(np.zeros(12), beta_rule(3)[0], beta_rule(3)[1][:-1], 2, 3),
+     "beta and weights must be matching 1-d arrays"),
+    (lambda: lensing_ladder(SpinKernelSet(0, _ELL, _CHI, _KER), "shear"),
+     "unknown lensing observable 'shear'"),
+])
+def test_spinfield_input_checks(call, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()

@@ -48,7 +48,7 @@ import numpy as np
 from .errors import DomainError
 from .geometry import Geometry, Kind
 from .sft import _norm_const, _zonal_pass, spectral_nodes
-from .specfun import HARMONIC_L_MAX, _d_rows, radial_table, zonal_spherical
+from .specfun import HARMONIC_L_MAX, _spin_rows, radial_table, zonal_spherical
 from .specfun import radial, spin_harmonic  # noqa: F401  (perfbench/spans.py wraps them)
 
 __all__ = [
@@ -185,8 +185,7 @@ class SynthesisConfig:
         if self.L_max > HARMONIC_L_MAX:
             raise DomainError(f"L_max={self.L_max} exceeds the harmonic ceiling "
                               f"{HARMONIC_L_MAX} (see specfun.HARMONIC_L_MAX)")
-        if self.seed < 0 or self.seed > 2 ** 63 - 1:
-            raise DomainError("seed must fit in a non-negative 63-bit integer")
+        _check_seed(self.seed)
         if self.k_max is not None and not 0 < self.k_max < math.inf:    # NaN fails
             raise DomainError(f"k_max must be finite and > 0, got {self.k_max}")
         if self.k_panels < 1 or self.k_order < 2:
@@ -220,6 +219,11 @@ class CorrelationEstimate:
 # ---------------------------------------------------------------------------
 
 _SCALAR_TAG = 1
+
+
+def _check_seed(seed: int):     # the one seed rule of synthesize and synthesize_spin
+    if not 0 <= seed <= 2 ** 63 - 1:
+        raise DomainError("seed must fit in a non-negative 63-bit integer")
 
 
 def _mode_key(seed: int, l: int, m: int, tag: int, spin: int) -> np.ndarray:
@@ -322,14 +326,12 @@ def _synthesize_modes(T, ls, stream, s: int, theta_u, ci, ti, phi, shape, real: 
     ends = np.cumsum([math.prod(x) for x in shapes])
     a, xi, b, g = (x.reshape(s) for x, s in zip(np.split(np.empty(ends[-1], complex), ends), shapes))
     out = np.zeros((N,) + pick.shape, dtype=float if real else complex)
-    norm = (-1.0) ** s * np.sqrt((2 * np.asarray(ls) + 1) / (4.0 * math.pi))
-    nr = nb * max(1, _SLAB // max(1, n_l * nb * n_t))   # m per _d_rows call: whole blocks
+    nr = nb * max(1, _SLAB // max(1, n_l * nb * n_t))   # m per _spin_rows call: whole blocks
     for j0 in range(0, ms.size, nb):
         mb = ms[j0:j0 + nb]
         if j0 % nr == 0:
-            lam = _d_rows(-s, L, ms[j0:j0 + nr], theta_u)
+            lam = _spin_rows(s, L, ms[j0:j0 + nr], theta_u)
             lam = lam if n_l > L else lam[ls]      # the rows of ls, if it skips an l
-            lam *= norm[:, None, None]  # sY_lm(theta, 0), as in spin_harmonic_table
             if real:
                 lam[:, int(j0 == 0):] *= 2.0    # Re b_0 + 2 Re sum_{m>0} b_m e^{i m phi}
         for i, l in enumerate(ls):
@@ -394,7 +396,7 @@ def analytic_correlation(geom: Geometry, P: PowerSpectrum, r,
     if not all(0.0 <= c < math.inf for _, c in atoms):     # NaN fails
         raise DomainError(f"atom weights must be finite and >= 0, got {atoms}")
     k, w = spectral_nodes(geom, k_max, panels, order, omega_max)
-    out = _zonal_pass(geom, k, r.ravel(), amp=w * k * k * _power(P, k))[2].reshape(r.shape)
+    out = _zonal_pass(geom, k, r.ravel(), amp=w * k * k * _power(P, k))[1].reshape(r.shape)
     rz = r if geom.kind is Kind.FLAT else geom.curvature_scale * r
     for om, c in atoms:
         out = out + c * np.real(zonal_spherical(geom, om, rz))

@@ -29,9 +29,9 @@ One rule, _tail_fraction (the share of sum |c| in the last eighth of the
 nodes, at least 4), checks grids of every size; above tail_tol a grid is
 unconverged (ConvergenceError).  It checks c = w k^2 f00 on every k grid with
 the measure's weights: the inverse's, and the forward's on the closed lattice
-or when given weights; and the forward chi integral on the open and flat
-models (the closed chi domain is compact).  tail_tol is None (no monitor) or
-finite and > 0; anything else raises DomainError before any kernel is built.
+or when given weights; and, open and flat (closed chi is compact), the forward
+chi integrand of the node of largest |Phi_q| @ |w f S| (_heaviest_row).  tail_tol
+is None (no monitor) or finite and > 0, else DomainError before any kernel is built.
 
 The transforms and randfield.analytic_correlation make one pass (_zonal_pass)
 over the table Phi(k, chi) without building it: every spectral_nodes grid
@@ -54,13 +54,15 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .geometry import Geometry, Kind, surface_area
 from .quadrature import gauss_legendre_grid
-from .specfun import _factor_rows, _zonal_factors, zonal_blocks, zonal_spherical
+from .specfun import _fold, _zonal_factors, zonal_blocks, zonal_spherical
 
 __all__ = [
     "RadialProfile", "Spectrum", "surface_area", "forward_isotropic",
     "inverse_isotropic", "roundtrip_isotropic", "closed_k_lattice", "zonal_kernel",
     "bump_profile", "profile_norm2", "spectrum_norm2", "parseval_constant",
 ]
+
+_SEED_ROWS = 8     # rows the forward chi monitor's node search sums before it prunes by bound
 
 
 def _as_grid(name: str, x) -> np.ndarray:
@@ -207,45 +209,54 @@ def _check_tail(contrib: np.ndarray, tol: float | None, what: str):
 
 
 def _zonal_pass(geom: Geometry, k: np.ndarray, chi: np.ndarray, base=None,
-                pref: float = 1.0, amp=None, monitor: bool = False):
-    """(fwd, top, inv): fwd = pref (Phi @ base) = pref/a [(sa base) @ cd^T + (ca base) @ sd^T]
-    if base is given, top = argmax |Phi| @ |base| if monitor (summed only where its bound by
-    1/(a f) reaches the first anchor group's max), inv = A @ Phi = sum_p sa_p (A/a @ cd)_p +
-    ca_p (A/a @ sd)_p if amp is given, A = amp, or amp fwd with base; None if not asked."""
+                pref: float = 1.0, amp=None):
+    """(fwd, inv): fwd = pref (Phi @ base) = pref/a [(sa base) @ cd^T + (ca base) @ sd^T] if
+    base is given, inv = A @ Phi = sum_p sa_p (A/a @ cd)_p + ca_p (A/a @ sd)_p if amp is
+    given, A = amp, or amp fwd with base; None if not asked."""
     omega, r = _scaled(geom, k, chi)
     fac = _zonal_factors(geom, omega, r)
     if fac is None:                               # zonal_spherical's blocks
-        fwd, mass = (None, None) if base is None else (np.empty_like(k), np.empty_like(k))
+        fwd = None if base is None else np.empty_like(k)
         inv = None if amp is None else np.zeros_like(chi)
         for blk in zonal_blocks(k.size, chi.size):
             phi = zonal_spherical(geom, omega[blk], r)
             if base is not None:
                 fwd[blk] = pref * (phi @ base)
-                mass[blk] = np.abs(phi) @ np.abs(base) if monitor else 0.0
             if amp is not None:
                 inv += (amp[blk] if base is None else amp[blk] * fwd[blk]) @ phi
-        return fwd, int(np.argmax(mass)) if monitor else None, inv
-    s, sa, ca, sd, cd, inv_a, inv_f, scale, origin, refl, par = fac
+        return fwd, inv
+    s, sa, ca, sd, cd, inv_a, scale, origin, refl, par = fac
     n, o1, o2 = k.size, origin & ~refl, origin & refl     # Phi = 1, (-1)^omega there
-    fwd = top = inv = None
+    fwd = inv = None
     if base is not None:                          # Phi_0 = r/f(r) exactly
         fwd = ((sa * base) @ cd.T + (ca * base) @ sd.T).ravel()[:n] * inv_a
         fwd = pref * np.where(inv_a > 0.0, fwd + base[o1].sum() + par * base[o2].sum(),
                               scale @ base)
-    if monitor:                                   # a cap |Phi| <= 1 would drop no row
-        ab = np.abs(base)
-        bound = np.where(inv_a > 0.0, (ab @ inv_f) * inv_a + ab[origin].sum(), np.inf)
-        best = np.max(np.abs(_factor_rows(fac, np.arange(s))) @ ab)
-        rows = np.flatnonzero(bound * (1.0 + 1e-12) >= best)
-        top = int(rows[np.argmax(np.concatenate([np.abs(_factor_rows(fac, rows[blk])) @ ab
-                                                 for blk in zonal_blocks(rows.size, r.size)]))])
     if amp is not None:
         A = amp if base is None else amp * fwd
         V = np.pad(A * inv_a, (0, sa.shape[0] * s - n)).reshape(-1, s)
         inv = np.sum(sa * (V @ cd), axis=0) + np.sum(ca * (V @ sd), axis=0)
         inv += A[inv_a == 0.0].sum() * scale
         inv[o1], inv[o2] = A.sum(), A @ par
-    return fwd, top, inv
+    return fwd, inv
+
+
+def _heaviest_row(geom: Geometry, k: np.ndarray, chi: np.ndarray, ab: np.ndarray) -> np.ndarray:
+    """Phi_q(chi) of the first q of largest |Phi_q| @ ab (ab >= 0, k increasing), as a per-k
+    loop: the _SEED_ROWS lowest-k rows set a floor, and only the rows past them whose bound
+    (|Phi_q| <= 1/(omega_q f) off the origin, 1 on it) reaches it are summed."""
+    omega, r = _scaled(geom, k, chi)
+    rf, _, origin, scale = _fold(geom.kind, r)
+    inv_f = np.divide(scale, rf, out=np.zeros_like(rf), where=~origin)
+    bound = (ab @ inv_f) / omega[_SEED_ROWS:] + ab[origin].sum()     # omega > 0 past row 0
+    mass = np.abs(phi := zonal_spherical(geom, omega[:_SEED_ROWS], r)) @ ab
+    top, top_mass = phi[i := int(np.argmax(mass))], mass[i]
+    rows = _SEED_ROWS + np.flatnonzero(bound * (1.0 + 1e-12) >= top_mass)
+    for blk in zonal_blocks(rows.size, r.size):
+        mass = np.abs(phi := zonal_spherical(geom, omega[rows[blk]], r)) @ ab
+        if mass[i := int(np.argmax(mass))] > top_mass:    # ties: the first node
+            top, top_mass = phi[i], mass[i]
+    return top
 
 
 def _check_tail_tol(tail_tol: float | None):
@@ -267,11 +278,10 @@ def _transform(profile: RadialProfile, k, weights, tail_tol: float | None, back:
     wk2 = _weights(grid, "sft.spectral_nodes") * k ** 2 if weighted else None
     base = _weights(profile, "quadrature.gauss_legendre_grid") * profile.values \
         * surface_area(geom, chi)
-    monitor = geom.kind is not Kind.CLOSED and tail_tol is not None   # closed chi is compact
-    fwd, top, inv = _zonal_pass(geom, k, chi, base, 1.0 / _norm_const(geom),
-                                wk2 if back else None, monitor)
-    if monitor:                        # the first node wins ties, as in a per-k loop
-        _check_tail(base * zonal_kernel(geom, k[top], chi), tail_tol, "forward transform chi")
+    fwd, inv = _zonal_pass(geom, k, chi, base, 1.0 / _norm_const(geom), wk2 if back else None)
+    if geom.kind is not Kind.CLOSED and tail_tol is not None:    # closed chi is compact
+        _check_tail(base * _heaviest_row(geom, k, chi, np.abs(base)), tail_tol,
+                    "forward transform chi")
     if weighted:
         _check_tail(np.abs(wk2 * fwd), tail_tol, f"{'inverse' if back else 'forward'} transform k")
     return Spectrum(geom, k, fwd, grid.weights), \
@@ -296,7 +306,7 @@ def inverse_isotropic(spec: Spectrum, chi, *, tail_tol: float | None = 1e-3) -> 
     chi = _as_grid("chi", np.atleast_1d(np.asarray(chi, dtype=float)))
     amp = _weights(spec, "sft.spectral_nodes") * spec.k ** 2 * spec.values
     _check_tail(np.abs(amp), tail_tol, "inverse transform k")
-    return RadialProfile(geom, chi, _inverse_pref(geom) * _zonal_pass(geom, spec.k, chi, amp=amp)[2])
+    return RadialProfile(geom, chi, _inverse_pref(geom) * _zonal_pass(geom, spec.k, chi, amp=amp)[1])
 
 
 def roundtrip_isotropic(profile: RadialProfile, k, weights=None, *,

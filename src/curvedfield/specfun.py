@@ -4,8 +4,8 @@ eigenfunctions for the three curvature models, and zonal spherical functions.
 
 All harmonic values come from one three-term recurrence in l for the Wigner
 d^l_{mn}(theta), seeded at l = max(|m|, |n|) by its one-term closed form and
-vectorised over m: `spin_harmonic_table(s, L, theta)` takes every m at
-n = -s, and `spin_harmonic` and `wigner_d` take one m.  It has no alternating
+vectorised over m: _spin_rows scales the rows at n = -s to sY_lm for every
+spin caller, and `wigner_d` takes one m at any n.  It has no alternating
 sum to cancel: d^l_{m0} stays within 5e-14 of scipy through the public
 ceiling l <= HARMONIC_L_MAX = 128.
 
@@ -157,25 +157,27 @@ def _on_unique(fn, x) -> np.ndarray:
     return fn(xu)[np.searchsorted(xu, x)]   # cheaper than unique's argsort inverse
 
 
-def spin_harmonic_table(s: int, L_max: int, theta) -> np.ndarray:
-    """sY_lm(theta, 0) for every l <= L_max and |m| <= l, shaped
-    (L_max+1, 2 L_max+1) + theta.shape, with entry [l, L_max + m].
-
-    One recurrence over all l and m: sY_lm(theta, 0) = (-1)^s sqrt((2l+1)/4 pi)
-    d^l_{m,-s}(theta).  At s = 0 its max |error| against
-    scipy.special.sph_harm_y (all m, 181 theta in [0.01, pi - 0.01]) is
-    2.7e-14 at l = 32, as for spin_harmonic, whose docstring has the full table.
-    Entries with l < |s| or |m| > l are 0.
-    The azimuth separates, sY_lm(theta, phi) = e^{i m phi} sY_lm(theta, 0),
-    and a bulk caller passes each distinct theta once.
-    L_max > HARMONIC_L_MAX raises DomainError.
-    """
-    _check_index(L_max)
-    theta = np.asarray(theta, dtype=float)
+def _spin_rows(s: int, L: int, ms, theta: np.ndarray) -> np.ndarray:
+    """sY_lm(theta, 0) = (-1)^s sqrt((2l+1)/4 pi) d^l_{m,-s}(theta), l <= L, m in ms, shaped
+    (L+1, len(ms), theta.size) for a 1-d theta; L > HARMONIC_L_MAX or theta not finite raise."""
+    _check_index(L)
     if not np.all(np.isfinite(theta)):
         raise DomainError("theta must be finite")
-    out = _d_rows(-s, L_max, np.arange(-L_max, L_max + 1), theta.ravel())
-    out *= ((-1.0) ** s * np.sqrt((2 * np.arange(L_max + 1) + 1) / (4.0 * math.pi)))[:, None, None]
+    out = _d_rows(-s, L, ms, theta)
+    out *= ((-1.0) ** s * np.sqrt((2 * np.arange(L + 1) + 1) / (4.0 * math.pi)))[:, None, None]
+    return out
+
+
+def spin_harmonic_table(s: int, L_max: int, theta) -> np.ndarray:
+    """sY_lm(theta, 0) for every l <= L_max and |m| <= l (_spin_rows), shaped
+    (L_max+1, 2 L_max+1) + theta.shape, with entry [l, L_max + m]; 0 where l < |s|
+    or |m| > l.  At s = 0 its max |error| against scipy.special.sph_harm_y (all m,
+    181 theta in [0.01, pi - 0.01]) is 2.7e-14 at l = 32, as for spin_harmonic,
+    whose docstring has the full table.  The azimuth separates, sY_lm(theta, phi)
+    = e^{i m phi} sY_lm(theta, 0), and a bulk caller passes each distinct theta
+    once.  L_max > HARMONIC_L_MAX raises DomainError."""
+    theta = np.asarray(theta, dtype=float)
+    out = _spin_rows(s, L_max, np.arange(-L_max, L_max + 1), theta.ravel())
     return out.reshape(out.shape[:2] + theta.shape)
 
 
@@ -212,7 +214,7 @@ def spin_harmonic(s: int, l: int, m: int, theta, phi):
 
         sY_lm(theta, phi) = (-1)^s sqrt((2l+1)/4 pi) d^l_{m,-s}(theta) e^{i m phi},
 
-    that is wigner_d(l, m, -s, theta) once per distinct theta, with the
+    that is the row l of _spin_rows once per distinct theta, with the
     phase once per distinct phi.
 
     s=0 reduces to the ordinary Y_lm with Condon-Shortley phase.  The ladder
@@ -227,8 +229,8 @@ def spin_harmonic(s: int, l: int, m: int, theta, phi):
 
     l > HARMONIC_L_MAX = 128 or |s| > l raises DomainError.
     """
-    d = wigner_d(l, m, -s, theta)
-    return d * ((-1.0) ** s * math.sqrt((2 * l + 1) / (4.0 * math.pi))) \
+    _check_index(l, m, -s)
+    return _on_unique(lambda t: _spin_rows(s, l, [m], t)[l, 0], theta)[()] \
         * _on_unique(lambda p: np.exp(1j * m * p), phi)
 
 
@@ -664,7 +666,7 @@ def _zonal_factors(geom: Geometry, omega: np.ndarray, r: np.ndarray):
     multiple of G nearest sqrt(n).  Off the origin row ps + g is (sa[p] cd[g] + ca[p] sd[g])
     / a, with sa, ca = sin, cos(a[ps] r)/f(r), sd, cd = sin, cos((a[g] - a[0]) r) and
     the closed sign (-1)^omega past pi/2 folded in: sin(a' r), |a' - a| within the
-    tolerance.  Returns (s, sa, ca, sd, cd, 1/a, 1/f, r/f, origin, refl, (-1)^omega),
+    tolerance.  Returns (s, sa, ca, sd, cd, 1/a, r/f, origin, refl, (-1)^omega),
     0 for 1/0; None without such a period, or with fewer radii than s (a few lags,
     where anchors cost more than they save), and zonal_spherical's DomainErrors."""
     closed = geom.kind is Kind.CLOSED
@@ -684,14 +686,4 @@ def _zonal_factors(geom: Geometry, omega: np.ndarray, r: np.ndarray):
     sa, ca = (np.sin(x := np.multiply.outer(a[::s], r)) * inv_f * sp, np.cos(x) * inv_f * sp)
     sd, cd = (np.sin(x := np.multiply.outer(a[:s] - a[0], r)) * sg, np.cos(x) * sg)
     inv_a = np.divide(1.0, a, out=np.zeros_like(a), where=a > 0.0)
-    return s, sa, ca, sd, cd, inv_a, inv_f, scale, origin, refl, par
-
-
-def _factor_rows(fac, idx: np.ndarray) -> np.ndarray:
-    """Rows Phi[idx] of the table with _zonal_factors fac, exact at a = 0 and at the origin."""
-    s, sa, ca, sd, cd, inv_a, _, scale, origin, refl, par = fac
-    p, g = np.divmod(idx, s)
-    phi = (cd[g] * sa[p] + sd[g] * ca[p]) * inv_a[idx, None]
-    phi[inv_a[idx] == 0.0] = scale
-    phi[:, origin] = np.where(refl[origin], par[idx, None], 1.0)
-    return phi
+    return s, sa, ca, sd, cd, inv_a, scale, origin, refl, par

@@ -53,8 +53,8 @@ import numpy as np
 
 from .errors import DomainError, KernelDefinitenessError
 from .quadrature import gauss_legendre_grid
-from .randfield import _points, _synthesize_modes, mode_rng, mode_streams  # noqa: F401 (traced)
-from .specfun import _check_index, spin_harmonic, spin_harmonic_table  # noqa: F401 (traced by perfbench)
+from .randfield import _check_seed, _points, _synthesize_modes, mode_rng, mode_streams  # noqa: F401 (traced)
+from .specfun import _check_index, _spin_rows, spin_harmonic, spin_harmonic_table  # noqa: F401 (traced by perfbench)
 
 __all__ = [
     "SpinKernelSet", "SpinFieldRealization", "PointPairFrame",
@@ -184,18 +184,14 @@ def euler_frame(n1, n2) -> PointPairFrame:
 def spin_correlation(kernels: SpinKernelSet, chi1: float, n1,
                      chi2: float, n2) -> complex:
     """E[X(chi1, n1) conj(X(chi2, n2))] from the kernel set."""
-    i1 = kernels.chi_index(chi1)
-    i2 = kernels.chi_index(chi2)
-    s = kernels.s
-    frame = euler_frame(n1, n2)
-    c12 = kernels.kernels[:, i1, i2]
-    L = int(kernels.ell[-1])
+    c12 = kernels.kernels[:, kernels.chi_index(chi1), kernels.chi_index(chi2)]
+    s, frame, L = kernels.s, euler_frame(n1, n2), int(kernels.ell[-1])
     if not frame.defined:
         # coincident/antipodal: sum the addition theorem over m directly
         lam = spin_harmonic_table(s, L, np.array([n1[0], n2[0]], dtype=float))[kernels.ell]
         phase = np.exp(1j * np.arange(-L, L + 1) * (float(n1[1]) - float(n2[1])))
         return complex(np.sum(c12[:, None] * lam[..., 0] * lam[..., 1] * phase))
-    y = spin_harmonic_table(s, L, frame.beta)[kernels.ell, L - s]
+    y = _spin_rows(s, L, [-s], np.array([frame.beta]))[kernels.ell, 0, 0]
     tot = np.sum(c12 * np.sqrt(2 * kernels.ell + 1) * y)
     return complex(tot * np.exp(-1j * s * (frame.alpha + frame.gamma)) / math.sqrt(4.0 * math.pi))
 
@@ -225,8 +221,7 @@ def recover_kernels(R: np.ndarray, beta: np.ndarray, weights: np.ndarray,
     if beta.size < L_max + 1:
         raise DomainError(
             f"need at least L_max+1 = {L_max + 1} beta nodes for exact recovery")
-    Lt = max(L_max, abs(s))                     # the table needs the column m = -s
-    y = spin_harmonic_table(s, Lt, beta)[:L_max + 1, Lt - s]     # rows l < |s| are 0
+    y = _spin_rows(s, L_max, [-s], beta)[:, 0]   # rows l < |s| are 0
     norm = (-1.0) ** (abs(s) % 2) * 4.0 * math.pi ** 1.5 / np.sqrt(2 * np.arange(L_max + 1) + 1)
     out = np.tensordot(R, weights * y, axes=([-1], [1])) * norm
     return out if np.iscomplexobj(R) else out.real
@@ -254,6 +249,7 @@ def synthesize_spin(s: int, kernels: SpinKernelSet, theta, phi, seed: int,
     """Draw spin-s field realizations on the kernel chi grid x points (theta, phi)."""
     if s != kernels.s:
         raise DomainError(f"spin mismatch: s={s} but kernels carry s={kernels.s}")
+    _check_seed(seed)
     theta, phi = _points(theta, phi)
     if n_realizations < 1:
         raise DomainError("n_realizations must be >= 1")

@@ -425,6 +425,22 @@ grid.chi_max = 2.0
     assert not (tmp_path / "x.cfd").exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551615"])
+def test_spin_seed_outside_63_bits_exits_3(tmp_path, capsys, seed):
+    # both once exited 0 and wrote the same field under different recorded seeds
+    cfg = write(tmp_path, "spin.cfg", """
+spin.s = 2
+spin.l_max = 4
+lensing.observable = gamma
+grid.n_chi = 3
+grid.chi_max = 2.0
+""")
+    out = tmp_path / "x.cfd"
+    assert main(["spin", "--config", cfg, "--out", str(out), "--seed", seed]) == 3
+    assert "non-negative 63-bit integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_csv_rows_match_per_value_formatting(tmp_path):
     # the one-pass row format must print what f"{v:.17g}" printed per value
     special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,

@@ -420,8 +420,8 @@ def test_analytic_correlation_takes_the_transforms_blocks(monkeypatch):
     # rows), and no zonal table of its own: at 600 lags the transforms'
     # angle-addition factors, once, and no table; at 8 lags, fewer than an
     # anchor group has rows, zonal_spherical's blocks
-    factors, rows, tables = [], [], []
-    build, factor_rows, table = sft._zonal_factors, sft._factor_rows, sft.zonal_spherical
+    factors, tables = [], []
+    build, table = sft._zonal_factors, sft.zonal_spherical
 
     def counted_factors(*a):
         fac = build(*a)
@@ -432,7 +432,6 @@ def test_analytic_correlation_takes_the_transforms_blocks(monkeypatch):
         raise AssertionError("analytic_correlation built its own table")
 
     monkeypatch.setattr(sft, "_zonal_factors", counted_factors)
-    monkeypatch.setattr(sft, "_factor_rows", lambda *a: (rows.append(a), factor_rows(*a))[1])
     monkeypatch.setattr(sft, "zonal_spherical",
                         lambda g, w, r: (tables.append((np.size(w), np.size(r))), table(g, w, r))[1])
     monkeypatch.setattr(randfield, "zonal_spherical", no_table)
@@ -445,7 +444,6 @@ def test_analytic_correlation_takes_the_transforms_blocks(monkeypatch):
         got = analytic_correlation(G_OPEN, P, r, k_max=12.0, panels=n_nodes, order=1)
         assert factors == [not blocks]
         assert tables == [(len(range(n_nodes)[b]), n_lags) for b in blocks]
-        assert rows == []
         assert np.all(np.isfinite(got))
 
 

@@ -443,41 +443,42 @@ def test_roundtrip_equals_two_calls(monkeypatch, name):
 def test_roundtrip_builds_each_block_once(monkeypatch, name):
     # the angle-addition factors stand in for the table's blocks: a roundtrip
     # builds them once, two calls twice, and neither builds a table; the forward
-    # monitor sums |Phi| exactly on the first anchor group and a few rows past
-    # it, and rebuilds its heaviest node's kernel row
-    calls, rows, tables = [], [], []
-    factors, factor_rows, table = sft._zonal_factors, sft._factor_rows, sft.zonal_spherical
+    # monitor's search sums |Phi| exactly on the lowest-k seed rows, here with
+    # no row past them whose bound reaches their max, and checks its heaviest
+    # row as it stands, with no kernel rebuilt
+    calls, tables = [], []
+    factors, table = sft._zonal_factors, sft.zonal_spherical
+
+    def no_kernel(*args):
+        raise AssertionError("the monitor rebuilt a kernel row")
+
     monkeypatch.setattr(sft, "_zonal_factors", lambda *a: (calls.append(a), factors(*a))[1])
-    monkeypatch.setattr(sft, "_factor_rows",
-                        lambda fac, idx: (rows.append(idx.size), factor_rows(fac, idx))[1])
     monkeypatch.setattr(sft, "zonal_spherical",
                         lambda g, w, r: (tables.append(np.size(w)), table(g, w, r))[1])
+    monkeypatch.setattr(sft, "zonal_kernel", no_kernel)
     geom, chi, prof, k = blocked_setup(name, 2 * ROWS + 1)
     assert len(specfun.zonal_blocks(k.size, chi.size)) == 3     # a table's blocks
-    s = factors(geom, *sft._scaled(geom, k, chi))[0]
     monitor = name != "closed"
     wk = trapezoid_weights(k) if monitor else None
     for call, n_factors in ((lambda: roundtrip_isotropic(prof, k, wk, tail_tol=1.0), 1),
                             (lambda: two_call_roundtrip(prof, k, wk, 1.0), 2)):
-        for seen in (calls, rows, tables):
+        for seen in (calls, tables):
             seen.clear()
         call()
         assert len(calls) == n_factors
-        assert tables == [1] * monitor
-        assert rows[:1] == [s] * monitor and len(rows) == 2 * monitor
-        assert all(n <= 8 for n in rows[1:])
+        assert tables == [sft._SEED_ROWS] * monitor
 
 
 @pytest.mark.parametrize("name", BLOCKED)
 def test_factored_pass_matches_the_zonal_table(name):
     # chi from 0 (closed: through the antipode pi, where Phi = (-1)^omega) and k
     # from 0 (open, flat: Phi_0 = r/f(r)), the factors' exact rows and columns;
-    # base is not 0 at the antipode, as a profile's w f S is
+    # base is not 0 at the antipode, as a profile's w f S is; the factors' rows
+    # are the pass's products e_q @ Phi with the unit vectors
     geom, chi, prof, k = blocked_setup(name, 2 * ROWS + 1)
-    fac = specfun._zonal_factors(geom, *sft._scaled(geom, k, chi))
-    assert fac is not None
+    assert specfun._zonal_factors(geom, *sft._scaled(geom, k, chi)) is not None
     phi = zonal_kernel(geom, k, chi)
-    rows = specfun._factor_rows(fac, np.arange(k.size))
+    rows = np.array([sft._zonal_pass(geom, k, chi, amp=e)[1] for e in np.eye(k.size)])
     assert np.max(np.abs(rows - phi)) < 1e-13
     ends = (chi == 0.0) | (chi == math.pi) if name == "closed" else chi == 0.0
     assert np.count_nonzero(ends) == (2 if name == "closed" else 1)
@@ -486,34 +487,71 @@ def test_factored_pass_matches_the_zonal_table(name):
         np.testing.assert_array_equal(rows[0], phi[0])
     rng = np.random.default_rng(5)
     b, amp = rng.standard_normal(chi.size), rng.standard_normal(k.size)
-    fwd, top, _ = sft._zonal_pass(geom, k, chi, b, monitor=True)
+    fwd, _ = sft._zonal_pass(geom, k, chi, b)
     np.testing.assert_array_less(np.abs(fwd - phi @ b), 1e-13 * (np.abs(phi) @ np.abs(b)))
-    assert top == np.argmax(np.abs(phi) @ np.abs(b))
-    inv = sft._zonal_pass(geom, k, chi, amp=amp)[2]
+    np.testing.assert_array_equal(sft._heaviest_row(geom, k, chi, np.abs(b)),
+                                  phi[np.argmax(np.abs(phi) @ np.abs(b))])
+    inv = sft._zonal_pass(geom, k, chi, amp=amp)[1]
     np.testing.assert_array_less(np.abs(inv - amp @ phi), 1e-13 * (np.abs(amp) @ np.abs(phi)))
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_bounded_monitor_picks_the_full_tables_node(seed):
-    # random profiles (narrow bumps of either sign, some reaching the grid's
-    # end) on random grids, the k grid shifted off 0 so that the heaviest node
-    # mostly lies past the first anchor group: the bounded monitor checks the
-    # node of largest |Phi| @ |b| over the whole table, and raises its
-    # ConvergenceError, word for word
+def _random_monitor_case(seed):
+    """(profile, k): narrow bumps of either sign on a random chi grid, some
+    reaching the grid's end; k a spectral_nodes grid mostly shifted off 0 (the
+    heaviest node then mostly lies past the seed rows), or, from seed 12,
+    sorted uniform nodes, with no period for the factors."""
     rng = np.random.default_rng(seed)
     geom = (G_OPEN, G_FLAT, Geometry.open(-0.3))[seed % 3]
     chi, w = gauss_legendre_grid(0.0, rng.uniform(3.0, 6.0), int(rng.integers(16, 40)), 8)
     f = sum(rng.normal() * bump_profile(chi, rng.uniform(1.5, chi[-1]), rng.uniform(0.05, 0.4))
             for _ in range(2)) + (seed % 4 == 0) * rng.normal()
-    prof = RadialProfile(geom, chi, f, w)
-    k = sft.spectral_nodes(geom, rng.uniform(2.0, 12.0), int(rng.integers(4, 30)),
-                           int(rng.integers(4, 13)), None)[0] + (seed % 6 > 0) * rng.uniform(0.5, 8.0)
-    assert specfun._zonal_factors(geom, *sft._scaled(geom, k, chi)) is not None
-    base = w * f * surface_area(geom, chi)
-    top = int(np.argmax(np.abs(zonal_kernel(geom, k, chi)) @ np.abs(base)))
-    assert sft._zonal_pass(geom, k, chi, base, monitor=True)[1] == top
+    k_max = rng.uniform(2.0, 12.0)
+    if seed < 12:
+        k = sft.spectral_nodes(geom, k_max, int(rng.integers(4, 30)), int(rng.integers(4, 13)),
+                               None)[0] + (seed % 6 > 0) * rng.uniform(0.5, 8.0)
+    else:
+        k = np.unique(rng.uniform(0.0, k_max, int(rng.integers(16, 400))))
+    return RadialProfile(geom, chi, f, w), k
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_bounded_monitor_picks_the_full_tables_node(seed):
+    # random profiles on random grids, on the factors (seeds 0-11) and on
+    # zonal_spherical's blocks (aperiodic k, seeds 12-23): the bounded search
+    # returns the full table's row of largest |Phi| @ |b| as it stands, and the
+    # monitor raises that node's ConvergenceError, word for word
+    prof, k = _random_monitor_case(seed)
+    geom, chi = prof.geometry, prof.chi
+    periodic = specfun._zonal_factors(geom, *sft._scaled(geom, k, chi)) is not None
+    assert periodic == (seed < 12)
+    _check_monitor_node(prof, k)
+
+
+def test_bounded_monitor_on_fewer_radii_than_an_anchor_group():
+    # a periodic Gauss-Legendre k grid of 600 nodes on 20 radii, fewer than the
+    # 24 rows of one anchor group, takes zonal_spherical's blocks; the profile
+    # is a narrow off-centre bump, and a wide one
+    k = gauss_legendre_grid(0.0, 30.0, 50, 12)[0] + 2.5
+    for geom in (G_OPEN, G_FLAT):
+        for halfwidth in (0.3, 1.8):
+            chi, w = gauss_legendre_grid(0.0, 4.0, 5, 4)
+            prof = RadialProfile(geom, chi, bump_profile(chi, 3.0, halfwidth), w)
+            assert specfun._zonal_factors(geom, *sft._scaled(geom, k, chi)) is None
+            _check_monitor_node(prof, k)
+
+
+def _check_monitor_node(prof, k):
+    geom, chi = prof.geometry, prof.chi
+    base = prof.weights * prof.values * surface_area(geom, chi)
+    # a profile's base is 0 at the origin, so the search also runs with the
+    # origin prepended to chi and given mass, which its bound must count
+    ab = np.abs(base)
+    for r, mass in ((np.concatenate([[0.0], chi]), np.concatenate([[ab.max()], ab])), (chi, ab)):
+        phi = zonal_kernel(geom, k, r)
+        top = phi[np.argmax(np.abs(phi) @ mass)]
+        np.testing.assert_array_equal(sft._heaviest_row(geom, k, r, mass), top)
     try:
-        sft._check_tail(base * zonal_kernel(geom, k[top], chi), 1e-6, "forward transform chi")
+        sft._check_tail(base * top, 1e-6, "forward transform chi")
     except ConvergenceError as exc:
         with pytest.raises(ConvergenceError, match=re.escape(str(exc))):
             forward_isotropic(prof, k, tail_tol=1e-6)

@@ -273,6 +273,19 @@ def test_synthesize_spin_validation():
         synthesize_spin(2, kern, [0.3], [0.0], seed=1, n_realizations=0)
 
 
+def test_synthesize_spin_takes_the_synthesis_seed_rule():
+    # any integer once passed and was reduced mod 2^64, so seeds -1 and 2^64 - 1
+    # drew the same field under different recorded seeds
+    kern = separable_kernels(2, np.arange(2, 6), CHI)
+    for seed in (-1, 2 ** 63, 2 ** 64 - 1):
+        for call in (lambda: synthesize_spin(2, kern, [0.3], [0.0], seed=seed),
+                     lambda: SynthesisConfig(L_max=2, seed=seed)):
+            with pytest.raises(DomainError, match="seed must fit in a non-negative 63-bit integer"):
+                call()
+    for seed in (0, 2 ** 63 - 1):
+        assert synthesize_spin(2, kern, [0.3], [0.0], seed=seed).seed == seed
+
+
 def test_indefinite_kernel_rejected_naming_multipole():
     bad = np.array([[[1.0, 2.0], [2.0, 1.0]]])   # eigenvalues 3, -1
     kern = SpinKernelSet(2, np.array([2]), np.array([0.5, 1.0]), bad)

@@ -221,7 +221,7 @@ class CorrelationEstimate:
 _SCALAR_TAG = 1
 
 
-def _check_seed(seed: int):     # the one seed rule of synthesize and synthesize_spin
+def _check_seed(seed: int):     # the one seed rule of the samplers and the mode streams
     if not 0 <= seed <= 2 ** 63 - 1:
         raise DomainError("seed must fit in a non-negative 63-bit integer")
 
@@ -230,12 +230,13 @@ def _mode_key(seed: int, l: int, m: int, tag: int, spin: int) -> np.ndarray:
     # exact uint64 words: a Python list with a word >= 2^63 would pass through
     # float64 and lose its low bits (the mode index)
     packed = (tag & 0xFFFF) << 48 | (spin & 0xFF) << 40 | (l * (l + 1) + m)
-    return np.array([seed % (1 << 64), packed], dtype=np.uint64)
+    return np.array([seed, packed], dtype=np.uint64)
 
 
 def mode_rng(seed: int, l: int, m: int, tag: int = _SCALAR_TAG,
              spin: int = 0) -> np.random.Generator:
-    """Counter-based generator for mode (l, m); independent of call order."""
+    """Counter-based generator for mode (l, m), independent of call order; seeds as _check_seed."""
+    _check_seed(seed)
     return np.random.Generator(np.random.Philox(key=_mode_key(seed, l, m, tag, spin)))
 
 

@@ -47,7 +47,7 @@ bits as forward_isotropic followed by inverse_isotropic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -41,12 +41,13 @@ estimate, shared by the models, picks each (k, chi) column's direction: past
 the turning point in l the regular row shrinks by e^-eta per rung while the
 other solution grows by e^eta, with cosh eta = (2l+1) g / (2 sqrt(a_l a_{l+1})).
 
-- Upward from R_0 and R_1 where that sweep amplifies roundoff by at most e^5
-  (2 sum eta over the rungs below L, plus the cancellation in the R_1 seed).
+- Upward at L = 0, and from R_0 and R_1 where that sweep amplifies roundoff by
+  at most e^5 (2 sum eta over the rungs below L, bounded below by the search
+  for N, so up to e^5.4 was seen; plus the cancellation in the R_1 seed).
 - Otherwise Miller's downward sweep from R_{N+1} = 0, at the first rung N
   from which the other solution decays by e^40 on the way down to row L,
-  normalised to the closed-form R_0, or to R_1 where |R_0| < |R_1|.  The
-  search for N begins at the turning rung floor(w / sqrt(g^2 + kappa)), that
+  normalised to the closed-form R_0 (row 0), or to R_1 where |R_0| < |R_1|.
+  The search for N begins at the turning rung floor(w / sqrt(g^2 + kappa)), that
   is w sinh r, k chi or w sin r, below which the rows oscillate (eta = 0), or
   at the top row if that is higher.  At large l eta tends to arccosh(coth r),
   so the start converges by only e^(2 eta) = 1.6 per rung at r = 2.1, and no
@@ -56,15 +57,15 @@ other solution grows by e^eta, with cosh eta = (2l+1) g / (2 sqrt(a_l a_{l+1})).
   start exact (or from N, if lower); rows l > omega are +0.0, and
   R(pi - r) = (-1)^(omega - l) R(r) keeps r <= pi/2.
 
-Rows estimated to lie e^700 below R_0 read 0, and radii below the smallest
-normal double count as the origin.  check=True certifies the table from the
-recurrence: every column whose start can move is swept again, downward from
-the rung where the other solution decays by e^80, upward from seeds kicked by
-2^-46 of their size, and each row of that sweep must agree with the table's
-within cert_tol of the row's max over chi (at least 2^-20 of the largest row
-at each sample).  Both sweeps write in place, so the scratch is that one
-sweep's rows.  A closed start on omega cannot move and is exact; the addition
-theorem test checks it.
+Rows at least e^700 below R_0 read 0 (the search from row 1 keeps all rows
+above that), and radii below the smallest normal double count as the origin.
+check=True certifies the table from the recurrence: every column whose start
+can move is swept again, downward from the rung where the other solution
+decays by e^80, upward from seeds kicked by 2^-46 of their size, and each row
+of that sweep must agree with the table's within cert_tol of the row's max
+over chi (at least 2^-20 of the largest row at each sample).  Both sweeps
+write in place, so the scratch is that one sweep's rows.  A closed start on
+omega cannot move and is exact; the addition theorem test checks it.
 
 Max error against rows in 1700-digit arithmetic, relative to each row's max
 over 16 radii (rows whose max is above 1e-290): open K = -1 and flat at 12
@@ -72,9 +73,9 @@ nodes of gauss_legendre_grid(0, 8, 24, 12) with chi in [0, 3]; closed K = 1
 at omega + 1 in {1, 3, 8, 20, 41, 80, 130} with chi in [0, 3.1].
 
     L        32       64       128
-    open     1.3e-12  2.7e-12  9.4e-14
-    flat     2.6e-15  5.8e-15  1.2e-14
-    closed   4.7e-14  4.7e-14  4.8e-14
+    open     1.3e-12  3.9e-12  1.0e-13
+    flat     3.5e-15  5.8e-15  1.2e-14
+    closed   4.8e-14  4.7e-14  4.8e-14
 """
 from __future__ import annotations
 
@@ -349,34 +350,34 @@ def _eta(kappa: float, w2, g, l):
     eta = 0 where the rung oscillates.  Past the turning point the regular row
     shrinks by about e^-eta per rung while the other solution grows by e^eta.
     A closed rung l = omega has a_{l+1} = 0 and eta = inf."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        c = (l + 0.5) * g / np.sqrt(np.sqrt((w2 - kappa * l * l) * (w2 - kappa * (l + 1.0) ** 2)))
-        c = np.maximum(c, 1.0)
-        return np.log(c + np.sqrt(c * c - 1.0))     # arccosh c, in half of np.arccosh's time
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):   # in place: many rungs
+        c = (w2 - kappa * l * l) * (w2 - kappa * (l + 1.0) ** 2)
+        np.maximum(np.divide((l + 0.5) * g, np.sqrt(np.sqrt(c, out=c), out=c), out=c), 1.0, out=c)
+        return np.log(np.add(c, np.sqrt(s := c * c - 1.0, out=s), out=s), out=s)   # arccosh c
 
 
 def _start_rungs(kappa: float, w2, g, top, stop, gains):
-    """Miller start rungs N of each column, one per gain: the first rung from
-    which the other solution decays by e^gain on its way down to top, or stop
-    (closed: omega) where that comes first.  The search starts at the turning
-    rung (module notes), or at top if higher, and at most at stop - _BLOCK.
-    Past its first _BLOCK rungs eta rises toward its limit, so the last of them
-    bounds the rungs still to go.  Also returns the estimated log growth of the
-    row from N down to top."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        turn = np.floor(np.sqrt(w2 / (g * g + kappa)))
-    start = np.fmax(top, np.minimum(turn, stop - _BLOCK))   # 0/0 (w = 0, g^2 = 1): top
-    e = _eta(kappa, w2, g, start + np.arange(_BLOCK)[:, None])
-    grown = np.cumsum(e, axis=0)
-    Ns, growth = [], []
-    for gain in gains:
-        hit = grown >= 0.5 * gain
-        j, got = np.argmax(hit, axis=0), hit.any(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            N = np.where(got, start + j,
-                         start + _BLOCK + np.ceil((0.5 * gain - grown[-1]) / e[-1]))
-        Ns.append(np.minimum(N, stop))
-        growth.append(np.where(got & (j > 0), grown[j - 1, np.arange(top.size)], 0.5 * gain * ~got))
+    """Rungs N of each column, one per gain (scalar or per column): the first rung
+    from which the other solution decays by at least e^gain on its way down to top,
+    or stop (closed: omega) where that comes first.  The search starts at the turning
+    rung (module notes), or at top if higher, and at most at stop - _BLOCK.  It reads
+    eta at _BLOCK rungs, then at the first rung of steps of 8, 16, ... rungs, the last
+    (from 8 2^(_BLOCK-1) on) without end; eta rises past the turn, so each such value
+    bounds its step below.  Also returns that bound on the row's log growth N -> top."""
+    first = np.array([*range(_BLOCK), *(_BLOCK << i for i in range(_BLOCK))], float)
+    first = first[first <= np.max(stop - top, initial=1.0)]      # the steps stop can reach
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):   # turn 0/0: top
+        start = np.fmax(top, np.minimum(np.floor(np.sqrt(w2 / (g * g + kappa))), stop - _BLOCK))
+        e = _eta(kappa, w2, g, np.minimum(start + first[:, None], stop))
+        grown = np.zeros(e.shape)                                # the bound below each step
+        np.cumsum(e[:-1] * (first[1:] - first[:-1])[:, None], axis=0, out=grown[1:])
+        cols, Ns, growth = np.arange(top.size), [], []
+        for half in 0.5 * np.asarray(gains):
+            j = (grown[1:] < half).sum(axis=0)                   # the step that reaches gain
+            below, e_j = grown[j, cols], np.fmin(e[j, cols], half)
+            n = np.fmax(np.ceil((half - below) / e_j) - 1.0, 0.0)   # rungs of step j below N
+            Ns.append(np.minimum(start + first[j] + n, stop))
+            growth.append(np.fmin(below + n * e_j, half))        # inf * 0: never reached
     return Ns, growth
 
 
@@ -396,7 +397,7 @@ def _downward(kappa: float, w2, g, R0, R1, top, N, d_N, rows: np.ndarray):
     """Miller's sweep into rows (zeros) over columns sorted by N descending:
     R_{N+1} = 0 and R_N = e^-D_N, with D_N the estimated log size of R_0 / R_N
     (it keeps R_0 below e^300), down to row 0, normalised to the closed-form
-    R_0, or to R_1 where |R_0| < |R_1|; rows above top stay 0."""
+    R_0, or to R_1 where |R_0| < |R_1|; row 0 is R_0, rows above top stay 0."""
     seed = np.exp(-np.minimum(d_N, 600.0))
     cur, nxt, spare, a_up, a = (np.zeros(N.size) for _ in range(5))
     ls = np.arange(N[0] if N.size else 0, 0, -1)
@@ -414,9 +415,9 @@ def _downward(kappa: float, w2, g, R0, R1, top, N, d_N, rows: np.ndarray):
         step /= a[:on]                            # R_{l-1}
         cur, nxt, spare, a_up, a = spare, cur, nxt, a, a_up
     cur[on:] = seed[on:]                          # closed omega = 0 starts on row 0
-    rows[0] = cur
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):   # in the unused branch
         rows *= np.where(np.abs(R0) >= np.abs(R1), R0 / cur, R1 / nxt)
+    rows[0] = R0
 
 
 def _plan(kind: Kind, w, r, L: int):
@@ -427,29 +428,26 @@ def _plan(kind: Kind, w, r, L: int):
     w2 = w * w
     g = 1.0 / f_over_df(r)
     s, c = r * np.sinc(w * r / math.pi), np.cos(w * r)            # sin(w r) / w, cos(w r)
-    # sinh r = inf past r = 710 gives R_0 = R_1 = 0; closed omega = 0 has R_1 = 0
+    # sinh r = inf past r = 710 gives R_0 = R_1 = 0; closed omega = 0 and L = 0 have R_1 = 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         fr = f(r)
         a1 = np.sqrt(w2 - kappa)
-        R0, R1 = s / fr, np.where(a1 > 0, (g * s - c) / (a1 * fr), 0.0)
+        R0, R1 = s / fr, np.where((a1 > 0) & (L > 0), (g * s - c) / (a1 * fr), 0.0)
         cancel = np.log((np.abs(g * s) + np.abs(c)) / np.abs(g * s - c))  # in the R_1 seed
 
-    # D_l, the log size of R_0 / R_l, is 0 at l = 0 and eta_0 + S_l above, where rung
-    # 0 takes a_0 = a_1 and S_l sums the rungs 1..l-1 in order, over row blocks: top
-    # is the last row with D <= _FLOOR (the rows past it are 0), d_top is D_top.
+    # D_l = log |R_0 / R_l| is 0 at l = 0 and eta_0 + S_l above (rung 0 takes a_0 = a_1, S_l
+    # sums rungs 1..l-1).  A search from row 1 bounds S_l below: top >= the last row with D <=
+    # _FLOOR, d_top ~ D_top <= _FLOOR, and down where 2 S_L + cancel (at L = 1 cancel) passes _UP.
     eta0 = _eta(kappa, a1 * a1, g, 0)
-    top, d_top, S = np.zeros((3, r.size))
-    for b in zonal_blocks(L, r.size):             # rows l = j + 1 take rung j
-        j = np.arange(b.start, min(b.stop, L))[:, None]
-        S_l = np.cumsum(np.vstack([S, np.where(j > 0, _eta(kappa, w2, g, j), 0.0)]), axis=0)[1:]
-        S, D = S_l[-1], eta0 + S_l
-        ok = D <= _FLOOR
-        top += ok.sum(axis=0)
-        np.maximum(d_top, np.maximum.reduce(D, axis=0, where=ok, initial=0.0), out=d_top)
-    amplify = 2.0 * (D[-1] - eta0) + cancel if L > 0 else np.zeros(r.size)
-    down = np.arange(r.size) if closed else np.flatnonzero(amplify > _UP)
-    (N, N2), (d_N, d_N2) = _start_rungs(kappa, w2[down], g[down], top[down], w[down] - 1.0
-                                        if closed else np.inf, (_GAIN, 2.0 * _GAIN))
+    (top, split), (d_top, _) = _start_rungs(kappa, w2, g, np.ones(r.size), np.minimum(
+        w - 1.0, L) if closed else L, np.fmax([2.0 * (_FLOOR - eta0), _UP - cancel], 0.0))
+    top, d_top = np.where(eta0 <= _FLOOR, (top, eta0 + d_top), 0.0)
+    down = np.arange(r.size) if closed else np.flatnonzero((split < L) | (cancel > _UP) & (L > 0))
+    seek = down[top[down] < w[down] - 1.0] if closed else down   # kept to omega: starts on it
+    starts = np.array([w - 1.0, w - 1.0, 0.0 * w, 0.0 * w])      # N, N2 and their D - d_top
+    starts[:, seek] = np.concatenate(_start_rungs(kappa, w2[seek], g[seek], top[seek], (
+        w[seek] - 1.0) if closed else np.inf, (_GAIN, 2.0 * _GAIN)))
+    N, N2, d_N, d_N2 = starts[:, down]
     near = np.flatnonzero(N - top[down] <= (np.inf if closed else _REACH * (L + 16)))
     near = near[np.argsort(-N[near], kind="stable")]
     down = down[near]

@@ -130,6 +130,15 @@ def test_mode_streams_are_mode_rng_bit_for_bit():
                               mode_rng(7, 3, -2, tag=0xFFFF).standard_normal(3))
 
 
+def test_mode_streams_take_the_sampler_seed_rule():
+    # the stream key once took any seed mod 2^64, so -1 and 2^64 - 1 drew the same numbers
+    for seed in (-1, 2 ** 64 - 1, 2 ** 63):
+        with pytest.raises(DomainError, match="non-negative 63-bit"):
+            mode_rng(seed, 2, 1)
+        with pytest.raises(DomainError, match="non-negative 63-bit"):
+            mode_streams(seed)
+
+
 # ---------------------------------------------------------------------------
 # Synthesis
 # ---------------------------------------------------------------------------

@@ -354,6 +354,72 @@ def test_flat_two_point_grid_is_certified():
             l, np.outer(k, chi)), rtol=0, atol=1e-15)
 
 
+def _per_rung_plan(kind, w, r, L):
+    # the exact pass the plan's bounds replace: D_l = eta_0 + S_l is the log size of
+    # R_0 / R_l, S_l the sum of eta over the rungs 1..l-1 in order; the exact top is the
+    # last row with D <= _FLOOR (closed rows above omega are 0), and an upward sweep
+    # amplifies roundoff by 2 S_L + cancel (nothing at L = 0, which has no row 1)
+    kappa, _, f_over_df = specfun._MODEL[kind]
+    g = 1.0 / f_over_df(r)
+    s, c = r * np.sinc(w * r / math.pi), np.cos(w * r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a1 = np.sqrt(w * w - kappa)
+        cancel = np.log((np.abs(g * s) + np.abs(c)) / np.abs(g * s - c))
+    eta0 = specfun._eta(kappa, a1 * a1, g, 0)
+    S = np.zeros((max(L, 1), r.size))
+    for l in range(2, L + 1):
+        S[l - 1] = S[l - 2] + specfun._eta(kappa, w * w, g, l - 1.0)
+    top = np.count_nonzero(eta0 + S[:L] <= specfun._FLOOR, axis=0)
+    if kind.value == "closed":
+        top = np.minimum(top, w - 1.0)
+    return top, np.where(L > 0, 2.0 * S[-1] + cancel, 0.0)
+
+
+def _plan_sample(kind, rng, n=1500):
+    # (w, r) columns as _plan takes them, with radii at the subnormal origin's edge
+    if kind.value == "closed":
+        w = rng.integers(0, 200, n) + 1.0
+        w[:40] = 1.0                              # omega = 0
+        r = rng.uniform(1e-9, math.pi / 2, n)
+    elif kind.value == "flat":
+        w, r = np.ones(n), np.exp(rng.uniform(math.log(1e-3), math.log(300.0), n))
+    else:
+        w = np.exp(rng.uniform(math.log(0.01), math.log(100.0), n))
+        w[:40] = 0.0
+        r = np.exp(rng.uniform(math.log(1e-3), math.log(20.0), n))
+        r[60:62] = (720.0, 800.0)                 # sinh r overflows
+    r[np.arange(0, n, 7)[:6] + 3] = (2.3e-308, 1e-307, 1e-305, 1e-300, 1e-200, 1e-30)
+    return w, r
+
+
+@pytest.mark.parametrize("L", [0, 1, 2, 3, 8, 12, 64, 128])
+@pytest.mark.parametrize("geom", [G_OPEN, G_FLAT, G_CLOSED], ids=lambda g: g.kind.value)
+def test_plan_bounds_the_per_rung_pass(geom, L):
+    # The certificate cannot see a top that is too low: both of its sweeps zero the
+    # rows above the same top.  So the plan's bounds are checked against the exact pass.
+    kind = geom.kind
+    rng = np.random.default_rng(sum(map(ord, kind.value)) + L)
+    w, r = _plan_sample(kind, rng)
+    order, nu, P, *_ = specfun._plan(kind, w, r, L)
+    top = np.empty(r.size)
+    top[order] = P[4]
+    exact_top, amplify = _per_rung_plan(kind, w, r, L)
+    if kind.value == "closed":
+        top = np.minimum(top, w - 1.0)
+    assert np.all(top >= exact_top), np.flatnonzero(top < exact_top)
+    # every upward column amplifies roundoff by at most e^8 (the split is e^5), except
+    # those sent up because their Miller start lies past the reach
+    up = order[:nu]
+    kappa, _, f_over_df = specfun._MODEL[kind]
+    (N,), _ = specfun._start_rungs(kappa, w[up] ** 2, 1.0 / f_over_df(r[up]), top[up], np.inf,
+                                   (specfun._GAIN,))
+    split = up[N - top[up] <= specfun._REACH * (L + 16)]
+    assert np.all(amplify[split] <= 8.0), amplify[split].max()
+    # and the table certifies, also at L = 0 on the subnormal origin's edge
+    T, worst = specfun._rows(kind, w[None], r[None], L, 1e-6)
+    assert worst is None and np.all(np.isfinite(T)), worst
+
+
 def test_radial_table_certification_reaches_synthesis(monkeypatch):
     monkeypatch.setattr(randfield, "radial_table",
                         functools.partial(radial_table, cert_tol=1e-300))

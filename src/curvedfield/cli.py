@@ -11,13 +11,15 @@ Configs are flat key=value files (see config module).  Exit codes: 0 success,
 convergence or accuracy certification.  CSV outputs carry provenance comments
 (library version, command, config hash, seed); binary outputs use the field
 container (see fieldfile module).  Synthesis runs on one thread; --threads is
-parsed and ignored so existing command lines still run.
+parsed and ignored so existing command lines still run.  The parser is built
+once per process, on first use (not at import), and shared by later calls.
 """
 from __future__ import annotations
 
 import argparse
 import math
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -358,6 +360,7 @@ def cmd_spin(args) -> int:
 # parser and entry point
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curvedfield",

@@ -36,7 +36,8 @@ synthesis never holds all (L+1)^2 modes or every m's harmonics.  Real fields
 
 Randomness is counter-based (Philox) with one stream per (l, m) mode keyed by
 (seed, tag(l, m)), so a realization depends only on the seed, never on the
-order in which the modes are drawn.
+order in which the modes are drawn.  A synthesis re-keys one Philox per mode
+(mode_streams): l(l+1) + m goes under the key's fixed tag and spin bits.
 """
 from __future__ import annotations
 
@@ -243,16 +244,16 @@ def mode_rng(seed: int, l: int, m: int, tag: int = _SCALAR_TAG,
 def mode_streams(seed: int, tag: int = _SCALAR_TAG, spin: int = 0):
     """stream(l, m) -> the generator mode_rng(seed, l, m, tag, spin), bit for bit.
 
-    Each call re-keys one shared Philox through its state (counter 0, empty
-    buffer): a new generator would draw OS entropy for a discarded SeedSequence.
+    Each call re-keys one shared Philox, key[1] = (fixed tag and spin bits) | l(l+1) + m,
+    and resets its state (counter 0, empty buffer): no generator, SeedSequence or key array.
     """
     gen = mode_rng(seed, 0, 0, tag, spin)
     bitgen = gen.bit_generator
     start = bitgen.state
-    key = start["state"]["key"]
+    high = int((key := start["state"]["key"])[1])     # mode (0, 0) adds 0 to the tag and spin
 
     def stream(l: int, m: int) -> np.random.Generator:
-        key[:] = _mode_key(seed, l, m, tag, spin)
+        key[1] = high | (l * (l + 1) + m)
         bitgen.state = start
         return gen
     return stream
@@ -260,12 +261,12 @@ def mode_streams(seed: int, tag: int = _SCALAR_TAG, spin: int = 0):
 
 def _draw_xi(stream, l: int, ms: list[int], out: np.ndarray, real: bool):
     """Standard complex Gaussians xi_lm into out[j] for m = ms[j] (a real field's m = 0: real)."""
-    for j, m in enumerate(ms):
-        if real and m == 0:
-            out[j] = stream(l, m).standard_normal(out.shape[1:])
-        else:                   # real and imaginary parts interleaved
-            stream(l, m).standard_normal(out=out[j].view(float))
-    out[int(real and ms[0] == 0):] /= math.sqrt(2.0)
+    j0 = int(real and ms[0] == 0)       # m = 0 comes first if it is there
+    if j0:
+        out[0] = stream(l, 0).standard_normal(out.shape[1:])
+    for m, row in zip(ms[j0:], out.view(float)[j0:]):    # real and imaginary parts interleaved
+        stream(l, m).standard_normal(out=row)
+    out[j0:] /= math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------

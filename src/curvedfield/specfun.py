@@ -130,8 +130,9 @@ def _d_rows(n: int, L: int, ms, theta: np.ndarray) -> np.ndarray:
     i = np.flatnonzero(l0 <= L)                  # the columns that are not all 0
     a, b = np.abs(ms[i] + n), np.abs(ms[i] - n)
     root_binom = np.sqrt([float(math.comb(2 * j, k)) for j, k in zip(l0[i].tolist(), a.tolist())])
-    out[l0[i], i] = ((-1.0) ** np.maximum(ms[i] - n, 0) * root_binom)[:, None] \
-        * np.cos(theta / 2.0) ** a[:, None] * np.sin(theta / 2.0) ** b[:, None]
+    ab = np.stack([a, b])[..., None].repeat(theta.size, -1)   # full size: numpy rounds x ** a
+    ca, sb = np.stack([np.cos(theta / 2.0), np.sin(theta / 2.0)])[:, None] ** ab   # apart if a is broadcast
+    out[l0[i], i] = ((-1.0) ** np.maximum(ms[i] - n, 0) * root_binom)[:, None] * ca * sb
     # the step to row l, d^l = (p cos theta - q) d^{l-1} - r d^{l-2}, is the
     # recurrence at l-1, and zero for l <= l0.  Only m = n = 0 climbs at l = 1,
     # where mn and r are 0: the divisor l-1 is kept off 0, and row -1 adds nothing.
@@ -594,6 +595,23 @@ def _supplementary(tau: float, r: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_r(r: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(r) & (r >= 0)):     # NaN fails both
+        raise DomainError("r must be finite and >= 0")
+    return r
+
+
+def _real_a(geom: Geometry, w: np.ndarray, r: np.ndarray, omega) -> np.ndarray:
+    """a = w (w + 1 closed) for zonal_spherical's real 1-d omega w, after its checks of w and r."""
+    if not np.all(np.isfinite(w) & (w >= 0)):
+        raise DomainError(f"omega must be finite and >= 0, got {omega}")
+    if geom.kind is Kind.CLOSED and np.any(r > math.pi * (1 + 1e-12)):
+        raise DomainError("closed-model scaled radius r exceeds pi")
+    if geom.kind is Kind.CLOSED and np.any(np.abs(w - np.round(w)) > 1e-9):
+        raise DomainError(f"closed model needs integer omega >= 0, got {omega}")
+    return np.round(w) + 1.0 if geom.kind is Kind.CLOSED else w
+
+
 def zonal_spherical(geom: Geometry, omega, r):
     """Zonal spherical function Phi_omega(r) on the scaled radius r.
 
@@ -618,9 +636,7 @@ def zonal_spherical(geom: Geometry, omega, r):
     (-1)^omega past pi/2, which keeps its accuracy near the antipode.
     """
     r = np.asarray(r, dtype=float)
-    shape_r, r = r.shape, r.ravel()
-    if not np.all(np.isfinite(r) & (r >= 0)):     # NaN fails both
-        raise DomainError("r must be finite and >= 0")
+    shape_r, r = r.shape, _check_r(r.ravel())
     w = np.asarray(omega)
     if w.ndim > 1:
         raise DomainError("omega must be a scalar or a 1-d array")
@@ -635,16 +651,7 @@ def zonal_spherical(geom: Geometry, omega, r):
                               "at a scalar omega = i tau")
         w = w.real
     shape_w, w = w.shape, w.astype(float).ravel()
-    if not np.all(np.isfinite(w) & (w >= 0)):
-        raise DomainError(f"omega must be finite and >= 0, got {omega}")
-
-    if geom.kind is Kind.CLOSED:
-        if np.any(r > math.pi * (1 + 1e-12)):
-            raise DomainError("closed-model scaled radius r exceeds pi")
-        wr = np.round(w)
-        if np.any(np.abs(w - wr) > 1e-9):
-            raise DomainError(f"closed model needs integer omega >= 0, got {omega}")
-        w = wr + 1.0                              # the closed a = omega + 1
+    w = _real_a(geom, w, r, omega)
     r, refl, _, r_over_f = _fold(geom.kind, r)
     x = np.multiply.outer(w, r)
     np.maximum(x, np.finfo(float).tiny, out=x)    # sin(x)/x is 1 at x = 0: sin(tiny) == tiny
@@ -676,7 +683,7 @@ def _zonal_factors(geom: Geometry, omega: np.ndarray, r: np.ndarray):
     s = G * max(1, round(math.sqrt(n) / G)) if G else math.inf
     if r.size < s:                                # no period, or too few radii for anchors
         return None
-    zonal_spherical(geom, omega[:1], r)           # checks r and omega as the table does
+    _real_a(geom, omega[:1], _check_r(r), omega[:1])     # zonal_spherical's checks, no row
     r, refl, origin, scale = _fold(geom.kind, r)
     inv_f = np.divide(scale, r, out=np.zeros_like(r), where=~origin)   # 1/f(r), 0 at the origin
     par = np.where(closed & (omega % 2 == 1), -1.0, 1.0)     # = (-1)^omega[ps] (-1)^d_g

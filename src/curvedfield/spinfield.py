@@ -16,11 +16,11 @@ follows from the spin addition theorem
 where (alpha, beta, gamma) frame the ordered pair (n1, n2): beta is the
 angular separation and alpha, gamma the bearings defined in euler_frame.
 
-Sampling factorizes each kernel through a symmetric eigendecomposition;
+Sampling factors every kernel in one stacked symmetric eigendecomposition;
 eigenvalues below -1e-12 of the kernel scale indicate an indefinite input and
-raise KernelDefinitenessError, small negative roundoff is clipped to zero.
-Rows with zero diagonal (for instance chi = 0, where every l >= 1 process
-must vanish) are zeroed in the factor so those samples are exactly 0.0.
+raise KernelDefinitenessError naming the first such l; small negative roundoff
+is clipped to zero.  Rows with zero diagonal (for instance chi = 0, where every
+l >= 1 process must vanish) are zeroed in the factor so those samples are exactly 0.0.
 Synthesis runs randfield._synthesize_modes with this factor in place of T_l:
 per block of m, one matmul per l, then one pass over the points per m.
 
@@ -231,16 +231,18 @@ def recover_kernels(R: np.ndarray, beta: np.ndarray, weights: np.ndarray,
 # Sampling
 # ---------------------------------------------------------------------------
 
-def _factor(kernel: np.ndarray, l: int) -> np.ndarray:
-    """Symmetric square root with roundoff clipping and zero-row enforcement."""
-    scale = max(float(np.max(np.abs(kernel))), 1e-300)
+def _factor(kernel: np.ndarray, l) -> np.ndarray:
+    """Square roots of a kernel stack (..., n, n) at multipoles l from one eigh (see notes)."""
+    scale = np.maximum(np.max(np.abs(kernel), axis=(-2, -1)), 1e-300)
     vals, vecs = np.linalg.eigh(kernel)
-    if np.min(vals) < -1e-12 * scale:
+    low = np.min(vals, axis=-1)
+    if np.any(bad := low < -1e-12 * scale):
+        i = np.unravel_index(np.argmax(bad), bad.shape)     # the first indefinite kernel
         raise KernelDefinitenessError(
-            f"kernel at l={l} has eigenvalue {np.min(vals):.3e} "
-            f"below -1e-12 of its scale {scale:.3e}")
-    fac = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    fac[np.diag(kernel) == 0.0, :] = 0.0   # exact zeros at zero-variance nodes
+            f"kernel at l={np.asarray(l)[i]} has eigenvalue {low[i]:.3e} "
+            f"below -1e-12 of its scale {scale[i]:.3e}")
+    fac = vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]
+    fac[np.diagonal(kernel, axis1=-2, axis2=-1) == 0.0] = 0.0   # exact zeros at zero-variance nodes
     return fac
 
 
@@ -255,11 +257,10 @@ def synthesize_spin(s: int, kernels: SpinKernelSet, theta, phi, seed: int,
         raise DomainError("n_realizations must be >= 1")
     ell, theta_u = kernels.ell.tolist(), np.unique(theta)
     _check_index(ell[-1])                       # before any kernel is factored
-    fac = np.array([_factor(c, l) for c, l in zip(kernels.kernels, ell)])
-    vals = _synthesize_modes(fac.transpose(0, 2, 1), ell, mode_streams(seed, tag=_SPIN_TAG, spin=s),
-                             s, theta_u, np.arange(kernels.chi.size)[:, None],
-                             np.searchsorted(theta_u, theta), phi,
-                             (n_realizations, kernels.chi.size), real=False)
+    fac = _factor(kernels.kernels, ell).transpose(0, 2, 1)
+    vals = _synthesize_modes(fac, ell, mode_streams(seed, tag=_SPIN_TAG, spin=s), s, theta_u,
+                             np.arange(kernels.chi.size)[:, None], np.searchsorted(theta_u, theta),
+                             phi, (n_realizations, kernels.chi.size), real=False)
     return SpinFieldRealization(kernels, theta, phi, vals, seed)
 
 

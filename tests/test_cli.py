@@ -466,6 +466,27 @@ def test_version_and_usage_exit_codes(capsys):
     assert main(["unknown-command"]) == 2
 
 
+def test_main_runs_again_in_one_process(tmp_path, capsys):
+    # one parser per process, and one re-keyed Philox per synthesis
+    assert cli.build_parser() is cli.build_parser()
+    syn = write(tmp_path, "syn.cfg", SYN_CFG)
+    out = tmp_path / "syn.cfd"
+    assert main(["synthesize", "--config", syn, "--out", str(out), "--bogus"]) == 2
+    assert main(["--version"]) == 0
+    assert f"curvedfield {__version__}" in capsys.readouterr().out
+    assert main(["synthesize", "--config", syn, "--out", str(out), "--seed", "5"]) == 0
+    assert read_field(out).seed == 5
+    assert main(["synthesize", "--config", syn, "--out", str(out)]) == 0
+    assert read_field(out).seed == 0
+    spin = write(tmp_path, "spin.cfg", SPIN_CFG + "lensing.observable = gamma\n")
+    payloads = []
+    for name in ("a.cfd", "b.cfd"):
+        assert main(["spin", "--config", spin, "--out", str(tmp_path / name), "--seed", "7"]) == 0
+        payloads.append((tmp_path / name).read_bytes()[HEADER_BYTES:])
+    assert payloads[0] == payloads[1]
+    assert np.any(read_field(tmp_path / "a.cfd").values != 0.0)
+
+
 def test_background_config_errors_exit_2(tmp_path, capsys):
     for old, new, key in (("omega_k = solve", "omega_k = abc", "cosmology.omega_k"),
                           ("z_max = 4.0", "z_max = inf", "grid.z_max"),

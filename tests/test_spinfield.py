@@ -291,6 +291,11 @@ def test_indefinite_kernel_rejected_naming_multipole():
     kern = SpinKernelSet(2, np.array([2]), np.array([0.5, 1.0]), bad)
     with pytest.raises(KernelDefinitenessError, match="l=2"):
         synthesize_spin(2, kern, [0.5], [0.0], seed=1)
+    # one eigh factors the whole stack; the first indefinite kernel is named
+    ok = np.eye(2)
+    kern = SpinKernelSet(2, np.array([2, 3, 5]), np.array([0.5, 1.0]), np.stack([ok, bad[0], 2 * bad[0]]))
+    with pytest.raises(KernelDefinitenessError, match=r"l=3 has eigenvalue -1\.000e\+00 .* scale 2\.000e\+00"):
+        synthesize_spin(2, kern, [0.5], [0.0], seed=1)
 
 
 def test_kernel_set_validation():

@@ -86,6 +86,12 @@ def _geometry(cfg, prefix="geometry") -> Geometry:
     raise ConfigError(f"{prefix}.kind must be open, flat or closed, not {kind!r}")
 
 
+def _check_measure(cfg, geom: Geometry, section: str):
+    """ConfigError unless cfg sets <section>.omega_max (closed) or <section>.k_max (open, flat)."""
+    if cfg[key := f"{section}.{'omega_max' if geom.kind is Kind.CLOSED else 'k_max'}"] is None:
+        raise ConfigError(f"the {geom.kind.value} spectral measure needs {key}")
+
+
 _GEOM_SCHEMA = {
     "geometry.kind": Option("str"),
     "geometry.k": Option("float", 0.0),
@@ -232,12 +238,8 @@ def cmd_transform(args) -> int:
     chi, wchi = gauss_legendre_grid(0.0, cfg["grid.chi_max"], panels, order)
     f = bump_profile(chi, cfg["profile.center"], cfg["profile.halfwidth"])
     profile = RadialProfile(geom, chi, f, wchi)
-    k_max, omega_max = cfg["spectral.k_max"], cfg["spectral.omega_max"]
-    closed = geom.kind is Kind.CLOSED
-    if (omega_max if closed else k_max) is None:
-        raise ConfigError("closed transform needs spectral.omega_max" if closed
-                          else "open/flat transform needs spectral.k_max")
-    k, wk = spectral_nodes(geom, k_max, panels, order, omega_max)
+    _check_measure(cfg, geom, "spectral")
+    k, wk = spectral_nodes(geom, cfg["spectral.k_max"], panels, order, cfg["spectral.omega_max"])
     if mode == "forward":
         spec = forward_isotropic(profile, k, wk, tail_tol=tail_tol)
         _write_table(args, raw, {"k": spec.k, "f00": spec.values})
@@ -261,6 +263,7 @@ def cmd_synthesize(args) -> int:
     if not args.out:
         raise ConfigError("synthesize needs --out for the field container")
     geom = _geometry(cfg)
+    _check_measure(cfg, geom, "synthesis")
     P = _spectrum(cfg)
     scfg = _synth_config(cfg, args.seed)
     chi, theta, phi = _tensor_grid(cfg)
@@ -288,6 +291,7 @@ def cmd_estimate(args) -> int:
         "analytic.panels": Option("int", 200),
     })
     geom = _geometry(cfg)
+    _check_measure(cfg, geom, "synthesis")
     P = _spectrum(cfg)
     try:
         lags = np.array([float(tok) for tok in cfg["estimate.lags"].split(",") if tok.strip()])

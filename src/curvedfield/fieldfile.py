@@ -70,6 +70,11 @@ def _grid(name: str, x) -> np.ndarray:
     return x
 
 
+def _checksum(head: bytes, payload: bytes) -> str:
+    """sha256 of header lines 0-5 (head), lines 6 and 7 as spaces, then the payload."""
+    return hashlib.sha256(head + b" " * (2 * _LINE) + payload).hexdigest()
+
+
 def _header_and_payload(ff: FieldFile, created: str):
     chi = _grid("chi", ff.chi)
     theta = _grid("theta", ff.theta)
@@ -93,10 +98,7 @@ def _header_and_payload(ff: FieldFile, created: str):
         _line(f"confighash={ff.config_hash}"),
     ]
     payload = chi.tobytes() + theta.tobytes() + phi.tobytes() + vals.tobytes()
-    blank = b" " * _LINE
-    # lines 6 (created) and 7 (sha256) are blanked in the digest, so the
-    # timestamp never changes the checksum
-    digest = hashlib.sha256(b"".join(lines) + blank + blank + payload).hexdigest()
+    digest = _checksum(b"".join(lines), payload)
     lines.append(_line(f"created={created}"))
     lines.append(_line(f"sha256={digest}"))
     return b"".join(lines), payload, digest
@@ -139,11 +141,8 @@ def read_field(path, verify: bool = True) -> FieldFile:
     if lines[0] != MAGIC:
         raise FieldFileError(f"bad magic {lines[0]!r}; not a field container")
     digest = _parse_kv(lines[7], "sha256")[0]
-    if verify:
-        blank = b" " * _LINE
-        expect = hashlib.sha256(header[:6 * _LINE] + blank + blank + payload).hexdigest()
-        if expect != digest:
-            raise FieldFileError("checksum mismatch: file corrupt or truncated")
+    if verify and _checksum(header[:6 * _LINE], payload) != digest:
+        raise FieldFileError("checksum mismatch: file corrupt or truncated")
 
     kind = _parse_kv(lines[1], "geometry")[0]
     K_s = _parse_kv(lines[2], "K")[0]

@@ -300,10 +300,10 @@ def forward_isotropic(profile: RadialProfile, k, weights=None, *,
 
 
 def inverse_isotropic(spec: Spectrum, chi, *, tail_tol: float | None = 1e-3) -> RadialProfile:
-    """Reconstruct the radial profile on grid chi from spectral amplitudes."""
+    """Radial profile on grid chi (checked first: Geometry.check_chi) from spectral amplitudes."""
     _check_tail_tol(tail_tol)
     geom = spec.geometry
-    chi = _as_grid("chi", np.atleast_1d(np.asarray(chi, dtype=float)))
+    chi = geom.check_chi(_as_grid("chi", np.atleast_1d(np.asarray(chi, dtype=float))))
     amp = _weights(spec, "sft.spectral_nodes") * spec.k ** 2 * spec.values
     _check_tail(np.abs(amp), tail_tol, "inverse transform k")
     return RadialProfile(geom, chi, _inverse_pref(geom) * _zonal_pass(geom, spec.k, chi, amp=amp)[1])

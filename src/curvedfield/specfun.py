@@ -595,23 +595,6 @@ def _supplementary(tau: float, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_r(r: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(r) & (r >= 0)):     # NaN fails both
-        raise DomainError("r must be finite and >= 0")
-    return r
-
-
-def _real_a(geom: Geometry, w: np.ndarray, r: np.ndarray, omega) -> np.ndarray:
-    """a = w (w + 1 closed) for zonal_spherical's real 1-d omega w, after its checks of w and r."""
-    if not np.all(np.isfinite(w) & (w >= 0)):
-        raise DomainError(f"omega must be finite and >= 0, got {omega}")
-    if geom.kind is Kind.CLOSED and np.any(r > math.pi * (1 + 1e-12)):
-        raise DomainError("closed-model scaled radius r exceeds pi")
-    if geom.kind is Kind.CLOSED and np.any(np.abs(w - np.round(w)) > 1e-9):
-        raise DomainError(f"closed model needs integer omega >= 0, got {omega}")
-    return np.round(w) + 1.0 if geom.kind is Kind.CLOSED else w
-
-
 def zonal_spherical(geom: Geometry, omega, r):
     """Zonal spherical function Phi_omega(r) on the scaled radius r.
 
@@ -636,7 +619,9 @@ def zonal_spherical(geom: Geometry, omega, r):
     (-1)^omega past pi/2, which keeps its accuracy near the antipode.
     """
     r = np.asarray(r, dtype=float)
-    shape_r, r = r.shape, _check_r(r.ravel())
+    shape_r, r = r.shape, r.ravel()
+    if not np.all(np.isfinite(r) & (r >= 0)):     # NaN fails both
+        raise DomainError("r must be finite and >= 0")
     w = np.asarray(omega)
     if w.ndim > 1:
         raise DomainError("omega must be a scalar or a 1-d array")
@@ -651,7 +636,14 @@ def zonal_spherical(geom: Geometry, omega, r):
                               "at a scalar omega = i tau")
         w = w.real
     shape_w, w = w.shape, w.astype(float).ravel()
-    w = _real_a(geom, w, r, omega)
+    if not np.all(np.isfinite(w) & (w >= 0)):
+        raise DomainError(f"omega must be finite and >= 0, got {omega}")
+    if geom.kind is Kind.CLOSED:
+        if np.any(r > math.pi * (1 + 1e-12)):
+            raise DomainError("closed-model scaled radius r exceeds pi")
+        if np.any(np.abs(w - np.round(w)) > 1e-9):
+            raise DomainError(f"closed model needs integer omega >= 0, got {omega}")
+        w = np.round(w) + 1.0                     # the closed a = omega + 1
     r, refl, _, r_over_f = _fold(geom.kind, r)
     x = np.multiply.outer(w, r)
     np.maximum(x, np.finfo(float).tiny, out=x)    # sin(x)/x is 1 at x = 0: sin(tiny) == tiny
@@ -673,7 +665,7 @@ def _zonal_factors(geom: Geometry, omega: np.ndarray, r: np.ndarray):
     the closed sign (-1)^omega past pi/2 folded in: sin(a' r), |a' - a| within the
     tolerance.  Returns (s, sa, ca, sd, cd, 1/a, r/f, origin, refl, (-1)^omega),
     0 for 1/0; None without such a period, or with fewer radii than s (a few lags,
-    where anchors cost more than they save), and zonal_spherical's DomainErrors."""
+    where anchors cost more than they save).  The caller checks omega and r."""
     closed = geom.kind is Kind.CLOSED
     a, n = omega + 1.0 if closed else omega, omega.size
     tol = 4.0 * np.finfo(float).eps * a[-1]
@@ -683,7 +675,6 @@ def _zonal_factors(geom: Geometry, omega: np.ndarray, r: np.ndarray):
     s = G * max(1, round(math.sqrt(n) / G)) if G else math.inf
     if r.size < s:                                # no period, or too few radii for anchors
         return None
-    _real_a(geom, omega[:1], _check_r(r), omega[:1])     # zonal_spherical's checks, no row
     r, refl, origin, scale = _fold(geom.kind, r)
     inv_f = np.divide(scale, r, out=np.zeros_like(r), where=~origin)   # 1/f(r), 0 at the origin
     par = np.where(closed & (omega % 2 == 1), -1.0, 1.0)     # = (-1)^omega[ps] (-1)^d_g

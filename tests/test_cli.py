@@ -239,6 +239,20 @@ grid.panels = 8
         assert missing in capsys.readouterr().err
 
 
+def test_missing_synthesis_measure_key_exits_2(tmp_path, capsys):
+    # the sampler once reported the missing key as a domain error (exit 3)
+    closed = SYN_CFG.replace("geometry.kind = flat", "geometry.kind = closed\ngeometry.k = 1.0")
+    open_est = EST_CFG.replace("geometry.kind = flat", "geometry.kind = open\ngeometry.k = -1.0")
+    for command, text, missing in (
+            ("synthesize", closed, "synthesis.omega_max"),
+            ("estimate", open_est.replace("synthesis.k_max = 8.0\n", ""), "synthesis.k_max")):
+        out = tmp_path / "out"
+        assert main([command, "--config", write(tmp_path, "m.cfg", text), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert missing in captured.err, captured.err
+        assert captured.out == "" and not out.exists()
+
+
 def test_domain_error_exits_3(tmp_path, capsys):
     cfg = write(tmp_path, "bad.cfg", SYN_CFG.replace(
         "geometry.kind = flat", "geometry.kind = closed\ngeometry.k = -1.0"))

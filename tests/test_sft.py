@@ -149,6 +149,26 @@ def test_tail_tol_is_none_or_finite_and_positive(monkeypatch):
                 call()
 
 
+def test_inverse_checks_chi_before_any_zonal_work(monkeypatch):
+    # chi was checked only in the returned profile, after the zonal pass, which
+    # reported a negative or past-antipode node as a bad scaled radius r
+    specs = {}
+    for geom in (G_OPEN, G_FLAT, G_CLOSED):
+        k, wk = sft.spectral_nodes(geom, 20.0, 4, 8, 40)
+        specs[geom] = Spectrum(geom, k, np.exp(-k ** 2), wk)
+
+    def no_block(*args):
+        raise AssertionError("a zonal block was built")
+
+    for attr in ("_zonal_factors", "zonal_spherical", "zonal_kernel"):
+        monkeypatch.setattr(sft, attr, no_block)
+    cases = [(geom, [-0.5, 0.5, 1.0]) for geom in specs]
+    cases.append((G_CLOSED, [0.5, 1.0, G_CLOSED.chi_max * (1 + 1e-9)]))
+    for geom, chi in cases:
+        with pytest.raises(DomainError, match="chi outside"):
+            inverse_isotropic(specs[geom], chi)
+
+
 def test_inverse_tail_monitor():
     k, wk = gauss_legendre_grid(1e-9, 30.0, 24, 8)
     spec = Spectrum(G_FLAT, k, np.ones_like(k), wk)

@@ -33,6 +33,9 @@ l, one matmul with T_l; per m, b_m = sum_l a_lm lambda_lm on the distinct (chi,
 theta) pairs, from the block's harmonic rows, is gathered times e^{i m phi}, so
 synthesis never holds all (L+1)^2 modes or every m's harmonics.  Real fields
 (xi_{l,-m} = (-1)^m conj(xi_lm)) are Re b_0 + 2 Re sum_{m>0} b_m e^{i m phi}.
+On a tensor grid (phi_j = 2 pi j / n_phi on every (chi, theta) ring) b_m is added
+instead into a ring table in the gather's place, one column per filled phi slot
+(m mod n_phi); one product with e^{i m phi_j} after the last m makes the field.
 
 Randomness is counter-based (Philox) with one stream per (l, m) mode keyed by
 (seed, tag(l, m)), so a realization depends only on the seed, never on the
@@ -311,23 +314,29 @@ def _synthesize_modes(T, ls, stream, s: int, theta_u, ci, ti, phi, shape, real: 
     distinct chi and theta_u: a_lm = eta_lm T[i] for l = ls[i] (ascending), eta
     from stream (see mode_streams), m = -L..L or 0..L in blocks of nb (module
     notes); b_m is formed over the chi x theta product if the pairs fill half of
-    it, else per pair.  One allocation holds the block's modes a, at most
-    max(_SLAB, len(ls) N n_chi) complex entries for N realizations, its draws,
-    and one m's b and gather, N n_points each: never (L+1)^2 N n_chi modes.
-    (Separate buffers were trimmed off the heap and faulted back in every call.)"""
+    it, else per pair, then folded into the ring table on a tensor grid, else
+    gathered (module notes).  One allocation holds the block's modes a, at most
+    max(_SLAB, len(ls) N n_chi) complex entries for N realizations, its draws, one
+    m's b and the gather, N n_points each, or ring table, at most 2 N n_points as
+    is E: never (L+1)^2 N n_chi modes (nor a buffer trimmed and faulted back per call)."""
     L, (N, n_chi), n_l, n_t = ls[-1], shape, len(ls), theta_u.size
     pairs, pick = np.unique(ci * n_t + ti, return_inverse=True)
     grid = 2 * pairs.size >= n_chi * n_t          # b over chi x theta, else per pair
     pick = (pairs[pick] if grid else pick).reshape(np.broadcast(ci, ti).shape)
     cp, tp = np.divmod(pairs, n_t)
-    phi_u, ip = np.unique(phi, return_inverse=True)
     ms = np.arange(0 if real else -L, L + 1)
+    phi_u, ip = np.unique(phi, return_inverse=True)
+    n_f, n_s = phi_u.size, min(phi_u.size, ms.size)    # n_s ring table columns: the filled phi slots
+    ring = grid and 0 < n_chi * n_t * n_f <= 2 * pick.size and n_s <= N * n_chi * n_t  # E <= field
+    ring = ring and np.max(np.abs(phi_u - np.arange(n_f) * (2 * math.pi / n_f))) <= 4e-15   # 4.5 ulp
     nb = min(ms.size, max(1, _SLAB // max(1, n_l * N * n_chi)))
-    shapes = [(n_l, nb) + shape, (nb, N, T.shape[1]),
-              (N * n_chi, n_t) if grid else (N, pairs.size), (N,) + pick.shape]
+    shapes = [(n_l, nb) + shape, (nb, N, T.shape[1]), (N * n_chi, n_t) if grid else (N, pairs.size),
+              (N * n_chi * n_t, n_s) if ring else (N,) + pick.shape]
     ends = np.cumsum([math.prod(x) for x in shapes])
     a, xi, b, g = (x.reshape(s) for x, s in zip(np.split(np.empty(ends[-1], complex), ends), shapes))
     out = np.zeros((N,) + pick.shape, dtype=float if real else complex)
+    if ring:
+        g[...] = 0.0                    # the ring table starts empty
     nr = nb * max(1, _SLAB // max(1, n_l * nb * n_t))   # m per _spin_rows call: whole blocks
     for j0 in range(0, ms.size, nb):
         mb = ms[j0:j0 + nb]
@@ -350,9 +359,15 @@ def _synthesize_modes(T, ls, stream, s: int, theta_u, ci, ti, phi, shape, real: 
                 b[...] = 0.0            # rows l < |m| would only add exact zeros to this +0
                 for i in range(np.searchsorted(ls, abs(m)), n_l):
                     b += a[i, j][:, cp] * lam_m[i, tp]
+            if ring:
+                g[:, (j0 + j) % n_s] += b.reshape(-1)     # column c = m - ms[0] mod n_s, slot ms[c]
+                continue
             np.take(b.reshape(N, -1), pick, axis=1, out=g, mode="clip")
             g *= np.exp(1j * m * phi_u)[ip]
             out += g.real if real else g
+    if ring:                            # field = table E, E_cj = e^{i ms[c] phi_j} = e^{i phi_(ms[c] j mod n_f)}
+        f = g if n_f == 1 else g @ np.exp(1j * phi_u)[np.outer(ms[:n_s], np.arange(n_f)) % n_f]
+        out[...] = (f.real if real else f).reshape(N, -1)[:, pick * n_f + ip]
     return out
 
 

@@ -639,7 +639,7 @@ def zonal_spherical(geom: Geometry, omega, r):
     if not np.all(np.isfinite(w) & (w >= 0)):
         raise DomainError(f"omega must be finite and >= 0, got {omega}")
     if geom.kind is Kind.CLOSED:
-        if np.any(r > math.pi * (1 + 1e-12)):
+        if np.any(r > geom.curvature_scale * (geom.chi_max * (1.0 + 1e-12))):   # check_chi's chi bound, scaled
             raise DomainError("closed-model scaled radius r exceeds pi")
         if np.any(np.abs(w - np.round(w)) > 1e-9):
             raise DomainError(f"closed model needs integer omega >= 0, got {omega}")

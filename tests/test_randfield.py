@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -665,3 +666,103 @@ def test_monte_carlo_off_origin(geom, P, spec, L, real):
                                order=spec.get("k_order", 12), omega_max=spec.get("omega_max"))
     z = np.abs(est.mean - ref) / est.stderr
     assert np.max(z) < 5.0, z
+
+
+# ---------------------------------------------------------------------------
+# Ring synthesis on tensor grids
+# ---------------------------------------------------------------------------
+
+def _tensor_points(chi, n_theta, n_phi):
+    # the (chi, theta, phi) product in that order, phi_j = 2 pi j / n_phi as the CLI builds it
+    theta = (np.arange(n_theta) + 0.5) * math.pi / n_theta
+    phi = np.arange(n_phi) * 2.0 * math.pi / n_phi
+    return [x.ravel() for x in np.meshgrid(chi, theta, phi, indexing="ij")]
+
+
+def _no_gather(*args, **kwargs):
+    raise AssertionError("the ring path gathered per m")
+
+
+def test_ring_path_matches_per_m_gather():
+    # One extra point with an existing chi and theta and phi = 0.123 sends the
+    # synthesis down the per-m gather; it leaves the distinct chi and theta, so
+    # the draws and T_l, unchanged.  L exceeds n_phi / 2, so several m fold onto
+    # one phi slot, and the ring path never calls np.take.
+    from curvedfield.spinfield import separable_kernels, synthesize_spin
+    chi = np.array([0.0, 0.4, 1.1, 1.7])
+    kernels = separable_kernels(2, np.arange(2, 15), chi)
+    P = GaussianBump(1.0, 3.0, 0.8)
+
+    def scalar(real, chi, theta, phi):
+        cfg = SynthesisConfig(L_max=8, seed=4, k_max=6.0, k_panels=2, k_order=6,
+                              n_realizations=3, real=real)
+        return synthesize(G_OPEN, P, cfg, chi, theta, phi).values
+
+    def spin(chi, theta, phi):          # the kernels' chi times the (theta, phi) directions
+        return synthesize_spin(2, kernels, theta, phi, seed=4, n_realizations=2).values
+
+    cases = [(functools.partial(scalar, real), _tensor_points(chi, 5, 12)) for real in (True, False)]
+    cases.append((spin, _tensor_points([0.0], 5, 12)))
+    for run, (c, t, p) in cases:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "take", _no_gather)
+            ring = run(c, t, p)
+        gathered = run(np.append(c, c[37]), np.append(t, t[37]), np.append(p, 0.123))[..., :-1]
+        rms = np.sqrt(np.mean(np.abs(gathered) ** 2))
+        assert np.max(np.abs(ring - gathered)) <= 1e-13 * rms
+    assert np.all(ring[:, 0] == 0.0)             # the spin chi = 0 shell, through the ring path
+    c, t, p = _tensor_points(chi, 5, 12)
+    perm = np.random.default_rng(1).permutation(c.size)     # out of (chi, theta, phi) order
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "take", _no_gather)
+        np.testing.assert_array_equal(scalar(False, c[perm], t[perm], p[perm]),
+                                      scalar(False, c, t, p)[:, perm])
+
+
+def test_one_point_per_ring_keeps_the_gather():
+    # every (chi, theta) ring of a 20 x 25 product holds one point, and the 500
+    # phi are 2 pi j / 500: the ring table would be 500 x 500 (4 MB, and as
+    # much again for the DFT matrix) for 500 points, so the per-m gather runs
+    c, t = (x.ravel() for x in np.meshgrid(np.linspace(0.1, 1.5, 20), np.linspace(0.1, 3.0, 25),
+                                           indexing="ij"))
+    cfg = SynthesisConfig(L_max=2, seed=9, k_max=6.0, k_panels=2, k_order=4)
+    peak = _synthesis_peak(G_OPEN, GaussianBump(1.0, 2.0, 0.7), cfg, c, t,
+                           np.arange(c.size) * 2.0 * math.pi / c.size)
+    assert peak < 4e6, peak
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_exact_covariance_on_tensor_grid(monkeypatch, real):
+    # test_exact_covariance_off_origin on a full tensor grid with uniform phi: the
+    # per-m sums fold onto 5 phi slots (m up to 8 alias) and one DFT over phi
+    # makes the field, with no per-m gather
+    P, L = Tabulated(np.arange(1.0, 10.0), 1.0 / np.arange(1.0, 10.0) ** 2), 8
+    chi, theta, phi = _tensor_points(np.array([0.5, 1.1]), 2, 5)
+    n = 2 * (L + 1) ** 2 * (1 if real else 2)     # 2 radii < k-nodes: 2 draws per (l, m)
+    draws = _UnitDraws()
+    monkeypatch.setattr(randfield, "mode_streams", lambda seed: draws)
+    cfg = SynthesisConfig(L_max=L, real=real, n_realizations=n, omega_max=8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "take", _no_gather)
+        f = synthesize(G_CLOSED, P, cfg, chi, theta, phi).values
+    assert draws.drawn == n
+    cov = f.T @ f.conj()
+    pts = list(zip(chi, theta, phi))
+    d = [_geodesic_chi(G_CLOSED, p1, p2) for p1 in pts for p2 in pts]
+    ref = analytic_correlation(G_CLOSED, P, d, omega_max=8)
+    np.testing.assert_allclose(cov, ref.reshape(cov.shape), rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("chi, L", [([0.7], 32), ([0.3, 0.7], 4)])
+def test_fine_rings_at_small_l_hold_no_n_phi_squared_table(chi, L):
+    # 1,024 uniform phi on 1 or 2 x 4 (chi, theta) rings: the ring table and E
+    # hold only the L + 1 filled phi slots (E is (L + 1) x 1,024), never
+    # 1,024 x 1,024 (17 MB, and half as much again for its index table); one
+    # ring keeps the per-m gather, as E would be 33 times the field there
+    c, t, p = _tensor_points(np.array(chi), 4 if len(chi) > 1 else 1, 1024)
+    cfg = SynthesisConfig(L_max=L, seed=2, k_max=6.0, k_panels=2, k_order=4)
+    with pytest.MonkeyPatch.context() as mp:
+        if len(chi) > 1:
+            mp.setattr(np, "take", _no_gather)
+        peak = _synthesis_peak(G_OPEN, GaussianBump(1.0, 2.0, 0.7), cfg, c, t, p)
+    assert peak < 20 * 16 * c.size, peak / (16 * c.size)

@@ -169,6 +169,20 @@ def test_inverse_checks_chi_before_any_zonal_work(monkeypatch):
             inverse_isotropic(specs[geom], chi)
 
 
+def test_closed_radius_bound_is_check_chi_bound():
+    # zonal_spherical bounded the scaled radius r = sqrt(K) chi by pi (1 + 1e-12),
+    # one rounding off check_chi's chi <= chi_max (1 + 1e-12): a one-node grid at
+    # chi_max (1 + 1e-12) raised "closed-model scaled radius r exceeds pi" for 59
+    # of these 500 curvatures
+    for K in np.random.default_rng(0).uniform(0.01, 10.0, 500):
+        geom = Geometry.closed(float(K))
+        k, wk = sft.spectral_nodes(geom, None, 1, 2, 12)
+        spec = Spectrum(geom, k, np.exp(-np.arange(13.0)), wk)
+        assert np.isfinite(inverse_isotropic(spec, [geom.chi_max * (1 + 1e-12)], tail_tol=None).values).all()
+        with pytest.raises(DomainError, match="chi outside"):
+            inverse_isotropic(spec, [geom.chi_max * (1 + 4e-12)], tail_tol=None)
+
+
 def test_inverse_tail_monitor():
     k, wk = gauss_legendre_grid(1e-9, 30.0, 24, 8)
     spec = Spectrum(G_FLAT, k, np.ones_like(k), wk)

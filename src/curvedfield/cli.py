@@ -7,7 +7,7 @@
     curvedfield spin        --config run.cfg --out field.cfd [--seed S]
 
 Configs are flat key=value files (see config module).  Exit codes: 0 success,
-2 configuration or usage error, 3 invalid domain or malformed data, 4 failed
+2 configuration, usage or I/O error, 3 invalid domain or malformed data, 4 failed
 convergence or accuracy certification.  CSV outputs carry provenance comments
 (library version, command, config hash, seed); binary outputs use the field
 container (see fieldfile module).  Synthesis runs on one thread; --threads is
@@ -409,6 +409,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
+    except OSError as exc:                      # an unwritable --out
+        print(f"io error: {exc}", file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -27,12 +27,13 @@ Per mode the field sees xi only through a_lm = xi_lm B_l on the distinct
 radii, B_l = diag(k sqrt(P w)) R_l (n_k x n_radii), of kernel C_l = B_l^T B_l.
 With fewer radii than nodes, B_l = Q T_l (thin QR) and xi Q is again iid, so
 eta_lm T_l draws it from n_radii Gaussians with no clipping; else T_l = B_l.
-The T_l overwrite the radial table.  m runs outermost, in blocks whose modes
-a_lm (all l, 0 for l < |m|) fit _SLAB complex entries, or one m: per block and
-l, one matmul with T_l; per m, b_m = sum_l a_lm lambda_lm on the distinct (chi,
-theta) pairs, from the block's harmonic rows, is gathered times e^{i m phi}, so
-synthesis never holds all (L+1)^2 modes or every m's harmonics.  Real fields
-(xi_{l,-m} = (-1)^m conj(xi_lm)) are Re b_0 + 2 Re sum_{m>0} b_m e^{i m phi}.
+The T_l overwrite the radial table.  m runs outermost, in blocks whose modes a_lm
+(all l, 0 for l < |m|) fit _SLAB complex entries, or one m: per block and l, one
+matmul with T_l; per m, b_m = sum_l a_lm lambda_lm on the distinct (chi, theta)
+pairs, from the block's harmonic rows, is gathered times e^{i m phi}, so synthesis
+never holds all (L+1)^2 modes or every m's harmonics.  A block's draws (l loop)
+and b_m (m loop) take turns in one slot.  Real fields (xi_{l,-m} = (-1)^m
+conj(xi_lm)) are Re b_0 + 2 Re sum_{m>0} b_m e^{i m phi}.
 On a tensor grid (phi_j = 2 pi j / n_phi on every (chi, theta) ring) b_m is added
 instead into a ring table in the gather's place, one column per filled phi slot
 (m mod n_phi); one product with e^{i m phi_j} after the last m makes the field.
@@ -315,10 +316,10 @@ def _synthesize_modes(T, ls, stream, s: int, theta_u, ci, ti, phi, shape, real: 
     from stream (see mode_streams), m = -L..L or 0..L in blocks of nb (module
     notes); b_m is formed over the chi x theta product if the pairs fill half of
     it, else per pair, then folded into the ring table on a tensor grid, else
-    gathered (module notes).  One allocation holds the block's modes a, at most
-    max(_SLAB, len(ls) N n_chi) complex entries for N realizations, its draws, one
-    m's b and the gather, N n_points each, or ring table, at most 2 N n_points as
-    is E: never (L+1)^2 N n_chi modes (nor a buffer trimmed and faulted back per call)."""
+    gathered (module notes).  One allocation holds the block's modes a (at most
+    max(_SLAB, len(ls) N n_chi) complex entries for N realizations), one slot for its
+    draws, then each m's b, and the gather or ring table (at most 2 N n_points, as is
+    E): never (L+1)^2 N n_chi modes, nor a buffer trimmed and faulted back per call."""
     L, (N, n_chi), n_l, n_t = ls[-1], shape, len(ls), theta_u.size
     pairs, pick = np.unique(ci * n_t + ti, return_inverse=True)
     grid = 2 * pairs.size >= n_chi * n_t          # b over chi x theta, else per pair
@@ -332,8 +333,10 @@ def _synthesize_modes(T, ls, stream, s: int, theta_u, ci, ti, phi, shape, real: 
     nb = min(ms.size, max(1, _SLAB // max(1, n_l * N * n_chi)))
     shapes = [(n_l, nb) + shape, (nb, N, T.shape[1]), (N * n_chi, n_t) if grid else (N, pairs.size),
               (N * n_chi * n_t, n_s) if ring else (N,) + pick.shape]
-    ends = np.cumsum([math.prod(x) for x in shapes])
-    a, xi, b, g = (x.reshape(s) for x, s in zip(np.split(np.empty(ends[-1], complex), ends), shapes))
+    n = [math.prod(x) for x in shapes]
+    at = [0, n[0], n[0], n[0] + max(n[1], n[2])]      # xi and b share one slot
+    buf = np.empty(at[3] + n[3], complex)
+    a, xi, b, g = (buf[i:i + m].reshape(x) for i, m, x in zip(at, n, shapes))
     out = np.zeros((N,) + pick.shape, dtype=float if real else complex)
     if ring:
         g[...] = 0.0                    # the ring table starts empty

@@ -33,16 +33,15 @@ or when given weights; and, open and flat (closed chi is compact), the forward
 chi integrand of the node of largest |Phi_q| @ |w f S| (_heaviest_row).  tail_tol
 is None (no monitor) or finite and > 0, else DomainError before any kernel is built.
 
-The transforms and randfield.analytic_correlation make one pass (_zonal_pass)
-over the table Phi(k, chi) without building it: every spectral_nodes grid
-repeats per panel (Gauss-Legendre panels, the closed lattice), so by angle
-addition the table factors through the sines and cosines of about 2 sqrt(n)
-anchors and offsets per chi (specfun._zonal_factors), and each product with
-it is two BLAS-3 products, a few ulps from a per-k loop.  Other k grids, or
-fewer radii than an anchor group has rows (a covariance's few lags), take
-zonal_spherical's row blocks.  forward_isotropic and roundtrip_isotropic share
-one driver (_transform); the roundtrip builds the factors once, with the same
-bits as forward_isotropic followed by inverse_isotropic.
+The transforms and randfield.analytic_correlation make one pass (_zonal_pass) over
+the table Phi(k, chi) without building it: every spectral_nodes grid repeats per
+panel (Gauss-Legendre panels, the closed lattice), so by angle addition the table
+factors through the sines and cosines of about 2 sqrt(n) anchors and offsets per
+chi (_zonal_factors), at any number of radii, and each product with it is two
+BLAS-3 products, a few ulps from a per-k loop.  Only a k grid that repeats fewer
+than 4 times takes zonal_spherical's row blocks.  forward_isotropic and
+roundtrip_isotropic share one driver (_transform); the roundtrip builds the factors
+once, with the same bits as forward_isotropic followed by inverse_isotropic.
 """
 from __future__ import annotations
 
@@ -54,7 +53,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .geometry import Geometry, Kind, surface_area
 from .quadrature import gauss_legendre_grid
-from .specfun import _fold, _zonal_factors, zonal_blocks, zonal_spherical
+from .specfun import _fold, zonal_blocks, zonal_spherical
 
 __all__ = [
     "RadialProfile", "Spectrum", "surface_area", "forward_isotropic",
@@ -208,6 +207,35 @@ def _check_tail(contrib: np.ndarray, tol: float | None, what: str):
             f"(tolerance {tol:.0e}); extend or refine the grid")
 
 
+def _zonal_factors(geom: Geometry, omega: np.ndarray, r: np.ndarray):
+    """Angle-addition factors of zonal_spherical's table Phi_omega(r), or None.
+
+    omega (increasing) and r are 1-d.  Let a = omega (omega+1 closed), G <= n/4 the
+    smallest period with a[i+G] - a[i] = a[G] - a[0] within 4 eps max(a), and s the
+    multiple of G nearest sqrt(n).  Off the origin row ps + g is (sa[p] cd[g] + ca[p] sd[g])
+    / a, with sa, ca = sin, cos(a[ps] r)/f(r), sd, cd = sin, cos((a[g] - a[0]) r) and
+    the closed sign (-1)^omega past pi/2 folded in: sin(a' r), |a' - a| within the
+    tolerance.  Returns (s, sa, ca, sd, cd, 1/a, r/f, origin, refl, (-1)^omega),
+    0 for 1/0; None only without such a period.  The caller checks omega and r."""
+    closed = geom.kind is Kind.CLOSED
+    a, n = omega + 1.0 if closed else omega, omega.size
+    tol = 4.0 * np.finfo(float).eps * a[-1]
+    G = next((g for g in range(1, n // 4 + 1)     # i = g first: one scalar test
+              if abs(a[2 * g] - a[g] - (a[g] - a[0])) <= tol
+              and np.all(np.abs(a[g:] - a[:-g] - (a[g] - a[0])) <= tol)), None)
+    if G is None:
+        return None
+    s = G * max(1, round(math.sqrt(n) / G))
+    r, refl, origin, scale = _fold(geom.kind, r)
+    inv_f = np.divide(scale, r, out=np.zeros_like(r), where=~origin)   # 1/f(r), 0 at the origin
+    par = np.where(closed & (omega % 2 == 1), -1.0, 1.0)     # = (-1)^omega[ps] (-1)^d_g
+    sp, sg = (np.where(refl, q[:, None], 1.0) for q in (par[::s], par[:s] * par[0]))
+    sa, ca = (np.sin(x := np.multiply.outer(a[::s], r)) * inv_f * sp, np.cos(x) * inv_f * sp)
+    sd, cd = (np.sin(x := np.multiply.outer(a[:s] - a[0], r)) * sg, np.cos(x) * sg)
+    inv_a = np.divide(1.0, a, out=np.zeros_like(a), where=a > 0.0)
+    return s, sa, ca, sd, cd, inv_a, scale, origin, refl, par
+
+
 def _zonal_pass(geom: Geometry, k: np.ndarray, chi: np.ndarray, base=None,
                 pref: float = 1.0, amp=None):
     """(fwd, inv): fwd = pref (Phi @ base) = pref/a [(sa base) @ cd^T + (ca base) @ sd^T] if
@@ -215,7 +243,7 @@ def _zonal_pass(geom: Geometry, k: np.ndarray, chi: np.ndarray, base=None,
     given, A = amp, or amp fwd with base; None if not asked."""
     omega, r = _scaled(geom, k, chi)
     fac = _zonal_factors(geom, omega, r)
-    if fac is None:                               # zonal_spherical's blocks
+    if fac is None:                               # no period: zonal_spherical's blocks
         fwd = None if base is None else np.empty_like(k)
         inv = None if amp is None else np.zeros_like(chi)
         for blk in zonal_blocks(k.size, chi.size):

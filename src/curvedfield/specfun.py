@@ -654,32 +654,3 @@ def zonal_spherical(geom: Geometry, omega, r):
     vals[flip] = -vals[flip]
     return vals.reshape(shape_w + shape_r)[()]
 
-
-def _zonal_factors(geom: Geometry, omega: np.ndarray, r: np.ndarray):
-    """Angle-addition factors of zonal_spherical's table Phi_omega(r), or None.
-
-    omega (increasing) and r are 1-d.  Let a = omega (omega+1 closed), G <= n/4 the
-    smallest period with a[i+G] - a[i] = a[G] - a[0] within 4 eps max(a), and s the
-    multiple of G nearest sqrt(n).  Off the origin row ps + g is (sa[p] cd[g] + ca[p] sd[g])
-    / a, with sa, ca = sin, cos(a[ps] r)/f(r), sd, cd = sin, cos((a[g] - a[0]) r) and
-    the closed sign (-1)^omega past pi/2 folded in: sin(a' r), |a' - a| within the
-    tolerance.  Returns (s, sa, ca, sd, cd, 1/a, r/f, origin, refl, (-1)^omega),
-    0 for 1/0; None without such a period, or with fewer radii than s (a few lags,
-    where anchors cost more than they save).  The caller checks omega and r."""
-    closed = geom.kind is Kind.CLOSED
-    a, n = omega + 1.0 if closed else omega, omega.size
-    tol = 4.0 * np.finfo(float).eps * a[-1]
-    G = next((g for g in range(1, n // 4 + 1)     # i = g first: one scalar test
-              if abs(a[2 * g] - a[g] - (a[g] - a[0])) <= tol
-              and np.all(np.abs(a[g:] - a[:-g] - (a[g] - a[0])) <= tol)), None)
-    s = G * max(1, round(math.sqrt(n) / G)) if G else math.inf
-    if r.size < s:                                # no period, or too few radii for anchors
-        return None
-    r, refl, origin, scale = _fold(geom.kind, r)
-    inv_f = np.divide(scale, r, out=np.zeros_like(r), where=~origin)   # 1/f(r), 0 at the origin
-    par = np.where(closed & (omega % 2 == 1), -1.0, 1.0)     # = (-1)^omega[ps] (-1)^d_g
-    sp, sg = (np.where(refl, q[:, None], 1.0) for q in (par[::s], par[:s] * par[0]))
-    sa, ca = (np.sin(x := np.multiply.outer(a[::s], r)) * inv_f * sp, np.cos(x) * inv_f * sp)
-    sd, cd = (np.sin(x := np.multiply.outer(a[:s] - a[0], r)) * sg, np.cos(x) * sg)
-    inv_a = np.divide(1.0, a, out=np.zeros_like(a), where=a > 0.0)
-    return s, sa, ca, sd, cd, inv_a, scale, origin, refl, par

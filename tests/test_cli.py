@@ -455,6 +455,18 @@ grid.chi_max = 2.0
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["spin", "background"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command):
+    # an --out in a missing directory once raised FileNotFoundError: a traceback, exit 1
+    text = {"spin": "spin.s = 2\nspin.l_max = 4\nlensing.observable = gamma\ngrid.chi_max = 2.0\n",
+            "background": BG_CFG}[command]
+    out = tmp_path / "missing" / "x.out"
+    assert main([command, "--config", write(tmp_path, "run.cfg", text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("io error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.parent.exists()
+
+
 def test_csv_rows_match_per_value_formatting(tmp_path):
     # the one-pass row format must print what f"{v:.17g}" printed per value
     special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,

@@ -319,16 +319,17 @@ def blocked_setup(name, n_k):
     """chi from 0 (past pi/2 for closed), k from 0 (closed: omega from 0).
 
     "open-gl" and "flat-gl" take composite Gauss-Legendre k nodes, the kind
-    spectral_nodes makes, shifted so that the first is k = 0."""
+    spectral_nodes makes, shifted so that the first is k = 0; "-few" takes
+    them too (closed: the lattice) on 20 radii."""
     kind, _, grid = name.partition("-")
     geom = {"open": G_OPEN, "flat": G_FLAT, "closed": G_CLOSED}[kind]
     if kind == "closed":
-        chi = np.linspace(0.0, math.pi, N_CHI)
+        chi = np.linspace(0.0, math.pi, 20 if grid == "few" else N_CHI)
         k = closed_k_lattice(geom, n_k - 1)
     else:
-        chi = np.linspace(0.0, 4.0, N_CHI)
+        chi = np.linspace(0.0, 4.0, 20 if grid == "few" else N_CHI)
         k = np.linspace(0.0, 30.0, n_k)
-    if grid:
+    if grid and kind != "closed":
         k = gauss_legendre_grid(0.0, 30.0, -(-n_k // 12), 12)[0][:n_k]
         k -= k[0]
     f = bump_profile(chi, 1.6, 1.4) + 0.1 * np.cos(3.0 * chi)
@@ -408,19 +409,13 @@ def test_periodic_k_grids_build_blocks_by_angle_addition(monkeypatch, name):
     assert rows == []
 
 
-@pytest.mark.parametrize("name", ["open", "flat", "open-few", "flat-few"])
+@pytest.mark.parametrize("name", ["open", "flat"])
 def test_aperiodic_k_grid_gives_the_zonal_table_products(name):
-    # "-few": a periodic Gauss-Legendre grid of 600 nodes on 20 radii, fewer
-    # than the 24 rows of one anchor group, takes the direct table too
-    kind, _, few = name.partition("-")
-    geom, chi, prof, _ = blocked_setup(kind, 1)
+    geom, chi, prof, _ = blocked_setup(name, 1)
     k = np.sort(np.random.default_rng(3).uniform(0.0, 30.0, 2 * ROWS + 1))
-    if few:
-        k, chi = gauss_legendre_grid(0.0, 30.0, 50, 12)[0], chi[::30]
-        prof = RadialProfile(geom, chi, prof.values[::30], trapezoid_weights(chi))
     blocks = specfun.zonal_blocks(k.size, chi.size)
     base = trapezoid_base(prof)
-    ref = np.concatenate([FORWARD_A[kind] * (zonal_kernel(geom, k[b], chi) @ base)
+    ref = np.concatenate([FORWARD_A[name] * (zonal_kernel(geom, k[b], chi) @ base)
                           for b in blocks])
     np.testing.assert_array_equal(forward_isotropic(prof, k, tail_tol=None).values, ref)
     spec = Spectrum(geom, k, ref, np.full(k.size, 0.1))
@@ -503,21 +498,23 @@ def test_roundtrip_builds_each_block_once(monkeypatch, name):
         assert tables == [sft._SEED_ROWS] * monitor
 
 
-@pytest.mark.parametrize("name", BLOCKED)
+@pytest.mark.parametrize("name", BLOCKED + ["open-few", "flat-few", "closed-few"])
 def test_factored_pass_matches_the_zonal_table(name):
     # chi from 0 (closed: through the antipode pi, where Phi = (-1)^omega) and k
     # from 0 (open, flat: Phi_0 = r/f(r)), the factors' exact rows and columns;
     # base is not 0 at the antipode, as a profile's w f S is; the factors' rows
-    # are the pass's products e_q @ Phi with the unit vectors
-    geom, chi, prof, k = blocked_setup(name, 2 * ROWS + 1)
-    assert specfun._zonal_factors(geom, *sft._scaled(geom, k, chi)) is not None
+    # are the pass's products e_q @ Phi with the unit vectors.  "-few": 600
+    # nodes on 20 radii, fewer than the 24 rows of one anchor group
+    kind, _, grid = name.partition("-")
+    geom, chi, prof, k = blocked_setup(name, 600 if grid == "few" else 2 * ROWS + 1)
+    assert sft._zonal_factors(geom, *sft._scaled(geom, k, chi)) is not None
     phi = zonal_kernel(geom, k, chi)
     rows = np.array([sft._zonal_pass(geom, k, chi, amp=e)[1] for e in np.eye(k.size)])
     assert np.max(np.abs(rows - phi)) < 1e-13
-    ends = (chi == 0.0) | (chi == math.pi) if name == "closed" else chi == 0.0
-    assert np.count_nonzero(ends) == (2 if name == "closed" else 1)
+    ends = (chi == 0.0) | (chi == math.pi) if kind == "closed" else chi == 0.0
+    assert np.count_nonzero(ends) == (2 if kind == "closed" else 1)
     np.testing.assert_array_equal(rows[:, ends], phi[:, ends])
-    if name != "closed":
+    if kind != "closed":
         np.testing.assert_array_equal(rows[0], phi[0])
     rng = np.random.default_rng(5)
     b, amp = rng.standard_normal(chi.size), rng.standard_normal(k.size)
@@ -527,6 +524,22 @@ def test_factored_pass_matches_the_zonal_table(name):
                                   phi[np.argmax(np.abs(phi) @ np.abs(b))])
     inv = sft._zonal_pass(geom, k, chi, amp=amp)[1]
     np.testing.assert_array_less(np.abs(inv - amp @ phi), 1e-13 * (np.abs(amp) @ np.abs(phi)))
+
+
+@pytest.mark.parametrize("kind", ["open", "flat", "closed"])
+def test_spectral_nodes_grids_take_the_factors_at_any_number_of_radii(monkeypatch, kind):
+    # no radius count picks the route: the pass builds no zonal_spherical row
+    def no_table(*args):
+        raise AssertionError("the pass built zonal_spherical's rows")
+
+    monkeypatch.setattr(sft, "zonal_spherical", no_table)
+    geom = {"open": G_OPEN, "flat": G_FLAT, "closed": G_CLOSED}[kind]
+    k = sft.spectral_nodes(geom, 30.0, 50, 12, 599)[0]
+    for n in (0, 1, 2, 8, 20):
+        chi = np.linspace(0.0, 3.0, n)
+        fwd, inv = sft._zonal_pass(geom, k, chi, np.ones(n), 1.0, np.ones(k.size))
+        assert fwd.shape == k.shape and inv.shape == chi.shape
+        assert np.all(np.isfinite(fwd)) and np.all(np.isfinite(inv))
 
 
 def _random_monitor_case(seed):
@@ -556,21 +569,21 @@ def test_bounded_monitor_picks_the_full_tables_node(seed):
     # monitor raises that node's ConvergenceError, word for word
     prof, k = _random_monitor_case(seed)
     geom, chi = prof.geometry, prof.chi
-    periodic = specfun._zonal_factors(geom, *sft._scaled(geom, k, chi)) is not None
+    periodic = sft._zonal_factors(geom, *sft._scaled(geom, k, chi)) is not None
     assert periodic == (seed < 12)
     _check_monitor_node(prof, k)
 
 
 def test_bounded_monitor_on_fewer_radii_than_an_anchor_group():
     # a periodic Gauss-Legendre k grid of 600 nodes on 20 radii, fewer than the
-    # 24 rows of one anchor group, takes zonal_spherical's blocks; the profile
-    # is a narrow off-centre bump, and a wide one
+    # 24 rows of one anchor group, takes the angle-addition factors too; the
+    # profile is a narrow off-centre bump, and a wide one
     k = gauss_legendre_grid(0.0, 30.0, 50, 12)[0] + 2.5
     for geom in (G_OPEN, G_FLAT):
         for halfwidth in (0.3, 1.8):
             chi, w = gauss_legendre_grid(0.0, 4.0, 5, 4)
             prof = RadialProfile(geom, chi, bump_profile(chi, 3.0, halfwidth), w)
-            assert specfun._zonal_factors(geom, *sft._scaled(geom, k, chi)) is None
+            assert sft._zonal_factors(geom, *sft._scaled(geom, k, chi)) is not None
             _check_monitor_node(prof, k)
 
 

@@ -306,7 +306,9 @@ def cmd_estimate(args) -> int:
     k_max = scfg.k_max if cfg["analytic.k_max"] is None else cfg["analytic.k_max"]
     ana = analytic_correlation(geom, P, lags, k_max=k_max, panels=cfg["analytic.panels"],
                                omega_max=scfg.omega_max)    # checks analytic.* first
-    field = synthesize(geom, P, scfg, chi, np.full_like(chi, 0.5 * math.pi), np.zeros_like(chi))
+    # the law is the same on every ray; on the polar axis (theta = 0) the rows of every
+    # m but 0 are exact zeros, so the synthesis draws L + 1 modes, not (L + 1)^2
+    field = synthesize(geom, P, scfg, chi, np.zeros_like(chi), np.zeros_like(chi))
     est = estimate_correlation(field.values[:, 0], field.values[:, 1:])
     z = np.abs(est.mean - ana) / np.where(est.stderr > 0, est.stderr, np.inf)
     notes = [f"realizations: {est.n}", f"max |z|: {float(np.max(z)):.3f}"]

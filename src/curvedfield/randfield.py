@@ -32,8 +32,11 @@ The T_l overwrite the radial table.  m runs outermost, in blocks whose modes a_l
 matmul with T_l; per m, b_m = sum_l a_lm lambda_lm on the distinct (chi, theta)
 pairs, from the block's harmonic rows, is gathered times e^{i m phi}, so synthesis
 never holds all (L+1)^2 modes or every m's harmonics.  A block's draws (l loop)
-and b_m (m loop) take turns in one slot.  Real fields (xi_{l,-m} = (-1)^m
-conj(xi_lm)) are Re b_0 + 2 Re sum_{m>0} b_m e^{i m phi}.
+and b_m (m loop) take turns in one slot.  An m whose harmonic rows are exact
+zeros at every l and theta (on the polar axis every m but -s) is dead: no draw,
+product, b_m or gather, since each of its terms is a_lm times 0.  A block packs
+its live m into a; live modes keep their streams, so their draws keep every bit.
+Real fields (xi_{l,-m} = (-1)^m conj(xi_lm)) are Re b_0 + 2 Re sum_{m>0} b_m e^{i m phi}.
 On a tensor grid (phi_j = 2 pi j / n_phi on every (chi, theta) ring) b_m is added
 instead into a ring table in the gather's place, one column per filled phi slot
 (m mod n_phi); one product with e^{i m phi_j} after the last m makes the field.
@@ -313,11 +316,12 @@ def _synthesize_modes(T, ls, stream, s: int, theta_u, ci, ti, phi, shape, real: 
     """sum_lm a_lm(chi) sY_lm(theta, 0) e^{i m phi} at the points (its real part if
     real), shape (n_realizations,) + (ci * ti).shape, ci and ti indexing the
     distinct chi and theta_u: a_lm = eta_lm T[i] for l = ls[i] (ascending), eta
-    from stream (see mode_streams), m = -L..L or 0..L in blocks of nb (module
-    notes); b_m is formed over the chi x theta product if the pairs fill half of
-    it, else per pair, then folded into the ring table on a tensor grid, else
-    gathered (module notes).  One allocation holds the block's modes a (at most
-    max(_SLAB, len(ls) N n_chi) complex entries for N realizations), one slot for its
+    from stream (see mode_streams), m = -L..L or 0..L in blocks of nb, less each
+    dead m, whose computed rows are exactly 0 at every l and theta; b_m is formed
+    over the chi x theta product if the pairs fill half of it, else per pair, then
+    folded into the ring table on a tensor grid, else gathered (module notes).  One
+    allocation holds the block's modes a (at most max(_SLAB, len(ls) N n_chi) complex
+    entries for N realizations; a partly live block fills its front), one slot for its
     draws, then each m's b, and the gather or ring table (at most 2 N n_points, as is
     E): never (L+1)^2 N n_chi modes, nor a buffer trimmed and faulted back per call."""
     L, (N, n_chi), n_l, n_t = ls[-1], shape, len(ls), theta_u.size
@@ -342,20 +346,22 @@ def _synthesize_modes(T, ls, stream, s: int, theta_u, ci, ti, phi, shape, real: 
         g[...] = 0.0                    # the ring table starts empty
     nr = nb * max(1, _SLAB // max(1, n_l * nb * n_t))   # m per _spin_rows call: whole blocks
     for j0 in range(0, ms.size, nb):
-        mb = ms[j0:j0 + nb]
         if j0 % nr == 0:
             lam = _spin_rows(s, L, ms[j0:j0 + nr], theta_u)
             lam = lam if n_l > L else lam[ls]      # the rows of ls, if it skips an l
             if real:
                 lam[:, int(j0 == 0):] *= 2.0    # Re b_0 + 2 Re sum_{m>0} b_m e^{i m phi}
-        for i, l in enumerate(ls):
-            lo, hi = (min(max(x - mb[0], 0), mb.size) for x in (-l, l + 1))    # |m| <= l
-            a[i, :lo] = a[i, hi:] = 0.0
+            live = lam.any(axis=(0, 2))         # dead m: rows exactly 0 at every l and theta
+        jb = np.flatnonzero(live[j0 % nr:j0 % nr + nb])     # the block's live m, packed in a
+        mb = ms[j0 + jb]
+        lohi = np.searchsorted(mb, np.multiply.outer(ls, (-1, 1)) + (0, 1)).tolist()   # |m| <= l
+        for i, (l, (lo, hi)) in enumerate(zip(ls, lohi)):
+            a[i, :lo] = a[i, hi:mb.size] = 0.0
             if lo < hi:                 # T_l is read once per block that has modes at l
                 _draw_xi(stream, l, mb[lo:hi].tolist(), xi[lo:hi], real)
                 np.matmul(xi[lo:hi], T[i], out=a[i, lo:hi])
-        for j, m in enumerate(mb.tolist()):
-            lam_m = lam[:, j0 % nr + j]
+        for j, (jj, m) in enumerate(zip(jb.tolist(), mb.tolist())):
+            lam_m = lam[:, j0 % nr + jj]
             if grid:
                 np.matmul(a[:, j].reshape(n_l, -1).T, lam_m, out=b)
             else:
@@ -363,7 +369,7 @@ def _synthesize_modes(T, ls, stream, s: int, theta_u, ci, ti, phi, shape, real: 
                 for i in range(np.searchsorted(ls, abs(m)), n_l):
                     b += a[i, j][:, cp] * lam_m[i, tp]
             if ring:
-                g[:, (j0 + j) % n_s] += b.reshape(-1)     # column c = m - ms[0] mod n_s, slot ms[c]
+                g[:, (j0 + jj) % n_s] += b.reshape(-1)    # column c = m - ms[0] mod n_s, slot ms[c]
                 continue
             np.take(b.reshape(N, -1), pick, axis=1, out=g, mode="clip")
             g *= np.exp(1j * m * phi_u)[ip]

@@ -222,7 +222,11 @@ def test_scattered_points_match_per_mode_sum():
 
 
 def _synthesis_peak(geom, P, cfg, chi, theta, phi) -> int:
+    # one small synthesis first, so first-use imports (numpy.random and
+    # numpy.polynomial, about 1.4 MB) never count, whatever ran before; its one
+    # point is one ring, so it gathers nothing where a test forbids np.take
     import tracemalloc
+    synthesize(G_FLAT, GaussianBump(1.0, 3.0, 0.8), small_cfg(), [0.7], [1.2], [0.0])
     tracemalloc.start()
     try:
         synthesize(geom, P, cfg, chi, theta, phi)
@@ -248,12 +252,10 @@ def test_many_realizations_hold_one_m_of_modes(real):
 def test_draws_and_b_share_one_slot():
     # a block's draws (read in its l loop) and each m's b (in its m loop) take
     # turns in one slot: here one block holds every m, and the peak fell from
-    # 5.01 to 4.68 units; a first call loads numpy.random and numpy.polynomial
-    # before the measurement
+    # 5.01 to 4.68 units
     L, N, chi = 2, 4000, np.linspace(0.0, 2.0, 9)
     P, pts = GaussianBump(1.0, 3.0, 0.8), (chi, np.full(chi.size, 0.5 * math.pi), np.zeros(chi.size))
     cfg = SynthesisConfig(L_max=L, seed=1, k_max=8.0, k_panels=4, k_order=6, n_realizations=N)
-    synthesize(G_FLAT, P, SynthesisConfig(L_max=L, k_max=8.0), *pts)
     peak = _synthesis_peak(G_FLAT, P, cfg, *pts)
     unit = (L + 1) * N * chi.size * 16
     assert peak <= 4.8 * unit, peak / unit
@@ -599,9 +601,10 @@ class _UnitDraws:
     response to draw d, and sum_d f_d(x1) conj(f_d(x2)) is its covariance."""
 
     def __init__(self):
-        self.drawn = 0
+        self.drawn, self.modes = 0, []
 
     def __call__(self, l, m):
+        self.modes.append((l, m))
         return self
 
     def standard_normal(self, shape=None, out=None):
@@ -626,24 +629,19 @@ def _geodesic_chi(geom, p1, p2):
     return math.acos(min(1.0, math.cos(r1) * math.cos(r2) + math.sin(r1) * math.sin(r2) * cg)) / s
 
 
-@pytest.mark.parametrize("real", [True, False])
-@pytest.mark.parametrize("geom, P, spec, L, tol", [
-    # open: truncated in l at L = 18 to 2e-11; closed: rows l > omega_max vanish
+# open: truncated in l at L = 18 to 2e-11; closed: rows l > omega_max vanish
+EXACT_CASES = [
     (Geometry.open(-0.5), GaussianBump(1.0, 3.0, 0.8), dict(k_max=6.0, k_panels=4, k_order=8),
      18, 1e-9),
     (G_CLOSED, Tabulated(np.arange(1.0, 10.0), 1.0 / np.arange(1.0, 10.0) ** 2),
      dict(omega_max=8), 8, 1e-12),
-])
-def test_exact_covariance_off_origin(monkeypatch, geom, P, spec, L, tol, real):
-    # Every point is off the origin, at several polar and azimuthal
-    # separations, so every radial row l <= L, the QR factor, the harmonic
-    # table, the per-m phase and the real field's doubling enter.  This fails
-    # with rows 1 and 2 swapped, with the factor 2 of a real field dropped,
-    # and with the phase e^{i |m| phi}.  Negating every phase reflects the
-    # field, and no law can see a reflection.
-    pts = [(0.5, 0.7, 0.3), (1.1, 2.0, 2.6), (0.5, 1.4, -1.9), (1.1, 0.4, 5.0)]
+]
+
+
+def _exact_covariance(monkeypatch, geom, P, spec, L, tol, real, pts, n):
+    # the covariance of the synthesis map at pts, from n unit draws, against
+    # analytic_correlation at the geodesic distances; returns the modes drawn
     chi, theta, phi = (np.array(x) for x in zip(*pts))
-    n = 2 * (L + 1) ** 2 * (1 if real else 2)     # 2 radii < k-nodes: 2 draws per (l, m)
     draws = _UnitDraws()
     monkeypatch.setattr(randfield, "mode_streams", lambda seed: draws)
     cfg = SynthesisConfig(L_max=L, real=real, n_realizations=n, **spec)
@@ -654,6 +652,33 @@ def test_exact_covariance_off_origin(monkeypatch, geom, P, spec, L, tol, real):
     ref = analytic_correlation(geom, P, d, k_max=spec.get("k_max"), panels=spec.get("k_panels", 200),
                                order=spec.get("k_order", 12), omega_max=spec.get("omega_max"))
     np.testing.assert_allclose(cov, ref.reshape(cov.shape), rtol=0, atol=tol * np.max(np.abs(ref)))
+    return draws.modes
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("geom, P, spec, L, tol", EXACT_CASES)
+def test_exact_covariance_off_origin(monkeypatch, geom, P, spec, L, tol, real):
+    # Every point is off the origin, at several polar and azimuthal
+    # separations, so every radial row l <= L, the QR factor, the harmonic
+    # table, the per-m phase and the real field's doubling enter.  This fails
+    # with rows 1 and 2 swapped, with the factor 2 of a real field dropped,
+    # and with the phase e^{i |m| phi}.  Negating every phase reflects the
+    # field, and no law can see a reflection.
+    pts = [(0.5, 0.7, 0.3), (1.1, 2.0, 2.6), (0.5, 1.4, -1.9), (1.1, 0.4, 5.0)]
+    n = 2 * (L + 1) ** 2 * (1 if real else 2)     # 2 radii < k-nodes: 2 draws per (l, m)
+    _exact_covariance(monkeypatch, geom, P, spec, L, tol, real, pts, n)
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("geom, P, spec, L, tol", EXACT_CASES)
+def test_exact_covariance_on_polar_ray(monkeypatch, geom, P, spec, L, tol, real):
+    # The ray estimate samples: theta = 0 at the origin and two radii, at any
+    # phi.  The rows of every m but 0 are exact zeros there, so only the L + 1
+    # modes m = 0 are drawn, and they alone carry the law along the ray.
+    pts = [(0.0, 0.0, 0.0), (0.5, 0.0, 0.3), (1.1, 0.0, 2.6), (0.5, 0.0, -1.9)]
+    n = 3 * (L + 1) * (1 if real else 2)          # 3 radii < k-nodes: 3 draws per l
+    modes = _exact_covariance(monkeypatch, geom, P, spec, L, tol, real, pts, n)
+    assert modes == [(l, 0) for l in range(L + 1)]
 
 
 @pytest.mark.parametrize("real", [True, False])
@@ -780,3 +805,72 @@ def test_fine_rings_at_small_l_hold_no_n_phi_squared_table(chi, L):
             mp.setattr(np, "take", _no_gather)
         peak = _synthesis_peak(G_OPEN, GaussianBump(1.0, 2.0, 0.7), cfg, c, t, p)
     assert peak < 20 * 16 * c.size, peak / (16 * c.size)
+
+
+# ---------------------------------------------------------------------------
+# Dead m: harmonic rows that are exact zeros draw nothing
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("real", [True, False])
+def test_polar_axis_draws_only_m_0(monkeypatch, real):
+    # on the axis every row of m != 0 is an exact 0, so the synthesis draws the
+    # L + 1 modes m = 0 only; at the south pole those rows are about 1e-17, not
+    # 0, so there every mode is drawn
+    L, chi = 4, np.array([0.3, 0.8, 1.4])
+    for theta, ms in ((0.0, [0]), (math.pi, range(0 if real else -L, L + 1))):
+        modes = [(l, m) for m in ms for l in range(abs(m), L + 1)]
+        n = sum(3 * (1 if real and m == 0 else 2) for _, m in modes)
+        draws = _UnitDraws()
+        monkeypatch.setattr(randfield, "mode_streams", lambda seed: draws)
+        cfg = SynthesisConfig(L_max=L, real=real, n_realizations=n, k_max=6.0, k_panels=2, k_order=4)
+        synthesize(G_OPEN, GaussianBump(1.0, 2.0, 0.7), cfg, chi, np.full(3, theta), [0.0, 1.0, 2.0])
+        assert sorted(draws.modes) == sorted(modes) and draws.drawn == n
+
+
+def test_spin_polar_axis_draws_only_m_minus_s(monkeypatch):
+    # sY_lm(0, phi) is 0 unless m = -s: a spin-2 synthesis on the axis draws m = -2 alone
+    from curvedfield import spinfield
+    kernels = spinfield.separable_kernels(2, np.arange(2, 7), [0.0, 0.5, 1.2])
+    draws = _UnitDraws()
+    monkeypatch.setattr(spinfield, "mode_streams", lambda seed, tag, spin: draws)
+    n = 5 * 3 * 2                               # 5 multipoles, 3 shells, complex draws
+    spinfield.synthesize_spin(2, kernels, [0.0, 0.0], [0.0, 1.0], seed=1, n_realizations=n)
+    assert draws.modes == [(l, -2) for l in range(2, 7)] and draws.drawn == n
+
+
+def test_polar_axis_matches_all_live_synthesis(monkeypatch):
+    # One extra point off the axis, at an existing chi, makes every m live; it
+    # leaves the distinct chi, so the draws of m = -s and T_l, unchanged.  The
+    # axis values agree with it within 1e-13 of the rms, and draw m = -s alone.
+    from curvedfield import spinfield
+    chi = np.array([0.0, 0.4, 1.1, 1.7])
+    kernels = spinfield.separable_kernels(2, np.arange(2, 15), chi)
+    P, streams, drawn = GaussianBump(1.0, 3.0, 0.8), mode_streams, set()
+
+    def recorded(*args, **kwargs):
+        stream = streams(*args, **kwargs)
+        return lambda l, m: (drawn.add(m), stream(l, m))[1]
+    monkeypatch.setattr(randfield, "mode_streams", recorded)
+    monkeypatch.setattr(spinfield, "mode_streams", recorded)
+
+    def scalar(real, theta, phi):       # chi times the (theta, phi) directions, as spin
+        cfg = SynthesisConfig(L_max=8, seed=4, k_max=6.0, k_panels=2, k_order=6,
+                              n_realizations=3, real=real)
+        pts = np.repeat(chi, theta.size), np.tile(theta, chi.size), np.tile(phi, chi.size)
+        return synthesize(G_OPEN, P, cfg, *pts).values.reshape(3, chi.size, -1)
+
+    def spin(theta, phi):
+        return spinfield.synthesize_spin(2, kernels, theta, phi, seed=4, n_realizations=2).values
+
+    axis = np.zeros(8), np.arange(8) * 2.0 * math.pi / 8     # one ring per chi: the ring path
+    for run, s in [(functools.partial(scalar, True), 0), (functools.partial(scalar, False), 0),
+                   (spin, 2)]:
+        drawn.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "take", _no_gather)
+            on_axis = run(*axis)
+        assert drawn == {-s}
+        live = run(*(np.append(x, y) for x, y in zip(axis, (0.9, 0.123))))[..., :-1]
+        assert len(drawn) > 1
+        rms = np.sqrt(np.mean(np.abs(live) ** 2))
+        assert np.max(np.abs(on_axis - live)) <= 1e-13 * rms

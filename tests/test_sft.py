@@ -401,8 +401,8 @@ def test_single_row_blocks_match_per_k_loop(monkeypatch):
 @pytest.mark.parametrize("name", BLOCKED)
 def test_periodic_k_grids_build_blocks_by_angle_addition(monkeypatch, name):
     # zonal_spherical sees no row: the arguments are checked without one, and no block
-    rows, table = [], specfun.zonal_spherical
-    monkeypatch.setattr(specfun, "zonal_spherical",
+    rows, table = [], sft.zonal_spherical
+    monkeypatch.setattr(sft, "zonal_spherical",
                         lambda g, w, r: (rows.append(np.size(w)), table(g, w, r))[1])
     geom, chi, prof, k = blocked_setup(name, 2 * ROWS + 1)
     forward_isotropic(prof, k, tail_tol=None)

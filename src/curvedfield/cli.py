@@ -52,7 +52,7 @@ def _provenance(args, raw) -> list[str]:
 def _write_table(args, raw, columns: dict[str, np.ndarray], notes=()):
     lines = _provenance(args, raw) + [f"# {n}" for n in notes]
     lines.append(",".join(columns))
-    # one %-format pass per row prints real values exactly as f"{v:.17g}";
+    # one %-format over the whole table prints real values exactly as f"{v:.17g}";
     # %-formatting has no complex conversion, so complex columns (estimates
     # of a complex field) are formatted up front
     cols, fmts = [], []
@@ -64,9 +64,8 @@ def _write_table(args, raw, columns: dict[str, np.ndarray], notes=()):
         else:
             cols.append(v.tolist())
             fmts.append("%.17g")
-    row_fmt = ",".join(fmts)
-    lines.extend(row_fmt % row for row in zip(*cols))
-    text = "\n".join(lines) + "\n"
+    cells = tuple([x for row in zip(*cols) for x in row])
+    text = "\n".join(lines) + "\n" + (",".join(fmts) + "\n") * (len(cells) // len(fmts)) % cells
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -376,7 +376,8 @@ def _synthesize_modes(T, ls, stream, s: int, theta_u, ci, ti, phi, shape, real: 
             out += g.real if real else g
     if ring:                            # field = table E, E_cj = e^{i ms[c] phi_j} = e^{i phi_(ms[c] j mod n_f)}
         f = g if n_f == 1 else g @ np.exp(1j * phi_u)[np.outer(ms[:n_s], np.arange(n_f)) % n_f]
-        out[...] = (f.real if real else f).reshape(N, -1)[:, pick * n_f + ip]
+        f, c = (f.real if real else f).reshape(N, -1), (pick * n_f + ip).ravel()
+        out[...] = (f if np.array_equal(c, np.arange(f.shape[1])) else f[:, c]).reshape(out.shape)
     return out
 
 

@@ -39,9 +39,11 @@ panel (Gauss-Legendre panels, the closed lattice), so by angle addition the tabl
 factors through the sines and cosines of about 2 sqrt(n) anchors and offsets per
 chi (_zonal_factors), at any number of radii, and each product with it is two
 BLAS-3 products, a few ulps from a per-k loop.  Only a k grid that repeats fewer
-than 4 times takes zonal_spherical's row blocks.  forward_isotropic and
-roundtrip_isotropic share one driver (_transform); the roundtrip builds the factors
-once, with the same bits as forward_isotropic followed by inverse_isotropic.
+than 4 times takes zonal_spherical's row blocks.  Radii that repeat by the same rule
+(_period) need those sines at about 2 sqrt(n_chi) radii, other radii (closed past
+pi/2, scattered lags) at each; each axis moves an argument by <= 4 eps max(a) max(r).
+forward_isotropic and roundtrip_isotropic share one driver (_transform); the roundtrip
+builds the factors once, with the bits of forward_isotropic then inverse_isotropic.
 """
 from __future__ import annotations
 
@@ -207,31 +209,50 @@ def _check_tail(contrib: np.ndarray, tol: float | None, what: str):
             f"(tolerance {tol:.0e}); extend or refine the grid")
 
 
+def _period(x: np.ndarray):
+    """s = G max(1, round(sqrt(n)/G)) for the least period G <= n/4: x[i+G] - x[i] = x[G] - x[0],
+    if x[qs+h] = x[qs] + x[h] - x[0] for every qs+h < n, all within 4 eps max(x); else None."""
+    n, tol = x.size, 4.0 * np.finfo(float).eps * x.max(initial=0.0)
+    g = np.arange(1, n // 4 + 1)                  # i = g and n-1-g first: one vector test
+    d = x[g] - x[:1]
+    g = g[(np.abs(x[2 * g] - x[g] - d) <= tol) & (np.abs(x[-1:] - x[n - 1 - g] - d) <= tol)]
+    for G in (g for g in g.tolist() if np.all(np.abs(x[g:] - x[:-g] - (x[g] - x[0])) <= tol)):
+        h = np.arange(n) % (s := G * max(1, round(math.sqrt(n) / G)))     # the least G only
+        return s if np.all(np.abs(x - x[np.arange(n) - h] - (x[h] - x[0])) <= tol) else None
+    return None
+
+
 def _zonal_factors(geom: Geometry, omega: np.ndarray, r: np.ndarray):
     """Angle-addition factors of zonal_spherical's table Phi_omega(r), or None.
 
-    omega (increasing) and r are 1-d.  Let a = omega (omega+1 closed), G <= n/4 the
-    smallest period with a[i+G] - a[i] = a[G] - a[0] within 4 eps max(a), and s the
-    multiple of G nearest sqrt(n).  Off the origin row ps + g is (sa[p] cd[g] + ca[p] sd[g])
-    / a, with sa, ca = sin, cos(a[ps] r)/f(r), sd, cd = sin, cos((a[g] - a[0]) r) and
-    the closed sign (-1)^omega past pi/2 folded in: sin(a' r), |a' - a| within the
-    tolerance.  Returns (s, sa, ca, sd, cd, 1/a, r/f, origin, refl, (-1)^omega),
-    0 for 1/0; None only without such a period.  The caller checks omega and r."""
+    omega (increasing) and r are 1-d.  Let a = omega (omega+1 closed) and s = _period(a).
+    Off the origin row ps + g is (sa[p] cd[g] + ca[p] sd[g]) / a, with sa, ca = sin,
+    cos(a[ps] r)/f(r), sd, cd = sin, cos((a[g] - a[0]) r) and the closed sign (-1)^omega
+    past pi/2 folded in: sin(a' r), |a' - a| <= 4 eps max(a).  If the folded r repeats
+    (t = _period(r)), their sines and cosines at r[qt] and at r[h] - r[0] give those at r'
+    = r[qt] + r[h] - r[0] by angle addition, |r' - r| <= 4 eps max(r); other radii (closed
+    past pi/2, scattered lags) take them directly.  Returns
+    (s, sa, ca, sd, cd, 1/a, r/f, origin, refl, (-1)^omega), 0 for 1/0; None only without a
+    period of a.  The caller checks omega and r."""
     closed = geom.kind is Kind.CLOSED
-    a, n = omega + 1.0 if closed else omega, omega.size
-    tol = 4.0 * np.finfo(float).eps * a[-1]
-    G = next((g for g in range(1, n // 4 + 1)     # i = g first: one scalar test
-              if abs(a[2 * g] - a[g] - (a[g] - a[0])) <= tol
-              and np.all(np.abs(a[g:] - a[:-g] - (a[g] - a[0])) <= tol)), None)
-    if G is None:
+    a = omega + 1.0 if closed else omega
+    if (s := _period(a)) is None:
         return None
-    s = G * max(1, round(math.sqrt(n) / G))
     r, refl, origin, scale = _fold(geom.kind, r)
     inv_f = np.divide(scale, r, out=np.zeros_like(r), where=~origin)   # 1/f(r), 0 at the origin
     par = np.where(closed & (omega % 2 == 1), -1.0, 1.0)     # = (-1)^omega[ps] (-1)^d_g
-    sp, sg = (np.where(refl, q[:, None], 1.0) for q in (par[::s], par[:s] * par[0]))
-    sa, ca = (np.sin(x := np.multiply.outer(a[::s], r)) * inv_f * sp, np.cos(x) * inv_f * sp)
-    sd, cd = (np.sin(x := np.multiply.outer(a[:s] - a[0], r)) * sg, np.cos(x) * sg)
+    u = np.concatenate([a[::s], a[:s] - a[0]])    # the rows of sa (ca), then of sd (cd)
+    if (t := _period(r)) is None:
+        sn, cs = np.sin(x := np.multiply.outer(u, r)), np.cos(x)
+    else:                                         # (sin, cos)(u r[qt]) times the rotation by u r[h]
+        sq, cq = np.sin(x := np.multiply.outer(u, r[::t])), np.cos(x)
+        sh, ch = np.sin(x := np.multiply.outer(u, r[:t] - r[0])), np.cos(x)
+        sn, cs = ((np.stack([sq, cq], 2) @ np.stack(v, 1)).reshape(u.size, -1)[:, :r.size]
+                  for v in ((ch, sh), (-sh, ch)))
+    for v in (sn, cs):                            # in place: sa (ca) times 1/f(r), then the
+        v[:-s] *= inv_f                           # closed signs on reflected radii only
+        v[:, refl] *= np.concatenate([par[::s], par[:s] * par[0]])[:, None]
+    sa, ca, sd, cd = sn[:-s], cs[:-s], sn[-s:], cs[-s:]
     inv_a = np.divide(1.0, a, out=np.zeros_like(a), where=a > 0.0)
     return s, sa, ca, sd, cd, inv_a, scale, origin, refl, par
 

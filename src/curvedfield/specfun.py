@@ -6,7 +6,7 @@ All harmonic values come from one three-term recurrence in l for the Wigner
 d^l_{mn}(theta), seeded at l = max(|m|, |n|) by its one-term closed form and
 vectorised over m: _spin_rows scales the rows at n = -s to sY_lm for every
 spin caller, and `wigner_d` takes one m at any n.  It has no alternating
-sum to cancel: d^l_{m0} stays within 5e-14 of scipy through the public
+sum to cancel: d^l_{m0} stays within 5.4e-14 of scipy through the public
 ceiling l <= HARMONIC_L_MAX = 128.
 
 Radial eigenfunctions R_kl solve

@@ -468,7 +468,7 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command):
 
 
 def test_csv_rows_match_per_value_formatting(tmp_path):
-    # the one-pass row format must print what f"{v:.17g}" printed per value
+    # the one-pass table format must print what f"{v:.17g}" printed per value
     special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
                         1e-310, 0.1, 1.0 / 3.0, -2.5e-17, 1e16, 12345678901234567.0,
                         1.7976931348623157e308, 123456789.12345678, -1.0000000000000002])
@@ -483,6 +483,10 @@ def test_csv_rows_match_per_value_formatting(tmp_path):
               "# note", "a,b,n,c"]
     expect += [",".join(f"{v:.17g}" for v in row) for row in zip(*columns.values())]
     assert out.read_text(encoding="utf-8") == "\n".join(expect) + "\n"
+    # a table without rows is its header alone
+    _write_table(argparse.Namespace(out=str(out), command="test"), {"x": "1"},
+                 {"a": special[:0], "c": cplx[:0]})
+    assert out.read_text(encoding="utf-8") == "\n".join(expect[:2] + ["a,c"]) + "\n"
 
 
 def test_version_and_usage_exit_codes(capsys):

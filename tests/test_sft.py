@@ -320,7 +320,9 @@ def blocked_setup(name, n_k):
 
     "open-gl" and "flat-gl" take composite Gauss-Legendre k nodes, the kind
     spectral_nodes makes, shifted so that the first is k = 0; "-few" takes
-    them too (closed: the lattice) on 20 radii."""
+    them too (closed: the lattice) on 20 radii; "-glchi" too, on 83 x 12
+    Gauss-Legendre radii shifted to start at 0; "-rand" too, on sorted
+    random radii from 0, which do not repeat."""
     kind, _, grid = name.partition("-")
     geom = {"open": G_OPEN, "flat": G_FLAT, "closed": G_CLOSED}[kind]
     if kind == "closed":
@@ -329,6 +331,12 @@ def blocked_setup(name, n_k):
     else:
         chi = np.linspace(0.0, 4.0, 20 if grid == "few" else N_CHI)
         k = np.linspace(0.0, 30.0, n_k)
+    if grid == "glchi":
+        chi = gauss_legendre_grid(0.0, 4.0, 83, 12)[0]
+        chi -= chi[0]
+    elif grid == "rand":
+        chi = np.sort(np.random.default_rng(3).uniform(0.0, 4.0, N_CHI))
+        chi[0] = 0.0
     if grid and kind != "closed":
         k = gauss_legendre_grid(0.0, 30.0, -(-n_k // 12), 12)[0][:n_k]
         k -= k[0]
@@ -498,16 +506,24 @@ def test_roundtrip_builds_each_block_once(monkeypatch, name):
         assert tables == [sft._SEED_ROWS] * monitor
 
 
-@pytest.mark.parametrize("name", BLOCKED + ["open-few", "flat-few", "closed-few"])
+@pytest.mark.parametrize("name", BLOCKED + ["open-few", "flat-few", "closed-few", "open-glchi",
+                                  "flat-glchi", "open-rand", "flat-rand"])
 def test_factored_pass_matches_the_zonal_table(name):
     # chi from 0 (closed: through the antipode pi, where Phi = (-1)^omega) and k
     # from 0 (open, flat: Phi_0 = r/f(r)), the factors' exact rows and columns;
     # base is not 0 at the antipode, as a profile's w f S is; the factors' rows
     # are the pass's products e_q @ Phi with the unit vectors.  "-few": 600
-    # nodes on 20 radii, fewer than the 24 rows of one anchor group
+    # nodes on 20 radii, fewer than the 24 rows of one anchor group.  Open and
+    # flat radii that repeat (linspace, "-glchi": 996 radii, the last block of 36
+    # partial) take the sines at about 2 sqrt(n_chi) radii; "-rand" and the
+    # closed radii folded past pi/2 take them directly
     kind, _, grid = name.partition("-")
     geom, chi, prof, k = blocked_setup(name, 600 if grid == "few" else 2 * ROWS + 1)
-    assert sft._zonal_factors(geom, *sft._scaled(geom, k, chi)) is not None
+    omega, r = sft._scaled(geom, k, chi)
+    assert sft._zonal_factors(geom, omega, r) is not None
+    t = sft._period(specfun._fold(geom.kind, r)[0])
+    assert (t is not None) == (kind != "closed" and grid != "rand")
+    assert grid != "glchi" or (t, chi.size % t) == (36, 24)
     phi = zonal_kernel(geom, k, chi)
     rows = np.array([sft._zonal_pass(geom, k, chi, amp=e)[1] for e in np.eye(k.size)])
     assert np.max(np.abs(rows - phi)) < 1e-13
@@ -524,6 +540,30 @@ def test_factored_pass_matches_the_zonal_table(name):
                                   phi[np.argmax(np.abs(phi) @ np.abs(b))])
     inv = sft._zonal_pass(geom, k, chi, amp=amp)[1]
     np.testing.assert_array_less(np.abs(inv - amp @ phi), 1e-13 * (np.abs(amp) @ np.abs(phi)))
+
+
+def test_radius_period():
+    # the one period rule of both axes: Gauss-Legendre panels and linspace repeat,
+    # and then every x[qt + h] is x[qt] + x[h] - x[0] within 4 eps max(x)
+    for x, t in ((gauss_legendre_grid(0.0, 4.5, 85, 12)[0], 36),
+                 (gauss_legendre_grid(0.0, 4.0, 83, 12)[0], 36),
+                 (gauss_legendre_grid(0.0, 30.0, 50, 12)[0] + 2.5, 24),
+                 (np.linspace(0.0, 4.0, 600), 24), (np.linspace(0.25, 2.0, 8), 3)):
+        assert sft._period(x) == t
+        h = np.arange(x.size) % t
+        assert np.max(np.abs(x - x[np.arange(x.size) - h] - (x[h] - x[0]))) <= \
+            4.0 * np.finfo(float).eps * x.max()
+    # one node moved by 1e-12 of the span, scattered radii, too few radii, and a
+    # spacing that drifts by less than the tolerance per step but more than it
+    # over a block: no period
+    x = gauss_legendre_grid(0.0, 4.0, 83, 12)[0]
+    x[500] += 4e-12
+    i = np.arange(900.0)
+    for x in (x, np.sort(np.random.default_rng(3).uniform(0.0, 4.0, 600)),
+              np.array([0.1, 0.3, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0]), np.array([]),
+              np.linspace(0.0, 1.0, 3), i + 3e-16 * i * i):
+        assert sft._period(x) is None
+    assert sft._period(i) == 30
 
 
 @pytest.mark.parametrize("kind", ["open", "flat", "closed"])

@@ -37,6 +37,8 @@ zeros at every l and theta (on the polar axis every m but -s) is dead: no draw,
 product, b_m or gather, since each of its terms is a_lm times 0.  A block packs
 its live m into a; live modes keep their streams, so their draws keep every bit.
 Real fields (xi_{l,-m} = (-1)^m conj(xi_lm)) are Re b_0 + 2 Re sum_{m>0} b_m e^{i m phi}.
+Their xi_l0 are real: m = 0 is drawn, multiplied and summed in float64 (same streams;
+within 1.6e-15 of the rms of complex sums), and with no other m live nothing complex is allocated.
 On a tensor grid (phi_j = 2 pi j / n_phi on every (chi, theta) ring) b_m is added
 instead into a ring table in the gather's place, one column per filled phi slot
 (m mod n_phi); one product with e^{i m phi_j} after the last m makes the field.
@@ -266,14 +268,13 @@ def mode_streams(seed: int, tag: int = _SCALAR_TAG, spin: int = 0):
     return stream
 
 
-def _draw_xi(stream, l: int, ms: list[int], out: np.ndarray, real: bool):
-    """Standard complex Gaussians xi_lm into out[j] for m = ms[j] (a real field's m = 0: real)."""
-    j0 = int(real and ms[0] == 0)       # m = 0 comes first if it is there
-    if j0:
-        out[0] = stream(l, 0).standard_normal(out.shape[1:])
-    for m, row in zip(ms[j0:], out.view(float)[j0:]):    # real and imaginary parts interleaved
+def _draw_xi(stream, l: int, ms: list[int], out: np.ndarray):
+    """Standard Gaussians xi_lm into out[j] for m = ms[j], each by its stream's
+    standard_normal(out=): complex (parts of variance 1/2) if out is, else real."""
+    for m, row in zip(ms, out.view(float)):    # real and imaginary parts interleaved
         stream(l, m).standard_normal(out=row)
-    out[j0:] /= math.sqrt(2.0)
+    if out.dtype.kind == "c":
+        out /= math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -314,60 +315,79 @@ def _points(theta, phi, *more):
 
 def _synthesize_modes(T, ls, stream, s: int, theta_u, ci, ti, phi, shape, real: bool) -> np.ndarray:
     """sum_lm a_lm(chi) sY_lm(theta, 0) e^{i m phi} at the points (its real part if
-    real), shape (n_realizations,) + (ci * ti).shape, ci and ti indexing the
-    distinct chi and theta_u: a_lm = eta_lm T[i] for l = ls[i] (ascending), eta
-    from stream (see mode_streams), m = -L..L or 0..L in blocks of nb, less each
-    dead m, whose computed rows are exactly 0 at every l and theta; b_m is formed
-    over the chi x theta product if the pairs fill half of it, else per pair, then
-    folded into the ring table on a tensor grid, else gathered (module notes).  One
-    allocation holds the block's modes a (at most max(_SLAB, len(ls) N n_chi) complex
-    entries for N realizations; a partly live block fills its front), one slot for its
-    draws, then each m's b, and the gather or ring table (at most 2 N n_points, as is
-    E): never (L+1)^2 N n_chi modes, nor a buffer trimmed and faulted back per call."""
+    real), shape (n_realizations,) + (ci * ti).shape, ci and ti indexing the distinct
+    chi and theta_u: a_lm = eta_lm T[i] for l = ls[i] (ascending), eta from stream
+    (mode_streams), m = -L..L or 0..L in blocks of nb, less each dead m (computed rows
+    exactly 0 at every l and theta); b_m is formed over the chi x theta product if the
+    pairs fill half of it, else per pair, then folded into the ring table on a tensor
+    grid, else gathered (module notes).  One allocation holds the block's modes a (at
+    most max(_SLAB, len(ls) N n_chi) complex entries for N realizations; a partly live
+    block fills its front), one slot for its draws, then each m's b, and the gather or
+    ring table (at most 2 N n_points, as is E): never (L+1)^2 N n_chi modes, nor a
+    buffer trimmed and faulted back per call.  A real field's m = 0 runs first in the
+    float64 fronts of a and the slot; if no other m is live, the allocation is float64."""
     L, (N, n_chi), n_l, n_t = ls[-1], shape, len(ls), theta_u.size
     pairs, pick = np.unique(ci * n_t + ti, return_inverse=True)
     grid = 2 * pairs.size >= n_chi * n_t          # b over chi x theta, else per pair
     pick = (pairs[pick] if grid else pick).reshape(np.broadcast(ci, ti).shape)
     cp, tp = np.divmod(pairs, n_t)
     ms = np.arange(0 if real else -L, L + 1)
+    nb = min(ms.size, max(1, _SLAB // max(1, n_l * N * n_chi)))
+    nr = nb * max(1, _SLAB // max(1, n_l * nb * n_t))   # m per _spin_rows call: whole blocks
+
+    def rows(j0):                       # the harmonic rows of ms[j0:j0 + nr], and which m are live
+        lam = _spin_rows(s, L, ms[j0:j0 + nr], theta_u)[slice(None) if n_l > L else ls]  # ls may skip an l
+        if real:
+            lam[:, int(j0 == 0):] *= 2.0    # Re b_0 + 2 Re sum_{m>0} b_m e^{i m phi}
+        return lam, lam.any(axis=(0, 2))    # dead m: rows exactly 0 at every l and theta
+
+    def contract(am, lam_m, b, m):      # b_m = sum_l a_lm lam_m[l], on the pairs
+        if grid:
+            return np.matmul(am.reshape(n_l, -1).T, lam_m, out=b)
+        b[...] = 0.0                    # rows l < |m| would only add exact zeros to this +0
+        for i in range(np.searchsorted(ls, abs(m)), n_l):
+            b += am[i][:, cp] * lam_m[i, tp]
+        return b
+    lam, live = rows(0)
+    cx = not real or nr < ms.size or live[1:].any()     # a complex mode may be live
     phi_u, ip = np.unique(phi, return_inverse=True)
     n_f, n_s = phi_u.size, min(phi_u.size, ms.size)    # n_s ring table columns: the filled phi slots
-    ring = grid and 0 < n_chi * n_t * n_f <= 2 * pick.size and n_s <= N * n_chi * n_t  # E <= field
+    ring = cx and grid and 0 < n_chi * n_t * n_f <= 2 * pick.size and n_s <= N * n_chi * n_t  # E <= field
     ring = ring and np.max(np.abs(phi_u - np.arange(n_f) * (2 * math.pi / n_f))) <= 4e-15   # 4.5 ulp
-    nb = min(ms.size, max(1, _SLAB // max(1, n_l * N * n_chi)))
-    shapes = [(n_l, nb) + shape, (nb, N, T.shape[1]), (N * n_chi, n_t) if grid else (N, pairs.size),
-              (N * n_chi * n_t, n_s) if ring else (N,) + pick.shape]
+    shapes = [(n_l, nb if cx else 1) + shape, (nb if cx else 1, N, T.shape[1]), (N * n_chi, n_t) if grid
+              else (N, pairs.size), ((N * n_chi * n_t, n_s) if ring else (N,) + pick.shape) if cx else (0,)]
     n = [math.prod(x) for x in shapes]
     at = [0, n[0], n[0], n[0] + max(n[1], n[2])]      # xi and b share one slot
-    buf = np.empty(at[3] + n[3], complex)
+    buf = np.empty(at[3] + n[3], complex if cx else float)
     a, xi, b, g = (buf[i:i + m].reshape(x) for i, m, x in zip(at, n, shapes))
     out = np.zeros((N,) + pick.shape, dtype=float if real else complex)
     if ring:
         g[...] = 0.0                    # the ring table starts empty
-    nr = nb * max(1, _SLAB // max(1, n_l * nb * n_t))   # m per _spin_rows call: whole blocks
     for j0 in range(0, ms.size, nb):
-        if j0 % nr == 0:
-            lam = _spin_rows(s, L, ms[j0:j0 + nr], theta_u)
-            lam = lam if n_l > L else lam[ls]      # the rows of ls, if it skips an l
-            if real:
-                lam[:, int(j0 == 0):] *= 2.0    # Re b_0 + 2 Re sum_{m>0} b_m e^{i m phi}
-            live = lam.any(axis=(0, 2))         # dead m: rows exactly 0 at every l and theta
+        if j0 and j0 % nr == 0:
+            lam, live = rows(j0)
+        if real and j0 == 0:            # a real field's m = 0: float64 fronts of a and the slot
+            a0, x0, b0 = (x.reshape(-1).view(float)[:math.prod(sh)].reshape(sh) for x, sh in
+                          ((a, (n_l,) + shape), (xi, (1, N, T.shape[1])), (b, b.shape)))
+            for i, l in enumerate(ls):
+                _draw_xi(stream, l, [0], x0)
+                np.matmul(x0[0], T[i], out=a0[i])
+            b0, live[0] = contract(a0, lam[:, 0], b0, 0).reshape(N, -1), False    # out of the block
+            if ring:                    # b_0 takes the ring table's slot 0, else is added once
+                g[:, 0] += b0.reshape(-1)
+            else:                       # a plain add where the gather is the identity
+                same = np.array_equal(pick.ravel(), np.arange(b0.shape[1]))
+                out += (b0 if same else b0[:, pick]).reshape(out.shape)
         jb = np.flatnonzero(live[j0 % nr:j0 % nr + nb])     # the block's live m, packed in a
         mb = ms[j0 + jb]
         lohi = np.searchsorted(mb, np.multiply.outer(ls, (-1, 1)) + (0, 1)).tolist()   # |m| <= l
         for i, (l, (lo, hi)) in enumerate(zip(ls, lohi)):
             a[i, :lo] = a[i, hi:mb.size] = 0.0
             if lo < hi:                 # T_l is read once per block that has modes at l
-                _draw_xi(stream, l, mb[lo:hi].tolist(), xi[lo:hi], real)
+                _draw_xi(stream, l, mb[lo:hi].tolist(), xi[lo:hi])
                 np.matmul(xi[lo:hi], T[i], out=a[i, lo:hi])
         for j, (jj, m) in enumerate(zip(jb.tolist(), mb.tolist())):
-            lam_m = lam[:, j0 % nr + jj]
-            if grid:
-                np.matmul(a[:, j].reshape(n_l, -1).T, lam_m, out=b)
-            else:
-                b[...] = 0.0            # rows l < |m| would only add exact zeros to this +0
-                for i in range(np.searchsorted(ls, abs(m)), n_l):
-                    b += a[i, j][:, cp] * lam_m[i, tp]
+            contract(a[:, j], lam[:, j0 % nr + jj], b, m)
             if ring:
                 g[:, (j0 + jj) % n_s] += b.reshape(-1)    # column c = m - ms[0] mod n_s, slot ms[c]
                 continue
@@ -446,9 +466,9 @@ def estimate_correlation(ref, lagged) -> CorrelationEstimate:
     if ref.ndim != 1 or lagged.shape[0] != ref.shape[0] or ref.shape[0] < 2:
         raise DomainError("need ref (N,), lagged (N, L) with N >= 2")
     n = ref.shape[0]
-    prod = ref[:, None] * np.conj(lagged)
-    if not np.iscomplexobj(ref) and not np.iscomplexobj(lagged):
-        prod = prod.real
+    prod = ref[:, None] * (np.conj(lagged) if np.iscomplexobj(lagged) else lagged)
     mean = prod.mean(axis=0)
-    var = np.sum(np.abs(prod - mean) ** 2, axis=0) / (n * (n - 1))
+    prod = (np.square(np.subtract(prod, mean, out=prod), out=prod) if prod.dtype.kind == "f"
+            else np.abs(prod - mean) ** 2)      # real: centred and squared in place, same bits
+    var = np.sum(prod, axis=0) / (n * (n - 1))
     return CorrelationEstimate(mean, np.sqrt(var), n)

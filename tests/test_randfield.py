@@ -874,3 +874,103 @@ def test_polar_axis_matches_all_live_synthesis(monkeypatch):
         assert len(drawn) > 1
         rms = np.sqrt(np.mean(np.abs(live) ** 2))
         assert np.max(np.abs(on_axis - live)) <= 1e-13 * rms
+
+
+# ---------------------------------------------------------------------------
+# A real field's m = 0 in float64
+# ---------------------------------------------------------------------------
+
+def test_real_polar_ray_allocates_nothing_complex():
+    # On the polar ray every m > 0 is dead, so a real field's synthesis is its
+    # m = 0 alone: float64 draws, products and b_0, with no complex block, ring
+    # table or phase product.  Its peak was 4.01 float units with m = 0 carried
+    # in complex storage; it reads 1.67 here.
+    L, N, chi = 2, 10000, np.linspace(0.0, 2.0, 9)
+    cfg = SynthesisConfig(L_max=L, seed=1, k_max=8.0, k_panels=4, k_order=6, n_realizations=N)
+    peak = _synthesis_peak(G_FLAT, GaussianBump(1.0, 3.0, 0.8), cfg, chi,
+                           np.zeros(chi.size), np.zeros(chi.size))
+    unit = (L + 1) * N * chi.size * 8
+    assert peak <= 2.5 * unit, peak / unit
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_live_draws_are_mode_rng_bit_for_bit(monkeypatch, real):
+    # A real field's m = 0 is drawn into a float64 slot and every other m into a
+    # complex one, each by standard_normal(out=): the normals of every live mode
+    # are those of mode_rng(seed, l, m), on a grid where every m is live.
+    seen, draw = [], randfield._draw_xi
+
+    def recorded(stream, l, ms, out):
+        draw(stream, l, ms, out)
+        seen.extend((l, m, x.copy()) for m, x in zip(ms, out))
+    monkeypatch.setattr(randfield, "_draw_xi", recorded)
+    L, seed = 3, 5
+    cfg = SynthesisConfig(L_max=L, seed=seed, k_max=6.0, k_panels=2, k_order=4,
+                          n_realizations=3, real=real)
+    synthesize(G_OPEN, GaussianBump(1.0, 2.0, 0.7), cfg, *_tensor_points(np.array([0.4, 0.9]), 3, 4))
+    assert sorted((l, m) for l, m, _ in seen) == [
+        (l, m) for l in range(L + 1) for m in range(0 if real else -l, l + 1)]
+    for l, m, x in seen:
+        rng = mode_rng(seed, l, m)
+        if x.dtype.kind == "f":
+            assert real and m == 0
+            ref = rng.standard_normal(x.shape)
+        else:
+            ref = rng.standard_normal(x.shape[:-1] + (2 * x.shape[-1],)).view(complex) / math.sqrt(2.0)
+        assert np.array_equal(x, ref), (l, m)
+
+
+def test_estimate_correlation_real_in_place_keeps_the_bits():
+    # Real inputs are centred and squared in place: mean and stderr are those of
+    # the formula with conj and |.|^2 temporaries, bit for bit, and the inputs,
+    # a strided view as cmd_estimate passes it, come back unmodified.
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal((12000, 9))
+    kept = values.copy()
+    ref, lagged = values[:, 0], values[:, 1:]
+    n, est = ref.size, estimate_correlation(ref, lagged)
+    prod = ref[:, None] * np.conj(lagged)
+    mean = prod.mean(axis=0)
+    stderr = np.sqrt(np.sum(np.abs(prod - mean) ** 2, axis=0) / (n * (n - 1)))
+    assert np.array_equal(est.mean, mean) and np.array_equal(est.stderr, stderr)
+    assert np.array_equal(values, kept) and not np.iscomplexobj(est.mean)
+    # complex inputs keep that formula, and their bits
+    zref, zlag = ref + 1j * values[:, 1], lagged - 0.5j * values[:, :8]
+    est = estimate_correlation(zref, zlag)
+    prod = zref[:, None] * np.conj(zlag)
+    mean = prod.mean(axis=0)
+    stderr = np.sqrt(np.sum(np.abs(prod - mean) ** 2, axis=0) / (n * (n - 1)))
+    assert np.array_equal(est.mean, mean) and np.array_equal(est.stderr, stderr)
+    assert np.array_equal(values, kept)
+
+
+# ---------------------------------------------------------------------------
+# The flat limit: open payloads tend to the flat payload linearly in K
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("where", ["grid", "ray"])
+def test_open_payloads_tend_to_flat(where, real):
+    # With the same seed and k nodes the open payload is within 2|K| of the flat
+    # payload's rms (measured: 0.98-1.27|K| on the grid, 0.92-1.14|K| on the ray):
+    # a defect in one model's branch leaves a gap that does not shrink with K.
+    # The models share the synthesis, so the ray also anchors the flat payload:
+    # its variance at the origin, where only l = 0 couples, is C(0) (max |z| 1.3).
+    # Doubling a real field's b_0 passes the first check and fails the second.
+    P = GaussianBump(1.0, 3.0, 0.8)
+    if where == "grid":
+        L, N, pts = 4, 1, _tensor_points(np.linspace(0.0, 2.0, 6), 4, 8)
+    else:
+        chi = np.linspace(0.0, 2.0, 9)
+        L, N, pts = 2, 500, (chi, np.zeros(chi.size), np.zeros(chi.size))
+    cfg = SynthesisConfig(L_max=L, seed=3, k_max=8.0, k_panels=2, k_order=6,
+                          n_realizations=N, real=real)
+    flat = synthesize(G_FLAT, P, cfg, *pts).values
+    rms = np.sqrt(np.mean(np.abs(flat) ** 2))
+    for K in (-1e-6, -1e-8):
+        gap = np.max(np.abs(synthesize(Geometry.open(K), P, cfg, *pts).values - flat))
+        assert gap <= 2.0 * abs(K) * rms, (K, gap / (abs(K) * rms))
+    if where == "ray":
+        est = estimate_correlation(flat[:, 0], flat[:, 0])
+        c0 = analytic_correlation(G_FLAT, P, 0.0, k_max=8.0, panels=2, order=6)[0]
+        assert abs(est.mean[0] - c0) < 5.0 * est.stderr[0], (est.mean[0], c0)

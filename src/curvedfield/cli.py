@@ -6,13 +6,13 @@
     curvedfield estimate    --config run.cfg [--out table.csv] [--seed S]
     curvedfield spin        --config run.cfg --out field.cfd [--seed S]
 
-Configs are flat key=value files (see config module).  Exit codes: 0 success,
-2 configuration, usage or I/O error, 3 invalid domain or malformed data, 4 failed
-convergence or accuracy certification.  CSV outputs carry provenance comments
-(library version, command, config hash, seed); binary outputs use the field
-container (see fieldfile module).  Synthesis runs on one thread; --threads is
-parsed and ignored so existing command lines still run.  The parser is built
-once per process, on first use (not at import), and shared by later calls.
+Configs are flat key=value files (see config module).  Exit codes: 0 success, 2
+configuration, usage or I/O error, 3 invalid domain or malformed data, 4 failed
+convergence or accuracy certification.  CSV outputs carry provenance comments (library
+version, command, config hash, seed); binary outputs use the field container (see
+fieldfile module).  --threads is parsed and ignored so existing command lines still run:
+the draw size and the free CPUs set the threads (see randfield), never the bits.  The
+parser is built once per process, on first use (not at import), and shared by later calls.
 """
 from __future__ import annotations
 

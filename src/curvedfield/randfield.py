@@ -37,20 +37,23 @@ zeros at every l and theta (on the polar axis every m but -s) is dead: no draw,
 product, b_m or gather, since each of its terms is a_lm times 0.  A block packs
 its live m into a; live modes keep their streams, so their draws keep every bit.
 Real fields (xi_{l,-m} = (-1)^m conj(xi_lm)) are Re b_0 + 2 Re sum_{m>0} b_m e^{i m phi}.
-Their xi_l0 are real: m = 0 is drawn, multiplied and summed in float64 (same streams;
-within 1.6e-15 of the rms of complex sums), and with no other m live nothing complex is allocated.
+Their xi_l0 are real: m = 0 is drawn, multiplied and summed in float64, and with no other m live
+nothing complex is allocated.  Its l are split over two threads (each with its own Philox, slot
+and rows of a: the same bits) when each draw holds _DUAL normals and two CPUs are free.
 On a tensor grid (phi_j = 2 pi j / n_phi on every (chi, theta) ring) b_m is added
 instead into a ring table in the gather's place, one column per filled phi slot
 (m mod n_phi); one product with e^{i m phi_j} after the last m makes the field.
 
 Randomness is counter-based (Philox) with one stream per (l, m) mode keyed by
 (seed, tag(l, m)), so a realization depends only on the seed, never on the
-order in which the modes are drawn.  A synthesis re-keys one Philox per mode
+order in which the modes are drawn or on the thread.  A synthesis re-keys one Philox per mode
 (mode_streams): l(l+1) + m goes under the key's fixed tag and spin bits.
 """
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,11 +258,13 @@ def mode_streams(seed: int, tag: int = _SCALAR_TAG, spin: int = 0):
 
     Each call re-keys one shared Philox, key[1] = (fixed tag and spin bits) | l(l+1) + m,
     and resets its state (counter 0, empty buffer): no generator, SeedSequence or key array.
+    The start state holds Python ints and lists, which numpy's setter reads faster than arrays.
     """
     gen = mode_rng(seed, 0, 0, tag, spin)
     bitgen = gen.bit_generator
     start = bitgen.state
-    high = int((key := start["state"]["key"])[1])     # mode (0, 0) adds 0 to the tag and spin
+    start.update(state={k: v.tolist() for k, v in start["state"].items()}, buffer=start["buffer"].tolist())
+    high = (key := start["state"]["key"])[1]     # mode (0, 0) adds 0 to the tag and spin
 
     def stream(l: int, m: int) -> np.random.Generator:
         key[1] = high | (l * (l + 1) + m)
@@ -283,6 +288,11 @@ def _draw_xi(stream, l: int, ms: list[int], out: np.ndarray):
 
 # One block of m holds at most this many complex modes a_lm, (len(ls), nb) + shape, or one m.
 _SLAB = 1 << 19
+_DUAL = 1 << 14     # normals a draw (N n_T) from which m = 0 takes two threads: 0.3 ms, a thread 0.13
+
+
+def _cpus() -> int:                     # the CPUs this process may run on, read at each call
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _power(P: PowerSpectrum, k: np.ndarray) -> np.ndarray:
@@ -313,20 +323,20 @@ def _points(theta, phi, *more):
     return pts
 
 
-def _synthesize_modes(T, ls, stream, s: int, theta_u, ci, ti, phi, shape, real: bool) -> np.ndarray:
+def _synthesize_modes(T, ls, streams, s: int, theta_u, ci, ti, phi, shape, real: bool) -> np.ndarray:
     """sum_lm a_lm(chi) sY_lm(theta, 0) e^{i m phi} at the points (its real part if
     real), shape (n_realizations,) + (ci * ti).shape, ci and ti indexing the distinct
-    chi and theta_u: a_lm = eta_lm T[i] for l = ls[i] (ascending), eta from stream
-    (mode_streams), m = -L..L or 0..L in blocks of nb, less each dead m (computed rows
-    exactly 0 at every l and theta); b_m is formed over the chi x theta product if the
-    pairs fill half of it, else per pair, then folded into the ring table on a tensor
-    grid, else gathered (module notes).  One allocation holds the block's modes a (at
-    most max(_SLAB, len(ls) N n_chi) complex entries for N realizations; a partly live
-    block fills its front), one slot for its draws, then each m's b, and the gather or
-    ring table (at most 2 N n_points, as is E): never (L+1)^2 N n_chi modes, nor a
-    buffer trimmed and faulted back per call.  A real field's m = 0 runs first in the
-    float64 fronts of a and the slot; if no other m is live, the allocation is float64."""
-    L, (N, n_chi), n_l, n_t = ls[-1], shape, len(ls), theta_u.size
+    chi and theta_u: a_lm = eta_lm T[i] for l = ls[i] (ascending), eta from a stream streams()
+    (mode_streams), m = -L..L or 0..L in blocks of nb, less each dead m (computed rows exactly
+    0 at every l and theta); b_m is formed over the chi x theta product if the pairs fill
+    half of it, else per pair, then folded into the ring table on a tensor grid, else
+    gathered (module notes).  One allocation holds the block's modes a (at most max(_SLAB,
+    len(ls) N n_chi) complex entries for N realizations; a partly live block fills its
+    front), one slot for its draws, then each m's b, and the gather or ring table (at most
+    2 N n_points, as is E): never (L+1)^2 N n_chi modes, nor a buffer trimmed and faulted
+    back per call.  A real field's m = 0 runs first in the float64 fronts of a and the slot
+    (on two threads past _DUAL); if no other m is live, the allocation is float64."""
+    L, (N, n_chi), n_l, n_t, stream = ls[-1], shape, len(ls), theta_u.size, streams()
     pairs, pick = np.unique(ci * n_t + ti, return_inverse=True)
     grid = 2 * pairs.size >= n_chi * n_t          # b over chi x theta, else per pair
     pick = (pairs[pick] if grid else pick).reshape(np.broadcast(ci, ti).shape)
@@ -369,9 +379,24 @@ def _synthesize_modes(T, ls, stream, s: int, theta_u, ci, ti, phi, shape, real: 
         if real and j0 == 0:            # a real field's m = 0: float64 fronts of a and the slot
             a0, x0, b0 = (x.reshape(-1).view(float)[:math.prod(sh)].reshape(sh) for x, sh in
                           ((a, (n_l,) + shape), (xi, (1, N, T.shape[1])), (b, b.shape)))
-            for i, l in enumerate(ls):
-                _draw_xi(stream, l, [0], x0)
-                np.matmul(x0[0], T[i], out=a0[i])
+            def fill(part, draw, x):    # a_l0 = eta_l0 T_l for l = ls[i], i in part, drawn in x
+                try:
+                    for i in part:
+                        _draw_xi(draw, ls[i], [0], x)
+                        np.matmul(x[0], T[i], out=a0[i])
+                except BaseException as e:      # raised again by the calling thread
+                    err.append(e)
+            err, h = [], (n_l + 1) // 2 if x0.size >= _DUAL and _cpus() > 1 else n_l
+            if h < n_l:                 # ls[h:] on a second thread, with its own stream and slot
+                worker = threading.Thread(target=fill, args=(range(h, n_l), streams(), np.empty_like(x0)))
+                worker.start()
+            try:
+                fill(range(h), stream, x0)
+            finally:
+                if h < n_l:
+                    worker.join()
+            if err:
+                raise err[0]
             b0, live[0] = contract(a0, lam[:, 0], b0, 0).reshape(N, -1), False    # out of the block
             if ring:                    # b_0 takes the ring table's slot 0, else is added once
                 g[:, 0] += b0.reshape(-1)
@@ -414,7 +439,7 @@ def synthesize(geom: Geometry, P: PowerSpectrum, cfg: SynthesisConfig,
     T = R[:, :min(R.shape[1:])]         # T_l over B_l's first rows (all of them if B_l is not tall)
     for B, F in zip(R, T):
         F[...] = _radial_factor(B)
-    values = _synthesize_modes(T, range(cfg.L_max + 1), mode_streams(cfg.seed), 0, theta_u,
+    values = _synthesize_modes(T, range(cfg.L_max + 1), lambda: mode_streams(cfg.seed), 0, theta_u,
                                ci, ti, phi, (cfg.n_realizations, chi_u.size), cfg.real)
     values *= _norm_const(geom)
     return FieldRealization(geom, chi, theta, phi, values, cfg.seed, cfg)

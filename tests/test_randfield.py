@@ -1,5 +1,8 @@
 import functools
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -945,6 +948,82 @@ def test_estimate_correlation_real_in_place_keeps_the_bits():
 
 
 # ---------------------------------------------------------------------------
+# A real field's m = 0 drawn on two threads
+# ---------------------------------------------------------------------------
+
+def _drawing_threads(monkeypatch) -> list:
+    # the thread of each _draw_xi call, in call order
+    seen, draw = [], randfield._draw_xi
+
+    def recorded(stream, l, ms, out):
+        seen.append(threading.get_ident())
+        draw(stream, l, ms, out)
+    monkeypatch.setattr(randfield, "_draw_xi", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("theta, N, split", [(0.0, 10000, True), (0.5 * math.pi, 10000, True),
+                                             (0.0, 1000, False)])
+def test_two_threads_keep_every_bit(monkeypatch, theta, N, split):
+    # At N = 10,000 each m = 0 draw holds N n_T = 90,000 normals, past
+    # randfield._DUAL: with two CPUs the last l is drawn on a second thread,
+    # from its own stream and slot, into its own rows of a; with one CPU, or
+    # at N = 1,000, every l is drawn here.  The payloads are equal bit for
+    # bit, on the polar ray (m = 0 alone) and at theta = pi/2 (the m > 0 on
+    # one thread after), with thread switches forced every microsecond.  The
+    # stream of (2, 0) waits 20 ms, so a worker not joined would still run.
+    streams, chi = mode_streams, np.linspace(0.0, 2.0, 9)
+
+    def slow(seed):
+        stream = streams(seed)
+        return lambda l, m: (time.sleep(0.02) if (l, m) == (2, 0) else None, stream(l, m))[1]
+    monkeypatch.setattr(randfield, "mode_streams", slow)
+    cfg = SynthesisConfig(L_max=2, seed=1, k_max=8.0, k_panels=4, k_order=6, n_realizations=N)
+    pts = chi, np.full(chi.size, theta), np.zeros(chi.size)
+    seen, payload = _drawing_threads(monkeypatch), {}
+    interval, before = sys.getswitchinterval(), threading.active_count()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2):
+            monkeypatch.setattr(randfield, "_cpus", lambda: cpus)
+            seen.clear()
+            payload[cpus] = synthesize(G_FLAT, GaussianBump(1.0, 3.0, 0.8), cfg, *pts).values
+            assert len(set(seen[:3])) == (2 if split and cpus == 2 else 1)    # m = 0 draws first
+            assert threading.active_count() == before
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(payload[1], payload[2])
+
+
+@pytest.mark.parametrize("bad_l", [2, 0])
+def test_a_failed_draw_is_raised_after_the_join(monkeypatch, bad_l):
+    # A stream that raises at l = 2, drawn on the second thread, or at l = 0,
+    # drawn on the calling one: synthesize raises it once the worker has
+    # joined, and leaves no thread behind.
+    class Broken(Exception):
+        pass
+    streams, raised_on = mode_streams, []
+
+    def broken(seed):
+        stream = streams(seed)
+
+        def draw(l, m):
+            if l == bad_l:
+                raised_on.append(threading.get_ident())
+                raise Broken(l)
+            return stream(l, m)
+        return draw
+    monkeypatch.setattr(randfield, "mode_streams", broken)
+    monkeypatch.setattr(randfield, "_cpus", lambda: 2)
+    chi, before = np.linspace(0.0, 2.0, 9), threading.active_count()
+    cfg = SynthesisConfig(L_max=2, seed=1, k_max=8.0, k_panels=4, k_order=6, n_realizations=10000)
+    with pytest.raises(Broken):
+        synthesize(G_FLAT, GaussianBump(1.0, 3.0, 0.8), cfg, chi, np.zeros(chi.size), np.zeros(chi.size))
+    assert threading.active_count() == before
+    assert (raised_on != [threading.get_ident()]) == (bad_l == 2) and len(raised_on) == 1
+
+
+# ---------------------------------------------------------------------------
 # The flat limit: open payloads tend to the flat payload linearly in K
 # ---------------------------------------------------------------------------
 
@@ -974,3 +1053,18 @@ def test_open_payloads_tend_to_flat(where, real):
         est = estimate_correlation(flat[:, 0], flat[:, 0])
         c0 = analytic_correlation(G_FLAT, P, 0.0, k_max=8.0, panels=2, order=6)[0]
         assert abs(est.mean[0] - c0) < 5.0 * est.stderr[0], (est.mean[0], c0)
+
+
+@pytest.mark.parametrize("K", [-1e-4, -1e-6, -1e-8, 1e-4, 1e-6])
+def test_analytic_correlation_tends_to_flat(K):
+    # C(r) of the open and closed models is within 0.06|K| C(0) of flat's
+    # (measured: 0.0396-0.0402|K| C(0), 0.76-0.78|K| here, the largest near
+    # r = 1.5), at nine lags on [0, 2]; the closed lattice runs to k = 8 as
+    # flat's rule does.  A defect in one model's branch leaves a gap that does
+    # not shrink with K.
+    P, r = GaussianBump(1.0, 3.0, 0.8), np.linspace(0.0, 2.0, 9)
+    flat = analytic_correlation(G_FLAT, P, r, k_max=8.0)
+    geom = Geometry.open(K) if K < 0 else Geometry.closed(K)
+    curved = analytic_correlation(geom, P, r, k_max=8.0, omega_max=round(8.0 / math.sqrt(abs(K))))
+    gap = np.max(np.abs(curved - flat))
+    assert gap <= 0.06 * abs(K) * flat[0], gap / (abs(K) * flat[0])

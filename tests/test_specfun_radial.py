@@ -463,6 +463,23 @@ def test_addition_theorem(geom, ks):
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-13, err_msg=str((chi1, chi2, gamma)))
 
 
+@pytest.mark.parametrize("K", [1e-4, 1e-6])
+def test_curved_rows_tend_to_flat(K):
+    # The flat limit: at fixed k, open and closed rows tend to sqrt(pi/2) times
+    # the flat rows (the ratio of the models' normalizations) within |K|
+    # (measured: 0.561|K|), on closed-lattice nodes in [0.5, 8].  A defect in
+    # one model's branch leaves a gap that does not shrink with K.  Near k =
+    # sqrt(K) the models differ by O(sqrt K): closed rows l > omega vanish there.
+    from curvedfield.sft import closed_k_lattice
+    closed, chi = Geometry.closed(K), np.linspace(0.0, 2.0, 9)
+    k = closed_k_lattice(closed, 8000)[np.unique(np.rint(np.linspace(0.5, 8.0, 40) / math.sqrt(K))
+                                                  .astype(int)) - 1]
+    flat = math.sqrt(0.5 * math.pi) * radial_table(G_FLAT, k, 6, chi)
+    for geom in (closed, Geometry.open(-K)):
+        gap = np.max(np.abs(radial_table(geom, k, 6, chi) - flat))
+        assert gap <= K, (geom.kind.value, gap / K)
+
+
 def test_open_synthesis_bytes_reproducible():
     n = 6
     chi, theta, phi = (a.ravel() for a in np.meshgrid(

@@ -299,8 +299,9 @@ def cmd_estimate(args) -> int:
                           f"{cfg['estimate.lags']!r}") from None
     if lags.size == 0:
         raise ConfigError("estimate.lags is empty")
-    scfg = _synth_config(cfg, args.seed,
-                         n_realizations=cfg["estimate.n_realizations"])
+    if (n := cfg["estimate.n_realizations"]) < 2:      # the jackknife needs two; checked before any draw
+        raise DomainError(f"estimate.n_realizations must be >= 2, got {n}")
+    scfg = _synth_config(cfg, args.seed, n_realizations=n)
     chi = np.concatenate([[0.0], lags])
     k_max = scfg.k_max if cfg["analytic.k_max"] is None else cfg["analytic.k_max"]
     ana = analytic_correlation(geom, P, lags, k_max=k_max, panels=cfg["analytic.panels"],

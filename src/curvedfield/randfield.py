@@ -37,9 +37,9 @@ zeros at every l and theta (on the polar axis every m but -s) is dead: no draw,
 product, b_m or gather, since each of its terms is a_lm times 0.  A block packs
 its live m into a; live modes keep their streams, so their draws keep every bit.
 Real fields (xi_{l,-m} = (-1)^m conj(xi_lm)) are Re b_0 + 2 Re sum_{m>0} b_m e^{i m phi}.
-Their xi_l0 are real: m = 0 is drawn, multiplied and summed in float64, and with no other m live
-nothing complex is allocated.  Its l are split over two threads (each with its own Philox, slot
-and rows of a: the same bits) when each draw holds _DUAL normals and two CPUs are free.
+Their xi_l0 are real: m = 0 is the first block, in float64 (with no other m live nothing complex
+is allocated), b_0 is added with no phase, and its l loop is split over two threads (each with its
+own Philox, slot and rows of a: the same bits) when each draw holds _DUAL normals and 2 CPUs are free.
 On a tensor grid (phi_j = 2 pi j / n_phi on every (chi, theta) ring) b_m is added
 instead into a ring table in the gather's place, one column per filled phi slot
 (m mod n_phi); one product with e^{i m phi_j} after the last m makes the field.
@@ -334,8 +334,8 @@ def _synthesize_modes(T, ls, streams, s: int, theta_u, ci, ti, phi, shape, real:
     len(ls) N n_chi) complex entries for N realizations; a partly live block fills its
     front), one slot for its draws, then each m's b, and the gather or ring table (at most
     2 N n_points, as is E): never (L+1)^2 N n_chi modes, nor a buffer trimmed and faulted
-    back per call.  A real field's m = 0 runs first in the float64 fronts of a and the slot
-    (on two threads past _DUAL); if no other m is live, the allocation is float64."""
+    back per call.  Each block runs one l loop (draw, product), then per m one contraction and
+    placement; a real field's m = 0 is the first block, in the float64 fronts of a, slot and b."""
     L, (N, n_chi), n_l, n_t, stream = ls[-1], shape, len(ls), theta_u.size, streams()
     pairs, pick = np.unique(ci * n_t + ti, return_inverse=True)
     grid = 2 * pairs.size >= n_chi * n_t          # b over chi x theta, else per pair
@@ -343,13 +343,24 @@ def _synthesize_modes(T, ls, streams, s: int, theta_u, ci, ti, phi, shape, real:
     cp, tp = np.divmod(pairs, n_t)
     ms = np.arange(0 if real else -L, L + 1)
     nb = min(ms.size, max(1, _SLAB // max(1, n_l * N * n_chi)))
-    nr = nb * max(1, _SLAB // max(1, n_l * nb * n_t))   # m per _spin_rows call: whole blocks
+    nr = nb * max(1, _SLAB // max(1, n_l * nb * n_t))   # m per _spin_rows call: at least a block
 
-    def rows(j0):                       # the harmonic rows of ms[j0:j0 + nr], and which m are live
+    def rows(j0):                       # from ms[j0]: the harmonic rows of nr m, and which are live
         lam = _spin_rows(s, L, ms[j0:j0 + nr], theta_u)[slice(None) if n_l > L else ls]  # ls may skip an l
         if real:
             lam[:, int(j0 == 0):] *= 2.0    # Re b_0 + 2 Re sum_{m>0} b_m e^{i m phi}
-        return lam, lam.any(axis=(0, 2))    # dead m: rows exactly 0 at every l and theta
+        return j0, lam, lam.any(axis=(0, 2))    # dead m: rows exactly 0 at every l and theta
+
+    def fill(part, draw, x):            # a_lm = eta_lm T_l for l = ls[i], i in part, drawn in slot x
+        try:
+            for i in part:
+                lo, hi = lohi[i]
+                ab[i, :lo] = ab[i, hi:mb.size] = 0.0
+                if lo < hi:             # T_l is read once per block that has modes at l
+                    _draw_xi(draw, ls[i], mb[lo:hi].tolist(), x[lo:hi])
+                    np.matmul(x[lo:hi], T[i], out=ab[i, lo:hi])
+        except BaseException as e:      # raised again by the calling thread
+            err.append(e)
 
     def contract(am, lam_m, b, m):      # b_m = sum_l a_lm lam_m[l], on the pairs
         if grid:
@@ -358,7 +369,10 @@ def _synthesize_modes(T, ls, streams, s: int, theta_u, ci, ti, phi, shape, real:
         for i in range(np.searchsorted(ls, abs(m)), n_l):
             b += am[i][:, cp] * lam_m[i, tp]
         return b
-    lam, live = rows(0)
+
+    def gather(x, c):                   # columns c of x (N, -1) in out's shape; no copy if c = 0, 1, ...
+        return (x if np.array_equal(c, np.arange(x.shape[1])) else x[:, c]).reshape(out.shape)
+    r0, lam, live = rows(0)
     cx = not real or nr < ms.size or live[1:].any()     # a complex mode may be live
     phi_u, ip = np.unique(phi, return_inverse=True)
     n_f, n_s = phi_u.size, min(phi_u.size, ms.size)    # n_s ring table columns: the filled phi slots
@@ -370,59 +384,45 @@ def _synthesize_modes(T, ls, streams, s: int, theta_u, ci, ti, phi, shape, real:
     at = [0, n[0], n[0], n[0] + max(n[1], n[2])]      # xi and b share one slot
     buf = np.empty(at[3] + n[3], complex if cx else float)
     a, xi, b, g = (buf[i:i + m].reshape(x) for i, m, x in zip(at, n, shapes))
+    f64 = [x.reshape(-1).view(float)[:math.prod(sh)].reshape(sh)       # a real m = 0: float64 fronts
+           for x, sh in ((a, a[:, :1].shape), (xi, xi[:1].shape), (b, b.shape))]
     out = np.zeros((N,) + pick.shape, dtype=float if real else complex)
     if ring:
         g[...] = 0.0                    # the ring table starts empty
-    for j0 in range(0, ms.size, nb):
-        if j0 and j0 % nr == 0:
-            lam, live = rows(j0)
-        if real and j0 == 0:            # a real field's m = 0: float64 fronts of a and the slot
-            a0, x0, b0 = (x.reshape(-1).view(float)[:math.prod(sh)].reshape(sh) for x, sh in
-                          ((a, (n_l,) + shape), (xi, (1, N, T.shape[1])), (b, b.shape)))
-            def fill(part, draw, x):    # a_l0 = eta_l0 T_l for l = ls[i], i in part, drawn in x
-                try:
-                    for i in part:
-                        _draw_xi(draw, ls[i], [0], x)
-                        np.matmul(x[0], T[i], out=a0[i])
-                except BaseException as e:      # raised again by the calling thread
-                    err.append(e)
-            err, h = [], (n_l + 1) // 2 if x0.size >= _DUAL and _cpus() > 1 else n_l
-            if h < n_l:                 # ls[h:] on a second thread, with its own stream and slot
-                worker = threading.Thread(target=fill, args=(range(h, n_l), streams(), np.empty_like(x0)))
-                worker.start()
-            try:
-                fill(range(h), stream, x0)
-            finally:
-                if h < n_l:
-                    worker.join()
-            if err:
-                raise err[0]
-            b0, live[0] = contract(a0, lam[:, 0], b0, 0).reshape(N, -1), False    # out of the block
-            if ring:                    # b_0 takes the ring table's slot 0, else is added once
-                g[:, 0] += b0.reshape(-1)
-            else:                       # a plain add where the gather is the identity
-                same = np.array_equal(pick.ravel(), np.arange(b0.shape[1]))
-                out += (b0 if same else b0[:, pick]).reshape(out.shape)
-        jb = np.flatnonzero(live[j0 % nr:j0 % nr + nb])     # the block's live m, packed in a
-        mb = ms[j0 + jb]
+    edges = [0, *range(1 if real else nb, ms.size, nb), ms.size]     # a real field's m = 0 alone
+    for j0, j1 in zip(edges, edges[1:]):
+        if j1 > r0 + nr:
+            r0, lam, live = rows(j0)
+        jb = np.flatnonzero(live[j0 - r0:j1 - r0])     # the block's live m, packed in a
+        if jb.size == 0:
+            continue
+        mb, m0 = ms[j0 + jb], real and j0 == 0
+        ab, xb, bb = f64 if m0 else (a, xi, b)
         lohi = np.searchsorted(mb, np.multiply.outer(ls, (-1, 1)) + (0, 1)).tolist()   # |m| <= l
-        for i, (l, (lo, hi)) in enumerate(zip(ls, lohi)):
-            a[i, :lo] = a[i, hi:mb.size] = 0.0
-            if lo < hi:                 # T_l is read once per block that has modes at l
-                _draw_xi(stream, l, mb[lo:hi].tolist(), xi[lo:hi])
-                np.matmul(xi[lo:hi], T[i], out=a[i, lo:hi])
+        err, h = [], (n_l + 1) // 2 if m0 and N * T.shape[1] >= _DUAL and _cpus() > 1 else n_l
+        if h < n_l:                     # ls[h:] on a second thread, with its own stream and slot
+            worker = threading.Thread(target=fill, args=(range(h, n_l), streams(), np.empty_like(xb)))
+            worker.start()
+        try:
+            fill(range(h), stream, xb)
+        finally:
+            if h < n_l:
+                worker.join()
+        if err:
+            raise err[0]
         for j, (jj, m) in enumerate(zip(jb.tolist(), mb.tolist())):
-            contract(a[:, j], lam[:, j0 % nr + jj], b, m)
+            contract(ab[:, j], lam[:, j0 - r0 + jj], bb, m)
             if ring:
-                g[:, (j0 + jj) % n_s] += b.reshape(-1)    # column c = m - ms[0] mod n_s, slot ms[c]
-                continue
-            np.take(b.reshape(N, -1), pick, axis=1, out=g, mode="clip")
-            g *= np.exp(1j * m * phi_u)[ip]
-            out += g.real if real else g
+                g[:, (j0 + jj) % n_s] += bb.reshape(-1)   # column c = m - ms[0] mod n_s, slot ms[c]
+            elif m0:                    # a float64 b_0, with no phase
+                out += gather(bb.reshape(N, -1), pick.ravel())
+            else:
+                np.take(bb.reshape(N, -1), pick, axis=1, out=g, mode="clip")
+                g *= np.exp(1j * m * phi_u)[ip]
+                out += g.real if real else g
     if ring:                            # field = table E, E_cj = e^{i ms[c] phi_j} = e^{i phi_(ms[c] j mod n_f)}
         f = g if n_f == 1 else g @ np.exp(1j * phi_u)[np.outer(ms[:n_s], np.arange(n_f)) % n_f]
-        f, c = (f.real if real else f).reshape(N, -1), (pick * n_f + ip).ravel()
-        out[...] = (f if np.array_equal(c, np.arange(f.shape[1])) else f[:, c]).reshape(out.shape)
+        out[...] = gather((f.real if real else f).reshape(N, -1), (pick * n_f + ip).ravel())
     return out
 
 

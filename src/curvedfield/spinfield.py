@@ -150,16 +150,18 @@ class PointPairFrame:
     defined: bool
 
 
-def _bearing(theta1, phi1, theta2, phi2) -> float:
-    """Initial bearing of the great circle from point 1 toward point 2."""
+def _bearing(theta1, phi1, theta2, phi2) -> tuple[float, float]:
+    """(y, x): atan2(y, x) is the initial bearing from point 1 toward point 2, hypot(y, x) = |n1 x n2|."""
     d = phi2 - phi1
     y = math.sin(theta2) * math.sin(d)
     x = math.cos(theta2) * math.sin(theta1) - math.sin(theta2) * math.cos(theta1) * math.cos(d)
-    return math.atan2(y, x)
+    return y, x
 
 
 def euler_frame(n1, n2) -> PointPairFrame:
-    """Frame angles for the ordered pair of sphere points n = (theta, phi)."""
+    """Frame angles for the ordered pair of sphere points n = (theta, phi).  beta is
+    atan2(|n1 x n2|, n1 . n2): acos(n1 . n2) cannot resolve beta below about 1.5e-8 and
+    gave coincident pairs a frame from rounding.  defined=False within 1e-12 of beta = 0, pi."""
     t1, p1 = float(n1[0]), float(n1[1])
     t2, p2 = float(n2[0]), float(n2[1])
     for t in (t1, t2):
@@ -167,11 +169,12 @@ def euler_frame(n1, n2) -> PointPairFrame:
             raise DomainError("theta must lie in [0, pi]")
     cosb = (math.cos(t1) * math.cos(t2)
             + math.sin(t1) * math.sin(t2) * math.cos(p2 - p1))
-    beta = math.acos(min(1.0, max(-1.0, cosb)))
+    y, x = _bearing(t1, p1, t2, p2)
+    beta = math.atan2(math.hypot(y, x), cosb)
     if beta < 1e-12 or math.pi - beta < 1e-12:
         return PointPairFrame(0.0, beta, 0.0, False)
-    alpha = _bearing(t1, p1, t2, p2) % (2.0 * math.pi)
-    gamma = (-_bearing(t2, p2, t1, p1)) % (2.0 * math.pi)
+    alpha = math.atan2(y, x) % (2.0 * math.pi)
+    gamma = (-math.atan2(*_bearing(t2, p2, t1, p1))) % (2.0 * math.pi)
     # a tiny negative bearing wraps to exactly 2 pi, which is 0
     alpha, gamma = (0.0 if a == 2.0 * math.pi else a for a in (alpha, gamma))
     return PointPairFrame(alpha, beta, gamma, True)

@@ -294,14 +294,19 @@ def test_non_finite_k_max_exits_3(tmp_path, capsys):
 
 
 def test_estimate_checks_analytic_before_synthesis(tmp_path, capsys, monkeypatch):
-    # a bad analytic.* once surfaced only after the Monte Carlo synthesis had run
+    # a bad analytic.* once surfaced only after the Monte Carlo synthesis had run,
+    # and so did one realization, as "need ref (N,), lagged (N, L) with N >= 2",
+    # which names no key
     calls = []
     monkeypatch.setattr(cli, "synthesize", lambda *a: calls.append(a))
-    cfg = write(tmp_path, "est.cfg", EST_CFG + "analytic.k_max = inf\n")
-    out = tmp_path / "est.csv"
-    assert main(["estimate", "--config", cfg, "--out", str(out)]) == 3
-    assert "k_max" in capsys.readouterr().err
-    assert calls == [] and not out.exists()
+    one = EST_CFG.replace("estimate.n_realizations = 50", "estimate.n_realizations = 1")
+    for text, err in [(EST_CFG + "analytic.k_max = inf\n", "k_max"),
+                      (one, "estimate.n_realizations must be >= 2, got 1")]:
+        cfg = write(tmp_path, "est.cfg", text)
+        out = tmp_path / "est.csv"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 3
+        assert err in capsys.readouterr().err
+        assert calls == [] and not out.exists()
 
 
 def test_explicit_invalid_grid_values_exit_3(tmp_path, capsys):

@@ -278,6 +278,24 @@ def test_large_l_scattered_peak_grows_as_l_times_points(real):
     assert peak <= 2.5 * table, peak / table
 
 
+@pytest.mark.parametrize("real", [True, False])
+def test_blocks_and_row_chunks_keep_every_bit(monkeypatch, real):
+    # Each m's draws, product, harmonic rows and contraction are its own, so the
+    # m blocks and harmonic-row chunks that randfield._SLAB sizes move no bit.
+    # Small slabs give blocks of 1-3 m and chunks of 1-6 m; with a real
+    # field's m = 0 block alone, the other blocks run past a chunk's end.
+    P = GaussianBump(1.0, 3.0, 0.8)
+    cfg = SynthesisConfig(L_max=6, seed=3, k_max=8.0, k_panels=2, k_order=6, n_realizations=2, real=real)
+    rng = np.random.default_rng(5)
+    scattered = rng.uniform(0.1, 2.0, 12), rng.uniform(0.0, math.pi, 12), rng.uniform(0.0, 6.0, 12)
+    grids = [scattered, _tensor_points(np.array([0.4, 0.9]), 3, 8)]
+    refs = [synthesize(G_OPEN, P, cfg, *pts).values for pts in grids]
+    for slab in (1, 42, 168, 336, 504):
+        monkeypatch.setattr(randfield, "_SLAB", slab)
+        for pts, ref in zip(grids, refs):
+            assert np.array_equal(synthesize(G_OPEN, P, cfg, *pts).values, ref), slab
+
+
 def test_no_points_give_empty_fields():
     # the m blocks are sized from the point counts, which may be 0
     from curvedfield.spinfield import separable_kernels, synthesize_spin
@@ -963,15 +981,17 @@ def _drawing_threads(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("theta, N, split", [(0.0, 10000, True), (0.5 * math.pi, 10000, True),
-                                             (0.0, 1000, False)])
+                                             (0.0, 1000, False), ("scattered", 10000, True)])
 def test_two_threads_keep_every_bit(monkeypatch, theta, N, split):
     # At N = 10,000 each m = 0 draw holds N n_T = 90,000 normals, past
     # randfield._DUAL: with two CPUs the last l is drawn on a second thread,
     # from its own stream and slot, into its own rows of a; with one CPU, or
     # at N = 1,000, every l is drawn here.  The payloads are equal bit for
-    # bit, on the polar ray (m = 0 alone) and at theta = pi/2 (the m > 0 on
-    # one thread after), with thread switches forced every microsecond.  The
-    # stream of (2, 0) waits 20 ms, so a worker not joined would still run.
+    # bit, on the polar ray (m = 0 alone), at theta = pi/2 (the m > 0 on
+    # one thread after) and on 9 radii each with its own theta and phi (the
+    # per-pair contraction and the per-m gather), with thread switches forced
+    # every microsecond.  The stream of (2, 0) waits 20 ms, so a worker not
+    # joined would still run.
     streams, chi = mode_streams, np.linspace(0.0, 2.0, 9)
 
     def slow(seed):
@@ -979,7 +999,9 @@ def test_two_threads_keep_every_bit(monkeypatch, theta, N, split):
         return lambda l, m: (time.sleep(0.02) if (l, m) == (2, 0) else None, stream(l, m))[1]
     monkeypatch.setattr(randfield, "mode_streams", slow)
     cfg = SynthesisConfig(L_max=2, seed=1, k_max=8.0, k_panels=4, k_order=6, n_realizations=N)
-    pts = chi, np.full(chi.size, theta), np.zeros(chi.size)
+    rng = np.random.default_rng(2)
+    pts = (rng.permutation(chi), rng.uniform(0.0, math.pi, chi.size), rng.uniform(0.0, 6.0, chi.size)) \
+        if theta == "scattered" else (chi, np.full(chi.size, theta), np.zeros(chi.size))
     seen, payload = _drawing_threads(monkeypatch), {}
     interval, before = sys.getswitchinterval(), threading.active_count()
     sys.setswitchinterval(1e-6)

@@ -867,3 +867,21 @@ def test_forward_tail_monitor_checks_the_loop_node(monkeypatch, block):
     contribs, best = loop_node(prof, k)
     assert 5 <= best < 20
     np.testing.assert_array_equal(seen[-1], contribs[best])
+
+
+@pytest.mark.parametrize("K", [-1e-6, -1e-8])
+def test_open_forward_amplitudes_tend_to_flat(K):
+    # The flat limit of the forward transform: on flat's k nodes the open
+    # amplitudes tend to sqrt(pi/2) (the ratio of the models' sft._norm_const)
+    # times flat's, within 2|K| of flat's largest (measured: 1.34|K| from
+    # K = -1e-4 to -1e-10), for the bench's open profile.  A defect in one
+    # model's branch, or its constant off by 1e-6, leaves a gap that does not
+    # shrink with K.
+    chi, wchi = gauss_legendre_grid(0.0, 4.5, 85, 12)
+    f = bump_profile(chi, 2.0, 1.8)
+    k, wk = sft.spectral_nodes(G_FLAT, 60.0, 85, 12, None)
+    flat = forward_isotropic(RadialProfile(G_FLAT, chi, f, wchi), k, wk).values
+    curved = forward_isotropic(RadialProfile(Geometry.open(K), chi, f, wchi), k, wk).values
+    gap = np.max(np.abs(curved - math.sqrt(math.pi / 2.0) * flat))
+    scale = np.max(np.abs(flat))
+    assert gap <= 2.0 * abs(K) * scale, gap / (abs(K) * scale)

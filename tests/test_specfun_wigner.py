@@ -10,6 +10,7 @@ from curvedfield.errors import DomainError
 from curvedfield.specfun import (HARMONIC_L_MAX, eth_ladder, gegenbauer,
                                  spherical_bessel, spin_harmonic, spin_harmonic_table,
                                  wigner_D, wigner_d)
+from oracles import WIGNER_D_128
 
 ANGLES = np.array([0.0, 0.17, 0.8, math.pi / 2, 2.4, math.pi - 0.05, math.pi])
 
@@ -163,6 +164,16 @@ def test_harmonic_columns_do_not_depend_on_their_call_group():
                           spin_harmonic_table(1, 128, b)[:, 128 - 1])
     assert np.array_equal(_spin_rows(1, 128, [-1, 5], b[:1])[:, :, 0],
                           spin_harmonic_table(1, 128, b)[:, [128 - 1, 128 + 5], 0])
+
+
+def test_d_rows_at_l128_with_n_nonzero_near_the_poles():
+    # the rows spin callers read (n = -s != 0) at the ceiling, against 250-digit
+    # Wigner sums: worst 1.66e-13 (n = -1, m = 1) and 1.68e-13 (n = -2, m = 2),
+    # both at theta = 3.13
+    from curvedfield.specfun import _d_rows
+    for (n, theta), ref in WIGNER_D_128.items():
+        got = _d_rows(n, 128, np.arange(-10, 11), np.array([theta]))[128, :, 0]
+        np.testing.assert_allclose(got, ref, rtol=0, atol=3e-13, err_msg=f"n={n} theta={theta}")
 
 
 def _scipy_ylm(l, m, theta, phi):

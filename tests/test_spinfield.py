@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from curvedfield import spinfield
 from curvedfield.errors import DomainError, KernelDefinitenessError
-from curvedfield.randfield import SynthesisConfig, mode_rng
+from curvedfield.randfield import SynthesisConfig, estimate_correlation, mode_rng
 from curvedfield.specfun import spin_harmonic
 from curvedfield.spinfield import (LENSING_SPINS, SpinKernelSet, beta_rule,
                                    euler_frame, ladder_radicand,
@@ -51,8 +51,11 @@ def test_euler_frame_properties(n1, n2):
 
 
 def test_euler_frame_degenerate_pairs():
-    same = euler_frame((0.7, 1.1), (0.7, 1.1))
-    assert not same.defined and same.beta < 1e-12
+    # beta = atan2(|n1 x n2|, n1 . n2) is 0 for identical points; acos(n1 . n2) put
+    # (1.6, 4.1) 1.49e-8 from itself, above the cut, with a frame from rounding
+    for n in ((0.7, 1.1), (1.6, 4.1), (2.9, 0.3)):
+        same = euler_frame(n, n)
+        assert not same.defined and same.beta < 1e-12, n
     anti = euler_frame((0.7, 1.1), (math.pi - 0.7, 1.1 + math.pi))
     assert not anti.defined and abs(anti.beta - math.pi) < 1e-12
     with pytest.raises(DomainError):
@@ -91,12 +94,14 @@ def test_spin_correlation_matches_mode_sum():
 
 
 def test_spin_correlation_coincident_pair_uses_addition_theorem():
-    kern = separable_kernels(1, np.arange(1, 6), CHI)
-    n = (0.9, 0.4)
-    got = spin_correlation(kern, 0.8, n, 0.8, n)
-    ref = sum(kern.kernels[i, 1, 1] * (2 * int(l) + 1) / (4 * math.pi)
-              for i, l in enumerate(kern.ell))
-    assert abs(got - ref) < 1e-13
+    # at (1.6, 4.1) a coincident pair once had a frame from rounding, and odd s read -C
+    for s in (1, 3):
+        kern = separable_kernels(s, np.arange(s, 6), CHI)
+        ref = sum(kern.kernels[i, 1, 1] * (2 * int(l) + 1) / (4 * math.pi)
+                  for i, l in enumerate(kern.ell))
+        for n in ((0.9, 0.4), (1.6, 4.1), (2.9, 0.3)):
+            got = spin_correlation(kern, 0.8, n, 0.8, n)
+            assert abs(got - ref) < 1e-13, (s, n)
 
 
 def destination(n1, bearing, dist):
@@ -228,6 +233,27 @@ def test_synthesize_spin_matches_per_mode_sum(s):
     assert got.shape == ref.shape == (3, 4, 13)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert np.all(got[:, 0] == 0.0)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_spin_draws_follow_the_two_point_law(s):
+    # Monte Carlo check of synthesize_spin's draws against spin_correlation at
+    # every pair of 3 radii x 6 directions, the poles and coincident pairs among
+    # them.  Measured over seeds 0-2 and 11: max |z| 1.8-2.8; with coincident pairs
+    # given a frame from rounding, odd s read 178-180.
+    chi = np.array([0.4, 0.9, 1.5])
+    kern = separable_kernels(s, np.arange(s, 9), chi)
+    dirs = [(0.0, 0.0), (math.pi, 0.0), (1.6, 4.1), (0.7, 1.1), (2.2, 5.3), (1.0, 0.2)]
+    theta, phi = np.array(dirs).T
+    n = 8000
+    x = synthesize_spin(s, kern, theta, phi, seed=11, n_realizations=n).values.reshape(n, -1)
+    pts = [(c, d) for c in chi for d in dirs]       # the order of values' last two axes
+    z = []
+    for i, (c1, n1) in enumerate(pts):
+        est = estimate_correlation(x[:, i], x)
+        exact = np.array([spin_correlation(kern, c1, n1, c2, n2) for c2, n2 in pts])
+        z.extend(np.abs(est.mean - exact) / est.stderr)
+    assert max(z) < 5.0, max(z)
 
 
 def test_harmonic_ceiling_at_every_spin_entry_point():

@@ -38,8 +38,10 @@ product, b_m or gather, since each of its terms is a_lm times 0.  A block packs
 its live m into a; live modes keep their streams, so their draws keep every bit.
 Real fields (xi_{l,-m} = (-1)^m conj(xi_lm)) are Re b_0 + 2 Re sum_{m>0} b_m e^{i m phi}.
 Their xi_l0 are real: m = 0 is the first block, in float64 (with no other m live nothing complex
-is allocated), b_0 is added with no phase, and its l loop is split over two threads (each with its
-own Philox, slot and rows of a: the same bits) when each draw holds _DUAL normals and 2 CPUs are free.
+is allocated), and b_0 is added with no phase.  A block's l come from one queue, which, when each
+m = 0 draw holds _DUAL normals and 2 CPUs are free, a second thread (own Philox, slot and rows of a:
+the same bits) drains too, started before the calling thread builds the T_l.  An l drawn before T
+exists waits in the front of its rows of a (N n_T <= N n_radii), then passes the free slot times T_l.
 On a tensor grid (phi_j = 2 pi j / n_phi on every (chi, theta) ring) b_m is added
 instead into a ring table in the gather's place, one column per filled phi slot
 (m mod n_phi); one product with e^{i m phi_j} after the last m makes the field.
@@ -288,7 +290,7 @@ def _draw_xi(stream, l: int, ms: list[int], out: np.ndarray):
 
 # One block of m holds at most this many complex modes a_lm, (len(ls), nb) + shape, or one m.
 _SLAB = 1 << 19
-_DUAL = 1 << 14     # normals a draw (N n_T) from which m = 0 takes two threads: 0.3 ms, a thread 0.13
+_DUAL = 1 << 14     # normals a draw (N n_T) from which m = 0's l queue has two threads: 0.3 ms, a thread 0.13
 
 
 def _cpus() -> int:                     # the CPUs this process may run on, read at each call
@@ -323,20 +325,21 @@ def _points(theta, phi, *more):
     return pts
 
 
-def _synthesize_modes(T, ls, streams, s: int, theta_u, ci, ti, phi, shape, real: bool) -> np.ndarray:
+def _synthesize_modes(factor, n_T, ls, streams, s: int, theta_u, ci, ti, phi, shape, real: bool) -> np.ndarray:
     """sum_lm a_lm(chi) sY_lm(theta, 0) e^{i m phi} at the points (its real part if
     real), shape (n_realizations,) + (ci * ti).shape, ci and ti indexing the distinct
-    chi and theta_u: a_lm = eta_lm T[i] for l = ls[i] (ascending), eta from a stream streams()
-    (mode_streams), m = -L..L or 0..L in blocks of nb, less each dead m (computed rows exactly
-    0 at every l and theta); b_m is formed over the chi x theta product if the pairs fill
-    half of it, else per pair, then folded into the ring table on a tensor grid, else
-    gathered (module notes).  One allocation holds the block's modes a (at most max(_SLAB,
-    len(ls) N n_chi) complex entries for N realizations; a partly live block fills its
-    front), one slot for its draws, then each m's b, and the gather or ring table (at most
-    2 N n_points, as is E): never (L+1)^2 N n_chi modes, nor a buffer trimmed and faulted
-    back per call.  Each block runs one l loop (draw, product), then per m one contraction and
-    placement; a real field's m = 0 is the first block, in the float64 fronts of a, slot and b."""
-    L, (N, n_chi), n_l, n_t, stream = ls[-1], shape, len(ls), theta_u.size, streams()
+    chi and theta_u: a_lm = eta_lm T[i] for l = ls[i] (ascending), T = factor() (n_T rows
+    per l), eta from a stream streams() (mode_streams), m = -L..L or 0..L in blocks of nb,
+    less each dead m (computed rows exactly 0 at every l and theta); b_m is formed over the
+    chi x theta product if the pairs fill half of it, else per pair, then folded into the ring
+    table on a tensor grid, else gathered (module notes).  One allocation holds the block's
+    modes a (at most max(_SLAB, len(ls) N n_chi) complex entries for N realizations; a partly
+    live block fills its front), one slot for its draws, then each m's b, and the gather or
+    ring table (at most 2 N n_points, as is E): never (L+1)^2 N n_chi modes, nor a buffer
+    trimmed and faulted back per call.  Each block drains one l queue (draw, product), then per
+    m one contraction and placement; a real field's m = 0 is the first block, in the float64
+    fronts of a, slot and b, whose queue a second thread may share before T exists (notes)."""
+    L, (N, n_chi), n_l, n_t, stream, T = ls[-1], shape, len(ls), theta_u.size, streams(), None
     pairs, pick = np.unique(ci * n_t + ti, return_inverse=True)
     grid = 2 * pairs.size >= n_chi * n_t          # b over chi x theta, else per pair
     pick = (pairs[pick] if grid else pick).reshape(np.broadcast(ci, ti).shape)
@@ -351,16 +354,24 @@ def _synthesize_modes(T, ls, streams, s: int, theta_u, ci, ti, phi, shape, real:
             lam[:, int(j0 == 0):] *= 2.0    # Re b_0 + 2 Re sum_{m>0} b_m e^{i m phi}
         return j0, lam, lam.any(axis=(0, 2))    # dead m: rows exactly 0 at every l and theta
 
-    def fill(part, draw, x):            # a_lm = eta_lm T_l for l = ls[i], i in part, drawn in slot x
+    def fill(draw, x):                  # a_lm = eta_lm T_l for each l = ls[i] the block's queue yields
         try:
-            for i in part:
+            for i in todo:
                 lo, hi = lohi[i]
                 ab[i, :lo] = ab[i, hi:mb.size] = 0.0
-                if lo < hi:             # T_l is read once per block that has modes at l
+                if lo < hi and (t := T) is None:    # no T yet: eta waits in the front of its rows of a
+                    _draw_xi(draw, ls[i], mb[lo:hi].tolist(), early[i])
+                    late.append(i)
+                elif lo < hi:           # T_l is read once per block that has modes at l
                     _draw_xi(draw, ls[i], mb[lo:hi].tolist(), x[lo:hi])
-                    np.matmul(x[lo:hi], T[i], out=ab[i, lo:hi])
+                    np.matmul(x[lo:hi], t[i], out=ab[i, lo:hi])
         except BaseException as e:      # raised again by the calling thread
             err.append(e)
+
+    def catch_up():                     # the draws made before T, times T_l through the free slot
+        while late:                     # only the calling thread pops
+            xb[:1] = early[i := late.pop()]
+            np.matmul(xb[:1], T[i], out=ab[i])
 
     def contract(am, lam_m, b, m):      # b_m = sum_l a_lm lam_m[l], on the pairs
         if grid:
@@ -378,7 +389,7 @@ def _synthesize_modes(T, ls, streams, s: int, theta_u, ci, ti, phi, shape, real:
     n_f, n_s = phi_u.size, min(phi_u.size, ms.size)    # n_s ring table columns: the filled phi slots
     ring = cx and grid and 0 < n_chi * n_t * n_f <= 2 * pick.size and n_s <= N * n_chi * n_t  # E <= field
     ring = ring and np.max(np.abs(phi_u - np.arange(n_f) * (2 * math.pi / n_f))) <= 4e-15   # 4.5 ulp
-    shapes = [(n_l, nb if cx else 1) + shape, (nb if cx else 1, N, T.shape[1]), (N * n_chi, n_t) if grid
+    shapes = [(n_l, nb if cx else 1) + shape, (nb if cx else 1, N, n_T), (N * n_chi, n_t) if grid
               else (N, pairs.size), ((N * n_chi * n_t, n_s) if ring else (N,) + pick.shape) if cx else (0,)]
     n = [math.prod(x) for x in shapes]
     at = [0, n[0], n[0], n[0] + max(n[1], n[2])]      # xi and b share one slot
@@ -399,17 +410,21 @@ def _synthesize_modes(T, ls, streams, s: int, theta_u, ci, ti, phi, shape, real:
         mb, m0 = ms[j0 + jb], real and j0 == 0
         ab, xb, bb = f64 if m0 else (a, xi, b)
         lohi = np.searchsorted(mb, np.multiply.outer(ls, (-1, 1)) + (0, 1)).tolist()   # |m| <= l
-        err, h = [], (n_l + 1) // 2 if m0 and N * T.shape[1] >= _DUAL and _cpus() > 1 else n_l
-        if h < n_l:                     # ls[h:] on a second thread, with its own stream and slot
-            worker = threading.Thread(target=fill, args=(range(h, n_l), streams(), np.empty_like(xb)))
-            worker.start()
+        todo, late, err = iter(range(n_l)), [], []      # one l queue for the block's threads
+        if dual := m0 and N * n_T >= _DUAL and _cpus() > 1:     # a second thread, with its own
+            early = ab.reshape(n_l, -1)[:, :N * n_T].reshape(n_l, 1, N, n_T)    # m = 0, live at every l
+            worker = threading.Thread(target=fill, args=(streams(), np.empty_like(xb)))   # stream and slot
+            worker.start()              # draws while this one builds T
         try:
-            fill(range(h), stream, xb)
+            T = factor() if T is None else T
+            fill(stream, xb)
+            catch_up()                  # while the worker may still draw
         finally:
-            if h < n_l:
+            if dual:
                 worker.join()
         if err:
             raise err[0]
+        catch_up()
         for j, (jj, m) in enumerate(zip(jb.tolist(), mb.tolist())):
             contract(ab[:, j], lam[:, j0 - r0 + jj], bb, m)
             if ring:
@@ -434,13 +449,17 @@ def synthesize(geom: Geometry, P: PowerSpectrum, cfg: SynthesisConfig,
 
     k, sd = _k_nodes(geom, P, cfg)
     (chi_u, ci), (theta_u, ti) = (np.unique(x, return_inverse=True) for x in (chi, theta))
-    R = radial_table(geom, k, cfg.L_max, chi_u)
-    R *= sd[:, None]                    # B_l, in place
-    T = R[:, :min(R.shape[1:])]         # T_l over B_l's first rows (all of them if B_l is not tall)
-    for B, F in zip(R, T):
-        F[...] = _radial_factor(B)
-    values = _synthesize_modes(T, range(cfg.L_max + 1), lambda: mode_streams(cfg.seed), 0, theta_u,
-                               ci, ti, phi, (cfg.n_realizations, chi_u.size), cfg.real)
+
+    def factor():                       # built while the first draws run (_synthesize_modes)
+        R = radial_table(geom, k, cfg.L_max, chi_u)
+        R *= sd[:, None]                # B_l, in place
+        T = R[:, :min(R.shape[1:])]     # T_l over B_l's first rows (all of them if B_l is not tall)
+        for B, F in zip(R, T):
+            F[...] = _radial_factor(B)
+        return T
+    values = _synthesize_modes(factor, min(k.size, chi_u.size), range(cfg.L_max + 1),
+                               lambda: mode_streams(cfg.seed), 0, theta_u, ci, ti, phi,
+                               (cfg.n_realizations, chi_u.size), cfg.real)
     values *= _norm_const(geom)
     return FieldRealization(geom, chi, theta, phi, values, cfg.seed, cfg)
 

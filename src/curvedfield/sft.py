@@ -55,7 +55,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .geometry import Geometry, Kind, surface_area
 from .quadrature import gauss_legendre_grid
-from .specfun import _fold, zonal_blocks, zonal_spherical
+from .specfun import _fold, _zonal_rows, zonal_blocks, zonal_spherical
 
 __all__ = [
     "RadialProfile", "Spectrum", "surface_area", "forward_isotropic",
@@ -295,14 +295,14 @@ def _heaviest_row(geom: Geometry, k: np.ndarray, chi: np.ndarray, ab: np.ndarray
     loop: the _SEED_ROWS lowest-k rows set a floor, and only the rows past them whose bound
     (|Phi_q| <= 1/(omega_q f) off the origin, 1 on it) reaches it are summed."""
     omega, r = _scaled(geom, k, chi)
-    rf, _, origin, scale = _fold(geom.kind, r)
+    rf, _, origin, scale = fold = _fold(geom.kind, r)     # once: every row below reads it
     inv_f = np.divide(scale, rf, out=np.zeros_like(rf), where=~origin)
     bound = (ab @ inv_f) / omega[_SEED_ROWS:] + ab[origin].sum()     # omega > 0 past row 0
-    mass = np.abs(phi := zonal_spherical(geom, omega[:_SEED_ROWS], r)) @ ab
+    mass = np.abs(phi := _zonal_rows(geom.kind, omega[:_SEED_ROWS], fold)) @ ab
     top, top_mass = phi[i := int(np.argmax(mass))], mass[i]
     rows = _SEED_ROWS + np.flatnonzero(bound * (1.0 + 1e-12) >= top_mass)
     for blk in zonal_blocks(rows.size, r.size):
-        mass = np.abs(phi := zonal_spherical(geom, omega[rows[blk]], r)) @ ab
+        mass = np.abs(phi := _zonal_rows(geom.kind, omega[rows[blk]], fold)) @ ab
         if mass[i := int(np.argmax(mass))] > top_mass:    # ties: the first node
             top, top_mass = phi[i], mass[i]
     return top

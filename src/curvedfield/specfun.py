@@ -642,8 +642,14 @@ def zonal_spherical(geom: Geometry, omega, r):
             raise DomainError("closed-model scaled radius r exceeds pi")
         if np.any(np.abs(w - np.round(w)) > 1e-9):
             raise DomainError(f"closed model needs integer omega >= 0, got {omega}")
+    return _zonal_rows(geom.kind, w, _fold(geom.kind, r)).reshape(shape_w + shape_r)[()]
+
+
+def _zonal_rows(kind: Kind, w: np.ndarray, fold) -> np.ndarray:
+    """zonal_spherical's table (w.size, r.size) at checked 1-d omega w, from fold = _fold(kind, r)."""
+    if kind is Kind.CLOSED:
         w = np.round(w) + 1.0                     # the closed a = omega + 1
-    r, refl, _, r_over_f = _fold(geom.kind, r)
+    r, refl, _, r_over_f = fold
     x = np.multiply.outer(w, r)
     np.maximum(x, np.finfo(float).tiny, out=x)    # sin(x)/x is 1 at x = 0: sin(tiny) == tiny
     vals = np.sin(x)
@@ -651,5 +657,5 @@ def zonal_spherical(geom: Geometry, omega, r):
     vals *= r_over_f
     flip = np.ix_(w % 2 == 0, refl)               # closed: Phi(pi - r) = (-1)^omega Phi(r)
     vals[flip] = -vals[flip]
-    return vals.reshape(shape_w + shape_r)[()]
+    return vals
 

@@ -261,8 +261,8 @@ def synthesize_spin(s: int, kernels: SpinKernelSet, theta, phi, seed: int,
     ell, theta_u = kernels.ell.tolist(), np.unique(theta)
     _check_index(ell[-1])                       # before any kernel is factored
     fac = _factor(kernels.kernels, ell).transpose(0, 2, 1)
-    vals = _synthesize_modes(fac, ell, lambda: mode_streams(seed, tag=_SPIN_TAG, spin=s), s, theta_u,
-                             np.arange(kernels.chi.size)[:, None], np.searchsorted(theta_u, theta),
+    vals = _synthesize_modes(lambda: fac, fac.shape[1], ell, lambda: mode_streams(seed, tag=_SPIN_TAG, spin=s),
+                             s, theta_u, np.arange(kernels.chi.size)[:, None], np.searchsorted(theta_u, theta),
                              phi, (n_realizations, kernels.chi.size), real=False)
     return SpinFieldRealization(kernels, theta, phi, vals, seed)
 

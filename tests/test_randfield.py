@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvedfield import randfield, sft, specfun
-from curvedfield.errors import DomainError
+from curvedfield.errors import AccuracyError, DomainError
 from curvedfield.geometry import Geometry
 from curvedfield.quadrature import gauss_legendre_grid
 from curvedfield.randfield import (CorrelationEstimate, GaussianBump,
@@ -984,19 +984,30 @@ def _drawing_threads(monkeypatch) -> list:
                                              (0.0, 1000, False), ("scattered", 10000, True)])
 def test_two_threads_keep_every_bit(monkeypatch, theta, N, split):
     # At N = 10,000 each m = 0 draw holds N n_T = 90,000 normals, past
-    # randfield._DUAL: with two CPUs the last l is drawn on a second thread,
-    # from its own stream and slot, into its own rows of a; with one CPU, or
-    # at N = 1,000, every l is drawn here.  The payloads are equal bit for
+    # randfield._DUAL: with two CPUs a second thread pulls l from the block's
+    # queue, with its own stream and slot, into its own rows of a; with one
+    # CPU, or at N = 1,000, every l is drawn here.  The payloads are equal bit for
     # bit, on the polar ray (m = 0 alone), at theta = pi/2 (the m > 0 on
     # one thread after) and on 9 radii each with its own theta and phi (the
     # per-pair contraction and the per-m gather), with thread switches forced
     # every microsecond.  The stream of (2, 0) waits 20 ms, so a worker not
-    # joined would still run.
-    streams, chi = mode_streams, np.linspace(0.0, 2.0, 9)
+    # joined would still run.  A second thread's draws wait for the calling
+    # thread's first, so the worker cannot drain the queue alone while the
+    # calling thread builds the radial factor.
+    streams, chi, main, first = mode_streams, np.linspace(0.0, 2.0, 9), threading.get_ident(), threading.Event()
 
     def slow(seed):
         stream = streams(seed)
-        return lambda l, m: (time.sleep(0.02) if (l, m) == (2, 0) else None, stream(l, m))[1]
+
+        def draw(l, m):
+            if threading.get_ident() == main:
+                first.set()
+            else:
+                first.wait(10.0)
+            if (l, m) == (2, 0):
+                time.sleep(0.02)
+            return stream(l, m)
+        return draw
     monkeypatch.setattr(randfield, "mode_streams", slow)
     cfg = SynthesisConfig(L_max=2, seed=1, k_max=8.0, k_panels=4, k_order=6, n_realizations=N)
     rng = np.random.default_rng(2)
@@ -1008,7 +1019,7 @@ def test_two_threads_keep_every_bit(monkeypatch, theta, N, split):
     try:
         for cpus in (1, 2):
             monkeypatch.setattr(randfield, "_cpus", lambda: cpus)
-            seen.clear()
+            seen.clear(), first.clear()
             payload[cpus] = synthesize(G_FLAT, GaussianBump(1.0, 3.0, 0.8), cfg, *pts).values
             assert len(set(seen[:3])) == (2 if split and cpus == 2 else 1)    # m = 0 draws first
             assert threading.active_count() == before
@@ -1017,22 +1028,25 @@ def test_two_threads_keep_every_bit(monkeypatch, theta, N, split):
     assert np.array_equal(payload[1], payload[2])
 
 
-@pytest.mark.parametrize("bad_l", [2, 0])
-def test_a_failed_draw_is_raised_after_the_join(monkeypatch, bad_l):
-    # A stream that raises at l = 2, drawn on the second thread, or at l = 0,
-    # drawn on the calling one: synthesize raises it once the worker has
-    # joined, and leaves no thread behind.
+@pytest.mark.parametrize("bad", ["worker", "caller"])
+def test_a_failed_draw_is_raised_after_the_join(monkeypatch, bad):
+    # The first draw of the second thread, or of the calling one, raises:
+    # synthesize raises it once the worker has joined, and leaves no thread
+    # behind.  The other thread's draws wait for the failing one, so neither
+    # drains the block's l queue alone.
     class Broken(Exception):
         pass
-    streams, raised_on = mode_streams, []
+    streams, raised_on, failed, main = mode_streams, [], threading.Event(), threading.get_ident()
 
     def broken(seed):
         stream = streams(seed)
 
         def draw(l, m):
-            if l == bad_l:
+            if (threading.get_ident() == main) == (bad == "caller") and not failed.is_set():
                 raised_on.append(threading.get_ident())
+                failed.set()
                 raise Broken(l)
+            failed.wait(10.0)
             return stream(l, m)
         return draw
     monkeypatch.setattr(randfield, "mode_streams", broken)
@@ -1042,7 +1056,86 @@ def test_a_failed_draw_is_raised_after_the_join(monkeypatch, bad_l):
     with pytest.raises(Broken):
         synthesize(G_FLAT, GaussianBump(1.0, 3.0, 0.8), cfg, chi, np.zeros(chi.size), np.zeros(chi.size))
     assert threading.active_count() == before
-    assert (raised_on != [threading.get_ident()]) == (bad_l == 2) and len(raised_on) == 1
+    assert len(raised_on) == 1 and (raised_on[0] == main) == (bad == "caller")
+
+
+def test_a_failed_factor_is_raised_after_the_join(monkeypatch):
+    # The radial table fails its certification while the second thread draws:
+    # synthesize raises the AccuracyError once that thread has drained the
+    # block's l queue alone and joined, and leaves no thread behind.
+    started, drawn, draw, main = threading.Event(), [], randfield._draw_xi, threading.get_ident()
+
+    def recorded(stream, l, ms, out):
+        if threading.get_ident() != main:
+            started.set()
+        draw(stream, l, ms, out)
+        drawn.append((l, threading.get_ident() != main))
+
+    def failing(*args, **kwargs):
+        assert started.wait(10.0)
+        raise AccuracyError("radial table: residual above tolerance")
+    monkeypatch.setattr(randfield, "_draw_xi", recorded)
+    monkeypatch.setattr(randfield, "radial_table", failing)
+    monkeypatch.setattr(randfield, "_cpus", lambda: 2)
+    chi, before = np.linspace(0.0, 2.0, 9), threading.active_count()
+    cfg = SynthesisConfig(L_max=2, seed=1, k_max=8.0, k_panels=4, k_order=6, n_realizations=10000)
+    with pytest.raises(AccuracyError, match="residual above tolerance"):
+        synthesize(G_FLAT, GaussianBump(1.0, 3.0, 0.8), cfg, chi, np.zeros(chi.size), np.zeros(chi.size))
+    assert threading.active_count() == before
+    assert drawn == [(0, True), (1, True), (2, True)]
+
+
+@pytest.mark.parametrize("wait", [False, True])
+def test_bits_do_not_follow_the_drawing_thread(monkeypatch, wait):
+    # With two CPUs a real field's m = 0 draws start before the radial factor
+    # exists, and both threads pull l from one queue: an l drawn before the
+    # factor waits in the front of its rows of a, and the calling thread
+    # multiplies it once its own draws are done, before the join or after it.
+    # A factor built at once, or one that waits until the second thread has
+    # drained the queue (every product deferred; the last l is handed over
+    # only once the join has begun), gives the one-CPU payload bit for bit; on
+    # one CPU no thread starts.
+    L, chi, P = 2, np.linspace(0.0, 2.0, 9), GaussianBump(1.0, 3.0, 0.8)
+    cfg = SynthesisConfig(L_max=L, seed=1, k_max=8.0, k_panels=4, k_order=6, n_realizations=10000)
+    pts = chi, np.zeros(chi.size), np.zeros(chi.size)
+    drained, joining, main = threading.Event(), threading.Event(), threading.get_ident()
+    table, draw = randfield.radial_table, randfield._draw_xi
+    start, join = threading.Thread.start, threading.Thread.join
+    on_worker, started = [], []
+
+    def recorded(stream, l, ms, out):
+        draw(stream, l, ms, out)
+        if threading.get_ident() != main:
+            on_worker.append(l)
+            if wait and len(on_worker) == L + 1:
+                drained.set()
+                assert joining.wait(10.0)
+
+    def factor_table(*args, **kwargs):
+        if wait:
+            assert drained.wait(10.0)
+        return table(*args, **kwargs)
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    def joined(thread, *args):
+        joining.set()
+        join(thread, *args)
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    monkeypatch.setattr(threading.Thread, "join", joined)
+    monkeypatch.setattr(randfield, "_cpus", lambda: 1)
+    one = synthesize(G_FLAT, P, cfg, *pts).values
+    assert started == []
+    monkeypatch.setattr(randfield, "_draw_xi", recorded)
+    monkeypatch.setattr(randfield, "radial_table", factor_table)
+    monkeypatch.setattr(randfield, "_cpus", lambda: 2)
+    before = threading.active_count()
+    two = synthesize(G_FLAT, P, cfg, *pts).values
+    assert len(started) == 1 and threading.active_count() == before
+    assert on_worker == [0, 1, 2] or not wait
+    assert np.array_equal(one, two)
 
 
 # ---------------------------------------------------------------------------

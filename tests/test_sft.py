@@ -484,7 +484,7 @@ def test_roundtrip_builds_each_block_once(monkeypatch, name):
     # no row past them whose bound reaches their max, and checks its heaviest
     # row as it stands, with no kernel rebuilt
     calls, tables = [], []
-    factors, table = sft._zonal_factors, sft.zonal_spherical
+    factors, table, rows = sft._zonal_factors, sft.zonal_spherical, sft._zonal_rows
 
     def no_kernel(*args):
         raise AssertionError("the monitor rebuilt a kernel row")
@@ -492,6 +492,8 @@ def test_roundtrip_builds_each_block_once(monkeypatch, name):
     monkeypatch.setattr(sft, "_zonal_factors", lambda *a: (calls.append(a), factors(*a))[1])
     monkeypatch.setattr(sft, "zonal_spherical",
                         lambda g, w, r: (tables.append(np.size(w)), table(g, w, r))[1])
+    monkeypatch.setattr(sft, "_zonal_rows",         # the search's rows, on radii folded once
+                        lambda kind, w, fold: (tables.append(np.size(w)), rows(kind, w, fold))[1])
     monkeypatch.setattr(sft, "zonal_kernel", no_kernel)
     geom, chi, prof, k = blocked_setup(name, 2 * ROWS + 1)
     assert len(specfun.zonal_blocks(k.size, chi.size)) == 3     # a table's blocks
@@ -504,6 +506,25 @@ def test_roundtrip_builds_each_block_once(monkeypatch, name):
         call()
         assert len(calls) == n_factors
         assert tables == [sft._SEED_ROWS] * monitor
+
+
+@pytest.mark.parametrize("geom", [G_OPEN, G_FLAT])
+def test_heaviest_row_folds_its_radii_once(monkeypatch, geom):
+    # 600 nodes on 720 radii, mass near the origin: the bound keeps rows in
+    # several zonal blocks past the seeds, and every row reads the one fold of
+    # the call; the returned row is the full table's, bit for bit
+    k = gauss_legendre_grid(0.0, 30.0, 50, 12)[0] + 0.1
+    chi = gauss_legendre_grid(0.0, 4.0, 60, 12)[0]
+    ab = np.exp(-(chi - 0.3) ** 2)
+    folds, blocks, fold, rows = [], [], specfun._fold, sft._zonal_rows
+    for module in (sft, specfun):
+        monkeypatch.setattr(module, "_fold", lambda *a: (folds.append(a), fold(*a))[1])
+    monkeypatch.setattr(sft, "_zonal_rows", lambda kind, w, f: (blocks.append(w.size), rows(kind, w, f))[1])
+    top = sft._heaviest_row(geom, k, chi, ab)
+    assert len(folds) == 1 and len(blocks) >= 3 and blocks[0] == sft._SEED_ROWS, (len(folds), blocks)
+    monkeypatch.undo()
+    phi = zonal_kernel(geom, k, chi)
+    np.testing.assert_array_equal(top, phi[np.argmax(np.abs(phi) @ ab)])
 
 
 @pytest.mark.parametrize("name", BLOCKED + ["open-few", "flat-few", "closed-few", "open-glchi",

@@ -115,13 +115,15 @@ job estimate est_cplx est synthesis.l_max=2 synthesis.real=false
 # a real field's float64 m = 0 on the open and closed radial factors too
 job estimate est_open est geometry.kind=open geometry.k=-0.5
 job estimate est_closed est geometry.kind=closed geometry.k=1.0 synthesis.omega_max=12
-# a real estimate of 36,000 normals a draw splits its m = 0 draws over two threads
+# a real estimate of 36,000 normals a draw shares its m = 0 draws between two threads
 # when two CPUs are free; on one CPU (taskset) it writes the same table, byte for byte
 one_cpu est_big est synthesis.l_max=2 estimate.n_realizations=12000
 # a complex field of that size draws every block on the calling thread: the same table on one CPU
 one_cpu est_big_cplx est_big synthesis.real=false
+# on the open model its m = 0 draws start while the certified radial table is built: the same table on one CPU
+one_cpu est_big_open est_big geometry.kind=open geometry.k=-0.5
 # each estimate's max |z| against analytic_correlation stays below 5 (acceptance 5)
-below 'max |z|' 5 est est_cplx est_open est_closed est_big est_big_cplx
+below 'max |z|' 5 est est_cplx est_open est_closed est_big est_big_cplx est_big_open
 job spin spin spin.s=2 spin.l_max=4 lensing.observable=gamma grid.n_chi=3 grid.chi_max=2.0 grid.n_theta=4 \
   grid.n_phi=8
 # it reads back finite, with the chi = 0 shell exactly 0 (acceptance 6)

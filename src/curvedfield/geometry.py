@@ -89,15 +89,14 @@ class Geometry:
         """Dimensionless spectral parameter for the curved models.
 
         open: omega = k/sqrt(-K); closed: omega = k/sqrt(K) - 1 (must be a
-        nonnegative integer).  Flat has no rescaling; returns k unchanged.
-        k may be a scalar (float result) or an array (array result); the
-        closed lattice check names the first off-lattice entry.
+        nonnegative integer).  Flat has no rescaling.  k may be a scalar (float
+        result) or an array-like (array result); the closed lattice check names
+        the first off-lattice entry.
         """
-        if self.kind is Kind.OPEN:
-            return k / math.sqrt(-self.K)
+        ks = np.asarray(k, dtype=float if self.kind is Kind.CLOSED else None)   # open k may be imaginary
+        omega = ks / (self.curvature_scale or 1.0)
         if self.kind is Kind.CLOSED:
-            ks = np.asarray(k, dtype=float)
-            omega = ks / math.sqrt(self.K) - 1.0
+            omega -= 1.0
             nearest = np.round(omega) + 0.0          # + 0.0 turns -0.0 into 0.0
             off = ~(nearest >= 0) | ~(np.abs(omega - nearest)
                                       <= 1e-8 * np.maximum(1.0, np.abs(omega)))
@@ -106,15 +105,12 @@ class Geometry:
                 raise SpectralLatticeError(
                     f"k={ks.flat[i]} is off the closed-model lattice k=(omega+1)sqrt(K); "
                     f"omega={omega.flat[i]}")
-            return float(nearest) if ks.ndim == 0 else nearest
-        return k
+            omega = nearest
+        return omega.item() if ks.ndim == 0 else omega
 
-    def k_of_omega(self, omega: float) -> float:
-        if self.kind is Kind.OPEN:
-            return omega * math.sqrt(-self.K)
-        if self.kind is Kind.CLOSED:
-            return (omega + 1.0) * math.sqrt(self.K)
-        return omega
+    def k_of_omega(self, omega):
+        k = (np.asarray(omega) + (self.kind is Kind.CLOSED)) * (self.curvature_scale or 1.0)
+        return k.item() if k.ndim == 0 else k
 
 
 def f_K(geom: Geometry, chi):

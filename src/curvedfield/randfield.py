@@ -39,9 +39,9 @@ its live m into a; live modes keep their streams, so their draws keep every bit.
 Real fields (xi_{l,-m} = (-1)^m conj(xi_lm)) are Re b_0 + 2 Re sum_{m>0} b_m e^{i m phi}.
 Their xi_l0 are real: m = 0 is the first block, in float64 (with no other m live nothing complex
 is allocated), and b_0 is added with no phase.  A block's l come from one queue, which, when each
-m = 0 draw holds _DUAL normals and 2 CPUs are free, a second thread (own Philox, slot and rows of a:
-the same bits) drains too, started before the calling thread builds the T_l.  An l drawn before T
-exists waits in the front of its rows of a (N n_T <= N n_radii), then passes the free slot times T_l.
+m = 0 draw holds _DUAL normals and 2 CPUs are free, a second thread (own Philox: the same bits) drains
+too, from before the calling thread builds the T_l.  It only draws, each l into the front of its rows
+of a (N n_T <= N n_radii), which the calling thread passes through the free slot times T_l.
 On a tensor grid (phi_j = 2 pi j / n_phi on every (chi, theta) ring) b_m is added
 instead into a ring table in the gather's place, one column per filled phi slot
 (m mod n_phi); one product with e^{i m phi_j} after the last m makes the field.
@@ -205,8 +205,8 @@ class SynthesisConfig:
             raise DomainError(f"k_max must be finite and > 0, got {self.k_max}")
         if self.k_panels < 1 or self.k_order < 2:
             raise DomainError("k_panels >= 1 and k_order >= 2 required")
-        if self.omega_max is not None and self.omega_max < 0:
-            raise DomainError(f"omega_max must be >= 0, got {self.omega_max}")
+        if (w := self.omega_max) is not None and not (w >= 0 and float(w).is_integer()):
+            raise DomainError(f"omega_max must be an integer >= 0, got {w}")
 
 
 @dataclass(frozen=True)
@@ -338,7 +338,7 @@ def _synthesize_modes(factor, n_T, ls, streams, s: int, theta_u, ci, ti, phi, sh
     ring table (at most 2 N n_points, as is E): never (L+1)^2 N n_chi modes, nor a buffer
     trimmed and faulted back per call.  Each block drains one l queue (draw, product), then per
     m one contraction and placement; a real field's m = 0 is the first block, in the float64
-    fronts of a, slot and b, whose queue a second thread may share before T exists (notes)."""
+    fronts of a, slot and b, whose queue a second thread that only draws may share (notes)."""
     L, (N, n_chi), n_l, n_t, stream, T = ls[-1], shape, len(ls), theta_u.size, streams(), None
     pairs, pick = np.unique(ci * n_t + ti, return_inverse=True)
     grid = 2 * pairs.size >= n_chi * n_t          # b over chi x theta, else per pair
@@ -359,16 +359,16 @@ def _synthesize_modes(factor, n_T, ls, streams, s: int, theta_u, ci, ti, phi, sh
             for i in todo:
                 lo, hi = lohi[i]
                 ab[i, :lo] = ab[i, hi:mb.size] = 0.0
-                if lo < hi and (t := T) is None:    # no T yet: eta waits in the front of its rows of a
+                if lo < hi and x is None:   # the worker: eta waits in its rows of a
                     _draw_xi(draw, ls[i], mb[lo:hi].tolist(), early[i])
                     late.append(i)
                 elif lo < hi:           # T_l is read once per block that has modes at l
                     _draw_xi(draw, ls[i], mb[lo:hi].tolist(), x[lo:hi])
-                    np.matmul(x[lo:hi], t[i], out=ab[i, lo:hi])
+                    np.matmul(x[lo:hi], T[i], out=ab[i, lo:hi])
         except BaseException as e:      # raised again by the calling thread
             err.append(e)
 
-    def catch_up():                     # the draws made before T, times T_l through the free slot
+    def catch_up():                     # the worker's draws, times T_l through the free slot
         while late:                     # only the calling thread pops
             xb[:1] = early[i := late.pop()]
             np.matmul(xb[:1], T[i], out=ab[i])
@@ -413,7 +413,7 @@ def _synthesize_modes(factor, n_T, ls, streams, s: int, theta_u, ci, ti, phi, sh
         todo, late, err = iter(range(n_l)), [], []      # one l queue for the block's threads
         if dual := m0 and N * n_T >= _DUAL and _cpus() > 1:     # a second thread, with its own
             early = ab.reshape(n_l, -1)[:, :N * n_T].reshape(n_l, 1, N, n_T)    # m = 0, live at every l
-            worker = threading.Thread(target=fill, args=(streams(), np.empty_like(xb)))   # stream and slot
+            worker = threading.Thread(target=fill, args=(streams(), None))      # stream, only draws
             worker.start()              # draws while this one builds T
         try:
             T = factor() if T is None else T

@@ -140,8 +140,8 @@ def closed_k_lattice(geom: Geometry, omega_max: int) -> np.ndarray:
     """Wavenumbers sqrt(K) (w+1) for w = 0..omega_max."""
     if geom.kind is not Kind.CLOSED:
         raise DomainError("k lattice only applies to the closed model")
-    if omega_max < 0:
-        raise DomainError(f"omega_max must be >= 0, got {omega_max}")
+    if not (omega_max >= 0 and float(omega_max).is_integer()):    # NaN, inf fail
+        raise DomainError(f"omega_max must be an integer >= 0, got {omega_max}")
     return geom.curvature_scale * (np.arange(omega_max + 1) + 1.0)
 
 

@@ -59,6 +59,18 @@ def test_closed_lattice_rejects_off_lattice_k():
         g.omega_of_k(0.5)              # omega would be -0.5
 
 
+@pytest.mark.parametrize("g", [Geometry.open(-4.0), Geometry.flat(), Geometry.closed(4.0)],
+                         ids=["open", "flat", "closed"])
+def test_omega_and_k_take_lists(g):
+    # a list is read as an array on every model, and a scalar still gives a float
+    omega = np.array([1.0, 2.0])
+    k = g.k_of_omega(omega)
+    np.testing.assert_array_equal(g.k_of_omega(omega.tolist()), k)
+    np.testing.assert_array_equal(g.omega_of_k(k.tolist()), omega)
+    assert type(g.k_of_omega(2.0)) is float and type(g.omega_of_k(g.k_of_omega(2.0))) is float
+    assert g.omega_of_k(g.k_of_omega(2)) == 2.0
+
+
 @given(st.integers(min_value=0, max_value=200),
        st.floats(min_value=0.05, max_value=30.0))
 def test_closed_lattice_roundtrip(omega, K):

@@ -350,6 +350,16 @@ def test_config_validation():
             small_cfg(closed_weight=value)
 
 
+@pytest.mark.parametrize("omega_max", [2.5, math.nan, math.inf])
+def test_non_integer_omega_max_rejected(omega_max):
+    # 2.5 once drew and correlated as omega_max = 3; NaN and inf passed the config
+    with pytest.raises(DomainError, match="omega_max must be an integer"):
+        SynthesisConfig(L_max=1, omega_max=omega_max)
+    with pytest.raises(DomainError, match="omega_max must be an integer"):
+        analytic_correlation(G_CLOSED, GaussianBump(1.0, 3.0, 0.8), [0.5], omega_max=omega_max)
+    assert SynthesisConfig(L_max=1, omega_max=3.0).omega_max == 3.0
+
+
 # ---------------------------------------------------------------------------
 # Statistics against the analytic covariance
 # ---------------------------------------------------------------------------
@@ -985,8 +995,9 @@ def _drawing_threads(monkeypatch) -> list:
 def test_two_threads_keep_every_bit(monkeypatch, theta, N, split):
     # At N = 10,000 each m = 0 draw holds N n_T = 90,000 normals, past
     # randfield._DUAL: with two CPUs a second thread pulls l from the block's
-    # queue, with its own stream and slot, into its own rows of a; with one
-    # CPU, or at N = 1,000, every l is drawn here.  The payloads are equal bit for
+    # queue and draws them, with its own stream, into its own rows of a, which
+    # the calling thread multiplies; with one CPU, or at N = 1,000, every l is
+    # drawn here.  The payloads are equal bit for
     # bit, on the polar ray (m = 0 alone), at theta = pi/2 (the m > 0 on
     # one thread after) and on 9 radii each with its own theta and phi (the
     # per-pair contraction and the per-m gather), with thread switches forced
@@ -1088,9 +1099,10 @@ def test_a_failed_factor_is_raised_after_the_join(monkeypatch):
 @pytest.mark.parametrize("wait", [False, True])
 def test_bits_do_not_follow_the_drawing_thread(monkeypatch, wait):
     # With two CPUs a real field's m = 0 draws start before the radial factor
-    # exists, and both threads pull l from one queue: an l drawn before the
-    # factor waits in the front of its rows of a, and the calling thread
-    # multiplies it once its own draws are done, before the join or after it.
+    # exists, and both threads pull l from one queue: an l the second thread
+    # draws waits in the front of its rows of a, before the factor exists or
+    # after, and the calling thread multiplies it once its own draws are done,
+    # before the join or after it.
     # A factor built at once, or one that waits until the second thread has
     # drained the queue (every product deferred; the last l is handed over
     # only once the join has begun), gives the one-CPU payload bit for bit; on
@@ -1136,6 +1148,80 @@ def test_bits_do_not_follow_the_drawing_thread(monkeypatch, wait):
     assert len(started) == 1 and threading.active_count() == before
     assert on_worker == [0, 1, 2] or not wait
     assert np.array_equal(one, two)
+
+
+def _polar_ray_job():
+    # a real polar-ray synthesis whose m = 0 draws (N n_T = 90,000) take two threads
+    chi = np.linspace(0.0, 2.0, 9)
+    cfg = SynthesisConfig(L_max=2, seed=1, k_max=8.0, k_panels=4, k_order=6, n_realizations=10000)
+    return G_FLAT, GaussianBump(1.0, 3.0, 0.8), cfg, chi, np.zeros(chi.size), np.zeros(chi.size)
+
+
+def test_the_worker_draws_only_into_its_rows_of_a(monkeypatch):
+    # The second thread only draws, into the front of its own rows of a: no
+    # draw of it lands in memory that a draw of the calling thread uses (its
+    # slot).  Each thread's first draw waits until the other has entered one,
+    # so both draw, whatever the timing.
+    main, draw, outs = threading.get_ident(), randfield._draw_xi, {True: [], False: []}
+    entered = {True: threading.Event(), False: threading.Event()}
+
+    def recorded(stream, l, ms, out):
+        caller = threading.get_ident() == main
+        outs[caller].append(out)
+        entered[caller].set()
+        assert entered[not caller].wait(10.0)
+        draw(stream, l, ms, out)
+    monkeypatch.setattr(randfield, "_cpus", lambda: 1)
+    one = synthesize(*_polar_ray_job()).values
+    monkeypatch.setattr(randfield, "_draw_xi", recorded)
+    monkeypatch.setattr(randfield, "_cpus", lambda: 2)
+    two = synthesize(*_polar_ray_job()).values
+    assert outs[True] and outs[False] and len(outs[True]) + len(outs[False]) == 3
+    assert not any(np.shares_memory(w, c) for w in outs[False] for c in outs[True])
+    assert np.array_equal(one, two)
+
+
+def test_a_worker_draw_is_listed_once_complete(monkeypatch):
+    # Each draw of the second thread starts only once the join has begun, so
+    # the calling thread has drawn and multiplied its own l and run its pass
+    # before the join: an l listed before its draw is complete would be
+    # multiplied there unfilled, and one drawn during the join needs the pass
+    # after it.  The payload is the one-CPU payload bit for bit.
+    main, draw = threading.get_ident(), randfield._draw_xi
+    entered, joining, join, on_worker = threading.Event(), threading.Event(), threading.Thread.join, []
+
+    def recorded(stream, l, ms, out):
+        if threading.get_ident() == main:
+            assert entered.wait(10.0)           # the worker holds an l
+        else:
+            on_worker.append(l)
+            entered.set()
+            assert joining.wait(10.0)
+        draw(stream, l, ms, out)
+
+    def joined(thread, *args):
+        joining.set()
+        join(thread, *args)
+    monkeypatch.setattr(randfield, "_cpus", lambda: 1)
+    one = synthesize(*_polar_ray_job()).values
+    monkeypatch.setattr(randfield, "_draw_xi", recorded)
+    monkeypatch.setattr(threading.Thread, "join", joined)
+    monkeypatch.setattr(randfield, "_cpus", lambda: 2)
+    two = synthesize(*_polar_ray_job()).values
+    assert len(on_worker) == 1
+    assert np.array_equal(one, two)
+
+
+def test_a_second_thread_adds_no_slot(monkeypatch):
+    # With two CPUs the second thread draws into rows of a that the block
+    # holds anyway: the traced peak of a synthesis whose m = 0 draws take two
+    # threads stays within 64 kB of the one-CPU peak.  A slot of its own,
+    # N n_T = 90,000 float64 (720 kB), would exceed that.
+    peaks = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(randfield, "_cpus", lambda: cpus)
+        peaks[cpus] = _synthesis_peak(*_polar_ray_job())
+    assert peaks[2] <= peaks[1] + 65536, peaks
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,17 @@ def test_closed_lattice_construction_and_rejection():
         Spectrum(geom, np.array([2.0, 5.0]), np.zeros(2))
 
 
+@pytest.mark.parametrize("omega_max", [2.5, math.nan, math.inf])
+def test_closed_lattice_rejects_a_non_integer_omega_max(omega_max):
+    # 2.5 once gave the lattice to omega = 3; NaN and inf a bare ValueError
+    geom = Geometry.closed(4.0)
+    np.testing.assert_array_equal(closed_k_lattice(geom, 3.0), closed_k_lattice(geom, 3))
+    with pytest.raises(DomainError, match="omega_max must be an integer"):
+        closed_k_lattice(geom, omega_max)
+    with pytest.raises(DomainError, match="omega_max must be an integer"):
+        sft.spectral_nodes(geom, None, 4, 6, omega_max)
+
+
 def test_zonal_kernel_physical_arguments():
     geom = Geometry.open(-4.0)   # curvature scale 2
     chi = np.array([0.2, 0.9, 1.7])

@@ -122,8 +122,10 @@ one_cpu est_big est synthesis.l_max=2 estimate.n_realizations=12000
 one_cpu est_big_cplx est_big synthesis.real=false
 # on the open model its m = 0 draws start while the certified radial table is built: the same table on one CPU
 one_cpu est_big_open est_big geometry.kind=open geometry.k=-0.5
+# at L = 8 (9 draws) the second thread still draws once the radial factor exists: the same table on one CPU
+one_cpu est_big8 est_big synthesis.l_max=8
 # each estimate's max |z| against analytic_correlation stays below 5 (acceptance 5)
-below 'max |z|' 5 est est_cplx est_open est_closed est_big est_big_cplx est_big_open
+below 'max |z|' 5 est est_cplx est_open est_closed est_big est_big_cplx est_big_open est_big8
 job spin spin spin.s=2 spin.l_max=4 lensing.observable=gamma grid.n_chi=3 grid.chi_max=2.0 grid.n_theta=4 \
   grid.n_phi=8
 # it reads back finite, with the chi = 0 shell exactly 0 (acceptance 6)

@@ -205,7 +205,7 @@ class SynthesisConfig:
             raise DomainError(f"k_max must be finite and > 0, got {self.k_max}")
         if self.k_panels < 1 or self.k_order < 2:
             raise DomainError("k_panels >= 1 and k_order >= 2 required")
-        if (w := self.omega_max) is not None and not (w >= 0 and float(w).is_integer()):
+        if (w := self.omega_max) is not None and not (0 <= w < math.inf and w % 1 == 0):
             raise DomainError(f"omega_max must be an integer >= 0, got {w}")
 
 

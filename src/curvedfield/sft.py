@@ -137,11 +137,11 @@ class Spectrum:
 
 
 def closed_k_lattice(geom: Geometry, omega_max: int) -> np.ndarray:
-    """Wavenumbers sqrt(K) (w+1) for w = 0..omega_max."""
+    """Wavenumbers sqrt(K) (w+1) for w = 0..omega_max < 2^24 (k and its weights fill 0.27 GB)."""
     if geom.kind is not Kind.CLOSED:
         raise DomainError("k lattice only applies to the closed model")
-    if not (omega_max >= 0 and float(omega_max).is_integer()):    # NaN, inf fail
-        raise DomainError(f"omega_max must be an integer >= 0, got {omega_max}")
+    if not (0 <= omega_max < 1 << 24 and omega_max % 1 == 0):    # NaN, inf fail; no float(int)
+        raise DomainError(f"omega_max must be an integer in [0, 2^24), got {omega_max}")
     return geom.curvature_scale * (np.arange(omega_max + 1) + 1.0)
 
 

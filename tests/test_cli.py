@@ -3,10 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import curvedfield
 from curvedfield import __version__, cli
@@ -472,26 +475,105 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command):
     assert not out.parent.exists()
 
 
-def test_csv_rows_match_per_value_formatting(tmp_path):
-    # the one-pass table format must print what f"{v:.17g}" printed per value
+def _every_float_class(rows):
+    """`rows` doubles of every class %.17g prints: +-0, nan, +-inf, subnormals, 10^k and its
+    neighbours for k = -5..17 (the 1e-4, 1e16 and 1e17 edges among them), 17-digit ties."""
+    pows = [float(f"1e{k}") for k in range(-5, 18)]
+    near = [y for x in pows for y in (x, np.nextafter(x, 0.0), np.nextafter(x, np.inf))]
+    # m / 2^(p + 1), m odd, is halfway between two 17-digit decimals when 10^p scales it
+    # into [10^16, 10^17): rounding must go to the even one
+    ties = [((-(-(2 ** (p + 1) * 10 ** 16) // 10 ** p) | 1) + 2 * j) / 2 ** (p + 1)
+            for p in range(1, 21) for j in range(2)]
+    v = np.array([0.0, np.nan, np.inf, 5e-324, 1e-310, 2.2250738585072014e-308, 0.1, 1.0 / 3.0,
+                  123456789.12345678, 12345678901234567.0, 1.7976931348623157e308] + near + ties)
+    v = np.concatenate([v, -v])
+    return np.resize(v, rows)
+
+
+def test_csv_rows_match_per_value_formatting(tmp_path, monkeypatch):
+    # both writers print what f"{v:.17g}" printed per value: one %-format for small or
+    # complex tables, the vectorized exact digits from 350 cells on
+    calls = []
+    exact = cli._exact_17g
+    monkeypatch.setattr(cli, "_exact_17g", lambda t: calls.append(t.shape) or exact(t))
     special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
                         1e-310, 0.1, 1.0 / 3.0, -2.5e-17, 1e16, 12345678901234567.0,
                         1.7976931348623157e308, 123456789.12345678, -1.0000000000000002])
-    cplx = np.empty(special.size, dtype=complex)
+    rows = 150
+    mixed = _every_float_class(rows)
+    cplx, mixed_cplx = np.empty(special.size, dtype=complex), np.empty(rows, dtype=complex)
     cplx.real, cplx.imag = special, special[::-1]
-    columns = {"a": special, "b": special[::-1] * -1.0, "n": np.arange(special.size),
-               "c": cplx}
+    mixed_cplx.real, mixed_cplx.imag = mixed[::-1], mixed
+    tables = [
+        {"a": special, "b": special[::-1] * -1.0, "n": np.arange(special.size), "c": cplx},
+        {"a": mixed, "b": -mixed[::-1], "n": np.arange(rows) * 123456789012345 - 2 ** 60},
+        {"a": mixed, "c": mixed_cplx, "n": np.arange(rows)}]
     out = tmp_path / "t.csv"
-    _write_table(argparse.Namespace(out=str(out), command="test"), {"x": "1"}, columns,
-                 notes=["note"])
-    expect = ["# curvedfield %s test" % __version__, "# config sha256: %s" % config_hash({"x": "1"}),
-              "# note", "a,b,n,c"]
-    expect += [",".join(f"{v:.17g}" for v in row) for row in zip(*columns.values())]
-    assert out.read_text(encoding="utf-8") == "\n".join(expect) + "\n"
+    for columns in tables:
+        _write_table(argparse.Namespace(out=str(out), command="test"), {"x": "1"}, columns,
+                     notes=["note"])
+        expect = ["# curvedfield %s test" % __version__,
+                  "# config sha256: %s" % config_hash({"x": "1"}), "# note", ",".join(columns)]
+        expect += [",".join(f"{v:.17g}" for v in row) for row in zip(*columns.values())]
+        assert out.read_text(encoding="utf-8") == "\n".join(expect) + "\n"
+    assert calls == [(rows, 3)]       # the real table above the crossover alone
     # a table without rows is its header alone
     _write_table(argparse.Namespace(out=str(out), command="test"), {"x": "1"},
                  {"a": special[:0], "c": cplx[:0]})
     assert out.read_text(encoding="utf-8") == "\n".join(expect[:2] + ["a,c"]) + "\n"
+
+
+@given(st.lists(st.one_of(st.integers(0, 2 ** 64 - 1).map(lambda b: np.uint64(b).view(np.float64)),
+                          st.floats(1e-4, 1e17), st.floats(-1e17, -1e-4)),
+                min_size=1, max_size=48),
+       st.integers(1, 4))
+@settings(max_examples=300)
+def test_exact_cells_are_per_value_17g(values, ncols):
+    # every float64 bit pattern, and the fixed-notation range the exact digits serve
+    table = np.resize(np.array(values, dtype=float), (len(values), ncols))
+    assert cli._exact_17g(table) == "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in table.tolist())
+
+
+def test_exact_table_write_peaks_below_1mb(tmp_path):
+    # the 1,020 x 3 open roundtrip table of the transform-background bench, written with
+    # the digit tables built in the call (the first table of a process) and again
+    cfg = write(tmp_path, "tr.cfg", "geometry.kind = open\ngeometry.k = -1.0\nprofile.center = 2.0\n"
+                "profile.halfwidth = 1.8\ngrid.chi_max = 4.5\ngrid.panels = 85\nspectral.k_max = 200.0\n")
+    out = tmp_path / "tr.csv"
+    assert main(["transform", "--config", cfg, "--out", str(out)]) == 0
+    columns = read_table(out)[1]
+    assert len(columns["chi"]) == 1020
+    args = argparse.Namespace(out=str(out), command="transform")
+    cli._g17_tables.cache_clear()
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            _write_table(args, {"x": "1"}, columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000, peak
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("synthesize", "synthesis.omega_max", "9" * 400),
+    ("estimate", "synthesis.omega_max", "9" * 400),
+    ("transform", "spectral.omega_max", "9" * 400),
+    ("transform", "spectral.omega_max", "100000000000")])
+def test_huge_omega_max_exits_3(tmp_path, capsys, command, key, value):
+    # a 400-digit omega_max overflowed float() and 10^11 asked numpy for a 745 GiB lattice:
+    # both ended in a traceback and exit 1
+    closed = SYN_CFG.replace("geometry.kind = flat", "geometry.kind = closed\ngeometry.k = 1.0")
+    text = {"synthesize": closed, "estimate": EST_CFG.replace("geometry.kind = flat",
+                                                              "geometry.kind = closed\ngeometry.k = 1.0"),
+            "transform": TR_CLOSED_CFG.replace("spectral.omega_max = 300", "")}[command]
+    out = tmp_path / "out"
+    assert main([command, "--config", write(tmp_path, "w.cfg", text + f"{key} = {value}\n"),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("domain error: omega_max"), err
+    assert not out.exists()
 
 
 def test_version_and_usage_exit_codes(capsys):

@@ -126,6 +126,13 @@ one_cpu est_big_open est_big geometry.kind=open geometry.k=-0.5
 one_cpu est_big8 est_big synthesis.l_max=8
 # each estimate's max |z| against analytic_correlation stays below 5 (acceptance 5)
 below 'max |z|' 5 est est_cplx est_open est_closed est_big est_big_cplx est_big_open est_big8
+# every data cell is '%.17g' of the float it reads back as, byte for byte: the exact digits of the
+# large transform tables and the one %-format of a small estimate table
+python -c 'import sys
+for f in sys.argv[1:]:
+    rows = [line for line in open(f).read().splitlines() if not line.startswith("#")][1:]
+    bad = [c for line in rows for c in line.split(",") if c != "%.17g" % float(c)]
+    assert rows and not bad, (f, bad[:3])' "$T"/{tr,tr_open,tr_open83,tr_closed,est_big}.csv
 job spin spin spin.s=2 spin.l_max=4 lensing.observable=gamma grid.n_chi=3 grid.chi_max=2.0 grid.n_theta=4 \
   grid.n_phi=8
 # it reads back finite, with the chi = 0 shell exactly 0 (acceptance 6)
